@@ -32,7 +32,6 @@ from .fields import (
     SpaceTimeTestFunction,
     contraction_field,
     cosine_bump_test_function,
-    gradient_field_of,
     plateau,
     sine_field,
     translation_field,

@@ -66,11 +66,6 @@ class CheckReport:
             extra=dict(extra or {}),
         )
 
-    @property
-    def positive_violation(self) -> float:
-        """Measured violation clipped at zero (for tightening protocols)."""
-        return max(0.0, self.max_violation)
-
     def to_dict(self) -> dict:
         doc = {
             "name": self.name,

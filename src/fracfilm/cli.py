@@ -69,18 +69,14 @@ def run_checks(sc: Scenario, traj, checks):
 
 
 def cmd_run(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    sc = load_scenario(args.scenario)
     out_arg = args.out or sc.output_dir
     if not out_arg:
         print("config error: no output directory (--out flag or output.dir key)", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
         u0 = sc.initial_density()
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     traj = jko_run(u0, sc.jko_config(), sc.num_steps)
@@ -94,17 +90,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        sc, traj = load_run_directory(args.run_dir)
-        checks = (
-            [c.strip() for c in args.checks.split(",") if c.strip()]
-            if args.checks
-            else list(sc.checks)
-        )
-        reports = run_checks(sc, traj, checks)
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    sc, traj = load_run_directory(args.run_dir)
+    checks = (
+        [c.strip() for c in args.checks.split(",") if c.strip()]
+        if args.checks
+        else list(sc.checks)
+    )
+    reports = run_checks(sc, traj, checks)
     run_dir = Path(args.run_dir)
     all_passed = True
     for rep in reports:
@@ -131,11 +123,7 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    sc = load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.tau_list:
@@ -189,11 +177,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_print_config(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    sc = load_scenario(args.scenario)
     sys.stdout.write(format_scenario(sc))
     return EXIT_OK
 
@@ -237,6 +221,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ScenarioError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except FracfilmError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILED

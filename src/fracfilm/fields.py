@@ -137,20 +137,6 @@ def sine_field(dim: int, r_inner: float, r_outer: float, freq: float = 0.5, axis
     return VectorField(dim=dim, func=func, jacobian=jac, support_radius=r_outer)
 
 
-def gradient_field_of(test, t: float) -> VectorField:
-    """The spatial gradient of a space-time test function at fixed time."""
-
-    def func(points):
-        return test.grad(t, np.atleast_2d(points))
-
-    def jac(points):
-        return test.hessian(t, np.atleast_2d(points))
-
-    return VectorField(
-        dim=test.dim, func=func, jacobian=jac, support_radius=test.support_radius
-    )
-
-
 @dataclass(frozen=True)
 class SpaceTimeTestFunction:
     """Separable smooth test function phi(t, x) = a(t) psi(x), compact in x.

@@ -2,59 +2,53 @@
 
 Each step minimizes  E(u) = F_s(u) + W^2(u, u_prev)/(2 tau)  over the grid
 simplex by mirror descent: multiplicative updates u <- u exp(-alpha G) with
-G = L_s u + phi/tau, phi the exact first-variation potential of the
+G = L_s u + phi/tau, phi = delta(W^2/2) the first-variation potential of the
 transport term, recomputed every inner iteration.  Updates keep mass one
 and positivity exactly, which is the whole point of the parameterization.
 
 The inner loop runs in two phases.  The first is Nesterov-extrapolated
-mirror descent with Armijo backtracking on the objective; once objective
-decrements fall below double-precision resolution (long before the
-stationarity residual is exhausted) it hands over to a polish phase that
-accepts steps on strict residual decrease instead.  The residual ignores
-cells whose mass share is below `degenerate_share`: those cells relax only
-logarithmically under multiplicative updates while their influence on any
-functional of the iterate is bounded by their total mass, orders below
-every tolerance in the verification suite.
+mirror descent with Armijo backtracking on the objective, starting from
+step size tau; once objective decrements fall below double-precision
+resolution (long before the stationarity residual is exhausted) it hands
+over to a polish phase that accepts steps on strict residual decrease
+instead.  The residual ignores cells whose value is below 1e-8 of the peak
+(`_DEGENERATE_SHARE`): those cells relax only logarithmically under
+multiplicative updates while their influence on any functional of the
+iterate is bounded by their total mass, orders below every tolerance in the
+verification suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from .errors import StagnationError
+from .errors import FracfilmError, StagnationError
 from .measure import GridDensity, boundary_shell_mass, entropy, second_moment
 from .spectral import PeriodicGrid, energy_of_values, fractional_laplacian
 from .transport import TransportConfig, w2
 
 _OBJ_NOISE = 32 * np.finfo(float).eps
+_SHRINK = 0.5  # Armijo backtracking factor
+_ARMIJO = 1e-4  # sufficient-decrease constant
+_ALPHA_MIN = 1e-12  # smallest step the line search tries
+_DEGENERATE_SHARE = 1e-8  # residual floor, relative to the peak value
 
 
 @dataclass(frozen=True)
 class InnerConfig:
-    """Inner (proximal) solver settings."""
+    """Inner (proximal) solver settings: iteration cap and stopping rules."""
 
     max_iters: int = 20000
     grad_tol: float = 1e-8
     obj_tol: float = 1e-12
-    alpha0: Optional[float] = None  # None: start from tau
-    shrink: float = 0.5
-    armijo: float = 1e-4
-    alpha_min: float = 1e-12
-    potential_refresh: int = 1  # >1: stale-potential speed mode
-    momentum: bool = True
-    degenerate_share: float = 1e-8
 
     def __post_init__(self):
         if self.max_iters < 1 or self.grad_tol <= 0 or self.obj_tol < 0:
             raise ValueError("inner solver tolerances must be positive")
-        if not (0 < self.shrink < 1):
-            raise ValueError(f"shrink factor must lie in (0,1), got {self.shrink}")
-        if self.potential_refresh < 1:
-            raise ValueError("potential refresh period must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,6 +66,8 @@ class JkoConfig:
             raise ValueError(f"equation order must satisfy s > 0, got {self.s}")
         if self.tau <= 0 or not np.isfinite(self.tau):
             raise ValueError(f"time step must satisfy tau > 0, got {self.tau}")
+        if self.transport.method == "exact" and self.grid.dim != 1:
+            raise ValueError(f"exact transport requires dimension 1, got {self.grid.dim}")
 
 
 @dataclass(frozen=True)
@@ -144,24 +140,6 @@ def _extrapolate(u: np.ndarray, u_old: np.ndarray, beta: float, cell_volume: flo
     return w / (np.sum(w) * cell_volume)
 
 
-class _ProxState:
-    """Bookkeeping for one proximal solve."""
-
-    __slots__ = ("u", "u_old", "obj", "alpha", "tmom", "accepted", "phase2",
-                 "noise_streak", "polish_failures")
-
-    def __init__(self, u0, obj0, alpha0):
-        self.u = u0
-        self.u_old = u0
-        self.obj = obj0
-        self.alpha = alpha0
-        self.tmom = 1.0
-        self.accepted = 0
-        self.phase2 = False
-        self.noise_streak = 0
-        self.polish_failures = 0
-
-
 def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
     """One proximal step from u_prev; see the module docstring for the solver."""
     grid = u_prev.grid
@@ -169,122 +147,108 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         raise ValueError("density grid does not match the configured grid")
     s, tau, inner = cfg.s, cfg.tau, cfg.inner
     hvol = grid.cell_volume
-    alpha0 = inner.alpha0 if inner.alpha0 is not None else tau
 
     def objective(values: np.ndarray) -> float:
         dens = GridDensity(grid, values)
         tr = w2(dens, u_prev, cfg.transport, want_potential=False)
         return energy_of_values(values, grid, s) + tr.w2_squared / (2 * tau)
 
-    pot_cache = {"phi": None, "age": 0}
-
-    def gradient(values: np.ndarray, allow_stale: bool = True):
-        if (
-            allow_stale
-            and inner.potential_refresh > 1
-            and pot_cache["phi"] is not None
-            and pot_cache["age"] < inner.potential_refresh
-        ):
-            pot_cache["age"] += 1
-            phi, w2sq = pot_cache["phi"]
-        else:
-            dens = GridDensity(grid, values)
-            tr = w2(dens, u_prev, cfg.transport, want_potential=True)
-            phi, w2sq = tr.potential, tr.w2_squared
-            pot_cache["phi"] = (phi, w2sq)
-            pot_cache["age"] = 1
-        g = fractional_laplacian(values, grid, s) + phi / tau
-        return g, w2sq
+    def gradient(values: np.ndarray):
+        dens = GridDensity(grid, values)
+        tr = w2(dens, u_prev, cfg.transport, want_potential=True)
+        g = fractional_laplacian(values, grid, s) + tr.potential / tau
+        return g, tr.w2_squared
 
     def residual(values: np.ndarray, g: np.ndarray):
-        mask = values > inner.degenerate_share * np.max(values)
+        mask = values > _DEGENERATE_SHARE * np.max(values)
         p = values[mask] * hvol
         gm = g[mask]
         gbar = float(np.sum(p * gm) / np.sum(p))
         return float(np.sqrt(np.sum(p * (gm - gbar) ** 2))), gbar
 
-    st = _ProxState(u_prev.values.copy(), energy_of_values(u_prev.values, grid, s), alpha0)
-    kkt = float("inf")
-    it = 0
-    while it < inner.max_iters:
-        it += 1
-        beta = (st.tmom - 1.0) / (st.tmom + 2.0) if (inner.momentum and not st.phase2) else 0.0
-        y = _extrapolate(st.u, st.u_old, beta, hvol) if beta > 0 else st.u
+    u = u_old = u_prev.values.copy()
+    obj = energy_of_values(u, grid, s)
+    alpha, tmom = tau, 1.0
+    accepted_total = noise_streak = polish_failures = 0
+    polish = False
+    for _ in range(inner.max_iters):
+        beta = 0.0 if polish else (tmom - 1.0) / (tmom + 2.0)
+        y = _extrapolate(u, u_old, beta, hvol) if beta > 0 else u
 
         g, w2_y = gradient(y)
         kkt, gbar = residual(y, g)
         if kkt <= inner.grad_tol:
-            st.u = y
+            u = y
             break
         obj_y = energy_of_values(y, grid, s) + w2_y / (2 * tau)
 
-        if not st.phase2:
-            st.alpha = min(2 * st.alpha, alpha0)
+        if not polish:
+            alpha = min(2 * alpha, tau)
             accepted = False
             obj_c, cand = None, None
-            while st.alpha >= inner.alpha_min:
-                cand = _mirror_candidate(y, -st.alpha * (g - gbar), hvol)
+            while alpha >= _ALPHA_MIN:
+                cand = _mirror_candidate(y, -alpha * (g - gbar), hvol)
                 obj_c = objective(cand)
-                if obj_c <= obj_y - inner.armijo * st.alpha * kkt * kkt + _OBJ_NOISE * max(1.0, abs(obj_y)):
+                if obj_c <= obj_y - _ARMIJO * alpha * kkt * kkt + _OBJ_NOISE * max(1.0, abs(obj_y)):
                     accepted = True
                     break
-                st.alpha *= inner.shrink
+                alpha *= _SHRINK
             if not accepted:
-                if st.accepted == 0:
+                if accepted_total == 0:
                     raise StagnationError(
-                        f"no descent step above alpha_min={inner.alpha_min} "
+                        f"no descent step above alpha_min={_ALPHA_MIN} "
                         f"(kkt residual {kkt:.3e})",
-                        last_iterate=GridDensity(grid, st.u),
+                        last_iterate=GridDensity(grid, u),
                     )
-                st.phase2, st.tmom = True, 1.0
+                polish, tmom = True, 1.0
                 continue
-            if obj_c <= st.obj + _OBJ_NOISE * max(1.0, abs(st.obj)):
-                decrease = st.obj - obj_c
-                st.u_old, st.u, st.obj = st.u, cand, obj_c
-                st.tmom += 1.0
-                st.accepted += 1
-                if inner.obj_tol > 0 and 0 <= decrease <= inner.obj_tol * abs(st.obj):
+            if obj_c <= obj + _OBJ_NOISE * max(1.0, abs(obj)):
+                decrease = obj - obj_c
+                u_old, u, obj = u, cand, obj_c
+                tmom += 1.0
+                accepted_total += 1
+                if inner.obj_tol > 0 and 0 <= decrease <= inner.obj_tol * abs(obj):
                     break
                 # objective progress at the floating-point noise floor for a
                 # sustained stretch: hand over to the residual-driven polish
-                if decrease <= 8 * np.finfo(float).eps * max(1.0, abs(st.obj)):
-                    st.noise_streak += 1
-                    if st.noise_streak >= 10:
-                        st.phase2, st.tmom = True, 1.0
+                if decrease <= 8 * np.finfo(float).eps * max(1.0, abs(obj)):
+                    noise_streak += 1
+                    if noise_streak >= 10:
+                        polish, tmom = True, 1.0
                 else:
-                    st.noise_streak = 0
+                    noise_streak = 0
             else:
-                st.tmom, st.u_old = 1.0, st.u  # momentum overshoot: restart
+                tmom, u_old = 1.0, u  # momentum overshoot: restart
         else:
             # polish: accept on strict residual decrease; backtrack patiently
             accepted = False
             fails = 0
-            while st.alpha >= inner.alpha_min / 10 and fails < 40:
-                cand = _mirror_candidate(y, -st.alpha * (g - gbar), hvol)
-                cand_g, _ = gradient(cand, allow_stale=False)
+            while alpha >= _ALPHA_MIN / 10 and fails < 40:
+                cand = _mirror_candidate(y, -alpha * (g - gbar), hvol)
+                cand_g, _ = gradient(cand)
                 kkt_c, _ = residual(cand, cand_g)
                 if kkt_c < kkt:
                     accepted = True
                     break
-                st.alpha *= 0.7
+                alpha *= 0.7
                 fails += 1
             if not accepted:
-                st.polish_failures += 1
-                if st.polish_failures >= 3:
-                    st.u = y
+                polish_failures += 1
+                if polish_failures >= 3:
+                    u = y
                     break  # floating-point floor of the residual
-                st.alpha = alpha0 * 2.0 ** -6
+                alpha = tau * 2.0 ** -6
                 continue
-            st.polish_failures = 0
-            st.u_old, st.u = st.u, cand
-            st.accepted += 1
-            st.alpha = min(st.alpha * 1.2, alpha0)
+            polish_failures = 0
+            u_old, u = u, cand
+            accepted_total += 1
+            alpha = min(alpha * 1.2, tau)
 
-    final = GridDensity(grid, st.u)
+    final = GridDensity(grid, u)
     tr_final = w2(final, u_prev, cfg.transport, want_potential=True)
-    g_final = fractional_laplacian(st.u, grid, s) + tr_final.potential / tau
-    kkt_final, _ = residual(st.u, g_final)
-    e_final = energy_of_values(st.u, grid, s)
+    g_final = fractional_laplacian(u, grid, s) + tr_final.potential / tau
+    kkt_final, _ = residual(u, g_final)
+    e_final = energy_of_values(u, grid, s)
     return StepRecord(
         index=0,  # caller assigns
         density=final,
@@ -292,7 +256,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         energy=e_final,
         entropy=entropy(final),
         second_moment=second_moment(final),
-        inner_iterations=st.accepted,
+        inner_iterations=accepted_total,
         kkt_residual=kkt_final,
         objective_value=e_final + tr_final.w2_squared / (2 * tau),
         boundary_mass=boundary_shell_mass(final),
@@ -300,8 +264,9 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
 
 
 def run(u0: GridDensity, cfg: JkoConfig, num_steps: int) -> Trajectory:
-    """Iterate `jko_step`; on a step failure the trajectory stops early with
-    the failing step recorded in `status`."""
+    """Iterate `jko_step`; on a solver failure (a `FracfilmError`) the
+    trajectory stops early with the failing step recorded in `status`.
+    Any other exception is a bug and propagates."""
     if num_steps < 0:
         raise ValueError(f"number of steps must be nonnegative, got {num_steps}")
     steps: List[StepRecord] = []
@@ -309,7 +274,7 @@ def run(u0: GridDensity, cfg: JkoConfig, num_steps: int) -> Trajectory:
     for k in range(1, num_steps + 1):
         try:
             rec = jko_step(u, cfg)
-        except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
+        except FracfilmError as exc:
             return Trajectory(cfg, u0, steps, status=f"failed:step={k}:{type(exc).__name__}:{exc}")
         rec = replace(rec, index=k)
         steps.append(rec)

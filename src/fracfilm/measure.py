@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import GridMismatchError, MassDriftError
-from .spectral import PeriodicGrid, heat_multiplier_apply
+from .spectral import PeriodicGrid, apply_multiplier
 
 MASS_TOL = 1e-12
 _HEAT_NEG_FLOOR = 1e-13
@@ -114,28 +114,28 @@ def carleman_bound(u: GridDensity):
     return entropy(u), float(lower)
 
 
-def boundary_shell_mass(u: GridDensity, shell_fraction: float = 0.1) -> float:
-    """Mass carried by nodes within the outer `shell_fraction` of the box.
+def boundary_shell_mass(u: GridDensity) -> float:
+    """Mass carried by the nodes of `PeriodicGrid.boundary_shell`.
 
-    A node is in the shell when any coordinate exceeds
-    (1 - shell_fraction) * L/2 in absolute value.  Reported each step so
-    that the domain-truncation error stays observable.
+    A node is in the shell when any coordinate exceeds 0.9 L/2 in absolute
+    value.  Reported each step so that the domain-truncation error stays
+    observable.
     """
-    half = u.grid.box_length / 2.0
-    cut = (1.0 - shell_fraction) * half
-    mask = np.zeros(u.grid.shape, dtype=bool)
-    for c in u.grid.coords:
-        mask |= np.abs(c) > cut
-    return float(u.grid.cell_volume * np.sum(u.values[mask]))
+    return float(u.grid.cell_volume * np.sum(u.values[u.grid.boundary_shell]))
 
 
 def heat_semigroup(u: GridDensity, t: float) -> GridDensity:
     """Heat flow S_t: spectrum multiplied by exp(-t |xi|^2).
 
-    Mass is preserved exactly (the zero mode is untouched); spectral ringing
-    below the -1e-13 floor is clamped to zero, anything worse raises.
+    t = 0 returns an exact copy.  Mass is preserved exactly (the zero mode
+    is untouched); spectral ringing below the -1e-13 floor is clamped to
+    zero, anything worse raises.
     """
-    out = heat_multiplier_apply(u.values, u.grid, t)
+    if t < 0 or not np.isfinite(t):
+        raise ValueError(f"heat flow time must satisfy t >= 0, got {t}")
+    if t == 0:
+        return GridDensity(u.grid, u.values.copy())
+    out = apply_multiplier(u.values, u.grid, np.exp(-t * u.grid.freq_sq))
     worst = float(np.min(out))
     if worst < -_HEAT_NEG_FLOOR:
         raise ValueError(

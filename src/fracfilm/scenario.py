@@ -149,7 +149,20 @@ def _as_vector(text: str) -> tuple:
 
 def parse_scenario(text: str) -> Scenario:
     kv = _parse_kv(text)
-    dim = _as_int(kv, "dimension", 1)
+    try:
+        scenario = _scenario_from_keys(kv, text)
+        # validate eagerly so config errors surface before any compute
+        scenario.jko_config()
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    if scenario.num_steps < 0:
+        raise ScenarioError("time.num_steps must be nonnegative")
+    return scenario
+
+
+def _scenario_from_keys(kv: dict, text: str) -> Scenario:
     kind = kv.get("initial.kind", "gaussian")
     components = ()
     if kind == "gaussian_mixture":
@@ -171,49 +184,35 @@ def parse_scenario(text: str) -> Scenario:
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ScenarioError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
-    transport = TransportConfig(
-        method=kv.get("transport.method", "auto"),
-        epsilon=_as_float(kv, "transport.epsilon", 0.025),
-        max_iter=_as_int(kv, "transport.max_iter", 20000),
-        tol=_as_float(kv, "transport.tol", 1e-9),
+    return Scenario(
+        name=kv.get("name", "unnamed"),
+        dimension=_as_int(kv, "dimension", 1),
+        n=_as_int(kv, "grid.n"),
+        box_length=_as_float(kv, "grid.box_length"),
+        s=_as_float(kv, "equation.s"),
+        tau=_as_float(kv, "time.tau"),
+        num_steps=_as_int(kv, "time.num_steps"),
+        initial_kind=kind,
+        initial_center=_as_vector(kv.get("initial.center", "0")),
+        initial_variance=_as_float(kv, "initial.variance", 1.0),
+        initial_components=components,
+        initial_path=kv.get("initial.path"),
+        transport=TransportConfig(
+            method=kv.get("transport.method", "auto"),
+            epsilon=_as_float(kv, "transport.epsilon", 0.025),
+            max_iter=_as_int(kv, "transport.max_iter", 20000),
+            tol=_as_float(kv, "transport.tol", 1e-9),
+        ),
+        inner=InnerConfig(
+            max_iters=_as_int(kv, "inner.max_iters", 20000),
+            grad_tol=_as_float(kv, "inner.grad_tol", 1e-8),
+            obj_tol=_as_float(kv, "inner.obj_tol", 1e-12),
+        ),
+        checks=checks,
+        snapshot_stride=_as_int(kv, "output.snapshot_stride", 1),
+        output_dir=kv.get("output.dir"),
+        raw_text=text,
     )
-    inner = InnerConfig(
-        max_iters=_as_int(kv, "inner.max_iters", 20000),
-        grad_tol=_as_float(kv, "inner.grad_tol", 1e-8),
-        obj_tol=_as_float(kv, "inner.obj_tol", 1e-12),
-        potential_refresh=_as_int(kv, "inner.potential_refresh", 1),
-        momentum=kv.get("inner.momentum", "true").lower() in ("1", "true", "yes"),
-    )
-    try:
-        scenario = Scenario(
-            name=kv.get("name", "unnamed"),
-            dimension=dim,
-            n=_as_int(kv, "grid.n"),
-            box_length=_as_float(kv, "grid.box_length"),
-            s=_as_float(kv, "equation.s"),
-            tau=_as_float(kv, "time.tau"),
-            num_steps=_as_int(kv, "time.num_steps"),
-            initial_kind=kind,
-            initial_center=_as_vector(kv.get("initial.center", "0")),
-            initial_variance=_as_float(kv, "initial.variance", 1.0),
-            initial_components=components,
-            initial_path=kv.get("initial.path"),
-            transport=transport,
-            inner=inner,
-            checks=checks,
-            snapshot_stride=_as_int(kv, "output.snapshot_stride", 1),
-            output_dir=kv.get("output.dir"),
-            raw_text=text,
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    # validate eagerly so config errors surface before any compute
-    scenario.grid()
-    if scenario.num_steps < 0:
-        raise ScenarioError("time.num_steps must be nonnegative")
-    return scenario
 
 
 def load_scenario(path) -> Scenario:
@@ -253,8 +252,6 @@ def format_scenario(sc: Scenario) -> str:
         f"inner.max_iters = {sc.inner.max_iters}",
         f"inner.grad_tol = {sc.inner.grad_tol!r}",
         f"inner.obj_tol = {sc.inner.obj_tol!r}",
-        f"inner.potential_refresh = {sc.inner.potential_refresh}",
-        f"inner.momentum = {'true' if sc.inner.momentum else 'false'}",
         "checks = " + ", ".join(sc.checks),
         f"output.snapshot_stride = {sc.snapshot_stride}",
     ]

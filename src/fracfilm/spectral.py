@@ -25,6 +25,7 @@ from scipy.special import zeta
 from .errors import GridMismatchError
 
 _REAL_TOL = 1e-12
+_SHELL_SHARE_MAX = 1e-8  # boundary-shell share of sum |u| the kink correction allows
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,26 @@ class PeriodicGrid:
         alt = (-1.0) ** np.arange(self.n)
         return reduce(np.multiply.outer, [alt] * self.dim)
 
-    def axis_freq_component(self, axis: int) -> np.ndarray:
-        """xi_axis broadcast over the full lattice."""
-        shape = [1] * self.dim
-        shape[axis] = self.n
-        return self.axis_freqs.reshape(shape) * np.ones(self.shape)
+    @cached_property
+    def derivative_multipliers(self) -> tuple:
+        """i*xi along each axis, shaped to broadcast over the lattice.
+
+        The unpaired Nyquist mode is zeroed: an odd multiplier there would
+        break the conjugate symmetry of a real function's spectrum.
+        """
+        xi = self.axis_freqs.copy()
+        xi[self.n // 2] = 0.0
+        ixi = 1j * xi
+        return tuple(
+            ixi.reshape([self.n if a == axis else 1 for a in range(self.dim)])
+            for axis in range(self.dim)
+        )
+
+    @cached_property
+    def boundary_shell(self) -> np.ndarray:
+        """Nodes with some coordinate beyond 90% of the half box, |x_i| > 0.9 L/2."""
+        cut = 0.9 * (self.box_length / 2.0)
+        return reduce(np.logical_or, [np.abs(c) > cut for c in self.coords])
 
     def same_as(self, other: "PeriodicGrid") -> bool:
         return (
@@ -218,24 +234,11 @@ def fractional_laplacian(values: np.ndarray, grid: PeriodicGrid, s: float) -> np
 
 
 def spectral_gradient(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Gradient via the i*xi multiplier, Nyquist mode zeroed per axis.
+    """Gradient via the i*xi multipliers of `PeriodicGrid.derivative_multipliers`.
 
     Returns an array of shape (d, *grid.shape).
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise GridMismatchError(
-            f"value shape {values.shape} does not match grid {grid.shape}"
-        )
-    fhat = np.fft.fftn(values)
-    out = np.empty((grid.dim,) + grid.shape)
-    for axis in range(grid.dim):
-        xi = grid.axis_freqs.copy()
-        xi[grid.n // 2] = 0.0  # odd multiplier: zero the unpaired Nyquist mode
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        out[axis] = np.fft.ifftn(1j * xi.reshape(shape) * fhat).real
-    return out
+    return np.stack([apply_multiplier(values, grid, m) for m in grid.derivative_multipliers])
 
 
 def spectral_divergence(components: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -246,12 +249,8 @@ def spectral_divergence(components: np.ndarray, grid: PeriodicGrid) -> np.ndarra
             f"component shape {components.shape} does not match grid {(grid.dim,) + grid.shape}"
         )
     out = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        xi = grid.axis_freqs.copy()
-        xi[grid.n // 2] = 0.0
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        out += np.fft.ifftn(1j * xi.reshape(shape) * np.fft.fftn(components[axis])).real
+    for comp, mult in zip(components, grid.derivative_multipliers):
+        out += apply_multiplier(comp, grid, mult)
     return out
 
 
@@ -283,8 +282,11 @@ def sobolev_norm_sq(
     m_p = h * sum x^p u.  Those two terms are subtracted, which brings a
     sampled Schwartz function to its continuum norm.  Integer orders need
     no correction (zeta(-2k) = 0); d >= 2 is left uncorrected, since it would
-    need Epstein-zeta constants.  A corrected value below zero means the
-    data fills the box, against the truncation rule, and raises ValueError.
+    need Epstein-zeta constants.  The expansion assumes data that decays
+    well inside the box: where the correction applies, data whose
+    `PeriodicGrid.boundary_shell` carries more than 1e-8 of sum |u|, or
+    whose corrected value is below zero, fills the box against the
+    truncation rule and raises ValueError.
 
     ``lattice=True`` returns the plain lattice sum in every case: the
     quantity whose exact first variation is `fractional_laplacian`, used by
@@ -312,7 +314,16 @@ def sobolev_norm_sq(
     total = float(weight * np.sum(mult * np.abs(field.coeffs) ** 2))
     if lattice or not homogeneous or d != 1 or r <= 0 or float(r).is_integer():
         return total
-    corrected = total - _kink_excess(np.asarray(values), grid, r)
+    values = np.asarray(values)
+    size = np.abs(values)
+    shell, whole = np.sum(size[grid.boundary_shell]), np.sum(size)
+    if shell > _SHELL_SHARE_MAX * whole:
+        raise ValueError(
+            f"the outer tenth of the box carries {shell / whole:.3e} of sum |u| (limit "
+            f"{_SHELL_SHARE_MAX}): the data fills the box, so the kink-corrected norm of "
+            f"order {r} is undefined; keep the mass ~10 standard deviations from the boundary"
+        )
+    corrected = total - _kink_excess(values, grid, r)
     if corrected < 0:
         raise ValueError(
             f"kink-corrected norm of order {r} is negative ({corrected:.3e}): the data "
@@ -341,9 +352,7 @@ def energy(density, s: float) -> float:
     `fractional_laplacian`.  Accepts a GridDensity or a raw grid function
     paired with its grid via the ``grid`` attribute.
     """
-    if s <= 0 or not np.isfinite(s):
-        raise ValueError(f"energy order must satisfy s > 0, got {s}")
-    return 0.5 * sobolev_norm_sq(density.values, density.grid, s, lattice=True)
+    return energy_of_values(density.values, density.grid, s)
 
 
 def energy_of_values(values: np.ndarray, grid: PeriodicGrid, s: float) -> float:
@@ -352,15 +361,6 @@ def energy_of_values(values: np.ndarray, grid: PeriodicGrid, s: float) -> float:
     if s <= 0 or not np.isfinite(s):
         raise ValueError(f"energy order must satisfy s > 0, got {s}")
     return 0.5 * sobolev_norm_sq(values, grid, s, lattice=True)
-
-
-def heat_multiplier_apply(values: np.ndarray, grid: PeriodicGrid, t: float) -> np.ndarray:
-    """Multiply the spectrum by exp(-t |xi|^2); t >= 0."""
-    if t < 0 or not np.isfinite(t):
-        raise ValueError(f"heat flow time must satisfy t >= 0, got {t}")
-    if t == 0:
-        return np.array(values, dtype=float, copy=True)
-    return apply_multiplier(values, grid, np.exp(-t * grid.freq_sq))
 
 
 def interpolation_check(values: np.ndarray, grid: PeriodicGrid, r0: float, r1: float, r2: float):

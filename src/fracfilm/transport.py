@@ -2,10 +2,11 @@
 
 Dimension one is handled exactly through quantile functions of the
 piecewise-constant-on-cells interpretation of the grid values; the returned
-potential is the exact gradient of the exact squared distance (cell
+potential is the exact gradient of half the exact squared distance (cell
 averages of the Kantorovich potential), which is what the proximal solver
 leans on.  General dimension runs debiased log-domain Sinkhorn with
-separable Gaussian kernel contractions.
+separable Gaussian kernel contractions, and returns the gradient of half
+the debiased divergence, so both backends follow one convention.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ class TransportConfig:
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Squared distance, first-variation potential and solver diagnostics."""
+    """Squared distance, first-variation potential and solver diagnostics.
+
+    ``potential`` is the first variation of half the squared distance,
+    delta(W^2/2), with zero mean, for both backends (Sinkhorn: delta(S_eps/2)).
+    """
 
     w2_squared: float
     potential: Optional[np.ndarray]
@@ -224,8 +229,10 @@ def w2_sinkhorn(
     The quadratic-cost Gibbs kernel factorizes across axes, so every softmin
     is a sequence of one-dimensional kernel contractions; iterations run in
     the log domain with a global shift.  Returns the debiased value
-    OT(u,v) - (OT(u,u) + OT(v,v))/2 as ``w2_squared`` and the debiased dual
-    potential (cross potential minus self potential, zero mean).
+    OT(u,v) - (OT(u,u) + OT(v,v))/2 as ``w2_squared`` and half the debiased
+    dual potential (cross potential minus self potential, zero mean): the
+    cost is |x-y|^2, so that half is delta(S_eps/2), the convention of
+    `w2_exact_1d`.
     Raises ConvergenceError carrying the marginal error when the plan
     marginals fail to reach `tol` in L^1.
     """
@@ -276,7 +283,7 @@ def w2_sinkhorn(
     if abs(value) < 1e3 * tol:
         value = max(value, 0.0)
 
-    debiased = f - np.where(np.isfinite(fa), fa, 0.0)
+    debiased = 0.5 * (f - np.where(np.isfinite(fa), fa, 0.0))
     debiased = debiased - debiased.mean()
     return TransportResult(
         w2_squared=float(value),

@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +73,25 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             parse_scenario("name reference\n")
 
+    @pytest.mark.parametrize(
+        "kind_lines",
+        [
+            "initial.kind = gaussian",
+            "initial.kind = gaussian_mixture\ninitial.components = 1.0 : 0.0 : 1.0",
+            "initial.kind = uniform",
+            "initial.kind = from_file\ninitial.path = u0.txt",
+        ],
+        ids=["gaussian", "gaussian_mixture", "uniform", "from_file"],
+    )
+    def test_readme_key_table_lists_every_written_key(self, kind_lines):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Supported keys:", 1)[1].split("\n\n", 2)[1]
+        documented = {line.split()[0] for line in table.splitlines() if line.startswith("    ")}
+        sc = parse_scenario(FAST_SCENARIO.replace("initial.kind = gaussian", kind_lines))
+        text = format_scenario(replace(sc, output_dir="runs/smoke"))
+        written = {line.split(" = ", 1)[0] for line in text.splitlines()}
+        assert written - documented == set()
+
 
 class TestRun:
     def test_uniform_run_zero_energies(self, tmp_path):
@@ -94,6 +115,21 @@ class TestRun:
     def test_bad_scenario_exits_3(self, tmp_path):
         scen = write_scenario(tmp_path, "grid.n = 128\n")  # missing required keys
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 3
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("grid.n = 128", "grid.n = 255"),
+            ("equation.s = 1.0", "equation.s = -1"),
+            ("dimension = 1", "dimension = 2\ntransport.method = exact"),
+        ],
+        ids=["odd_n", "negative_s", "exact_in_2d"],
+    )
+    def test_invalid_setting_exits_3(self, tmp_path, capsys, old, new):
+        scen = write_scenario(tmp_path, FAST_SCENARIO.replace(old, new))
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_output_dir_key_is_the_fallback(self, tmp_path):
         out = tmp_path / "from_key"

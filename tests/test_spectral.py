@@ -194,12 +194,13 @@ class TestSobolevNorms:
         oracle = gamma(r + 0.5) / (2 * np.pi)
         assert val == pytest.approx(oracle, rel=1e-6)
 
-    def test_box_filling_data_rejected(self):
-        # uniform data violates the truncation rule: the kink correction
-        # exceeds the (vanishing) lattice sum
+    @pytest.mark.parametrize("r", [0.5, 1.5])
+    def test_box_filling_data_rejected(self, r):
+        # uniform data violates the truncation rule; its lattice sum is 0,
+        # and the kink correction has opposite signs at these two orders
         g = grid1d()
         with pytest.raises(ValueError):
-            sobolev_norm_sq(uniform_density(g).values, g, 1.5)
+            sobolev_norm_sq(uniform_density(g).values, g, r)
 
     def test_zero_function(self):
         g = grid1d(64)

@@ -222,6 +222,30 @@ class TestSinkhorn:
         ba = w2_sinkhorn(v, u, epsilon=0.05, max_iter=20000, tol=1e-9).w2_squared
         assert abs(ab - ba) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "grid, center, epsilon",
+        [(PeriodicGrid(1, 256, 40.0), 0.3, 0.025), (PeriodicGrid(2, 48, 16.0), (0.3, -0.2), 0.1)],
+        ids=["1d", "2d"],
+    )
+    def test_first_variation_contract(self, grid, center, epsilon):
+        # same contract as the exact backend: the potential is the gradient
+        # of S_eps/2 (the W^2/2 convention) along a feasible perturbation
+        u = gaussian_density(grid, (0.0,) * grid.dim, 1.0)
+        v = gaussian_density(grid, center, 1.0)
+        psi = np.sin(sum(c * w for c, w in zip(grid.coords, (1.0, 0.5))))
+        rho = u.values * (psi - grid.cell_volume * np.sum(u.values * psi))
+        delta = 1e-4
+
+        def value(sign):
+            w = u.values + sign * delta * rho
+            up = GridDensity(grid, w / (np.sum(w) * grid.cell_volume))
+            return w2_sinkhorn(up, v, epsilon, max_iter=20000, tol=1e-9).w2_squared
+
+        fd = 0.5 * (value(1) - value(-1)) / (2 * delta)
+        res = w2_sinkhorn(u, v, epsilon, max_iter=20000, tol=1e-9)
+        pairing = grid.cell_volume * np.sum(res.potential * rho)
+        assert fd == pytest.approx(pairing, rel=1e-4)
+
     def test_nonconvergence_raises_with_marginal_error(self):
         g = grid1d(n=128, L=20.0)
         u = gaussian_density(g, 0.0, 1.0)
