@@ -47,7 +47,6 @@ from .measure import (
     gaussian_density,
     gaussian_mixture_density,
     heat_semigroup,
-    pushforward,
     pushforward_with_drift,
     second_moment,
     spike_density,

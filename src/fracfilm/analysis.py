@@ -23,7 +23,7 @@ from .measure import (
     VectorField,
     entropy,
     heat_semigroup,
-    pushforward,
+    pushforward_with_drift,
     second_moment,
     spike_density,
 )
@@ -135,11 +135,14 @@ def derivative_identity_check(
     """
     from .spectral import energy as _energy
 
-    fp = _energy(pushforward(v, eta, t_fd), s)
-    fm = _energy(pushforward(v, eta, -t_fd), s)
+    def pushed_energy(t):
+        return _energy(pushforward_with_drift(v, eta, t)[0], s)
+
+    fp = pushed_energy(t_fd)
+    fm = pushed_energy(-t_fd)
     fd_full = (fp - fm) / (2.0 * t_fd)
-    fp2 = _energy(pushforward(v, eta, t_fd / 2), s)
-    fm2 = _energy(pushforward(v, eta, -t_fd / 2), s)
+    fp2 = pushed_energy(t_fd / 2)
+    fm2 = pushed_energy(-t_fd / 2)
     fd_half = (fp2 - fm2) / t_fd
     nval = operator_N_density(v, eta, s)
     target = -nval

@@ -24,12 +24,12 @@ from .errors import FracfilmError
 from .fields import cosine_bump_test_function
 from .jko import run as jko_run
 from .scenario import (
-    KNOWN_CHECKS,
     Scenario,
     ScenarioError,
     format_scenario,
     load_run_directory,
     load_scenario,
+    validate_checks,
     write_run_directory,
 )
 
@@ -50,6 +50,7 @@ def _default_test_function(sc: Scenario):
 
 
 def run_checks(sc: Scenario, traj, checks):
+    validate_checks(checks, sc.dimension)
     reports = []
     for name in checks:
         if name == "energy_estimate":
@@ -63,8 +64,6 @@ def run_checks(sc: Scenario, traj, checks):
         elif name == "evi_entropy":
             final = traj.steps[-1].density if traj.steps else traj.initial
             reports.append(check_evi_entropy(traj.initial, final))
-        else:
-            raise ScenarioError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
     return reports
 
 

@@ -267,9 +267,3 @@ def pushforward_with_drift(u: GridDensity, eta: VectorField, t: float):
     if drift > _PUSHFORWARD_WARN:
         warnings.warn(f"push-forward mass drift {drift:.3e} above the {_PUSHFORWARD_WARN} diagnostic bar")
     return GridDensity(grid, vals / mass), drift
-
-
-def pushforward(u: GridDensity, eta: VectorField, t: float) -> GridDensity:
-    """`pushforward_with_drift` returning only the density."""
-    v, _ = pushforward_with_drift(u, eta, t)
-    return v

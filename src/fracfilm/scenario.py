@@ -64,6 +64,17 @@ class ScenarioError(ValueError):
     """Malformed scenario file or inconsistent settings."""
 
 
+def validate_checks(checks, dimension: int) -> None:
+    """Reject unknown check names, and `evi_entropy` (exact 1D transport) unless d = 1."""
+    for c in checks:
+        if c not in KNOWN_CHECKS:
+            raise ScenarioError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
+        if c == "evi_entropy" and dimension != 1:
+            raise ScenarioError(
+                f"check 'evi_entropy' uses exact 1D transport and needs dimension 1, got {dimension}"
+            )
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -181,12 +192,11 @@ def _scenario_from_keys(kv: dict, text: str) -> Scenario:
         components = tuple(comps)
     checks = kv.get("checks", ", ".join(DEFAULT_CHECKS))
     checks = tuple(c.strip() for c in checks.split(",") if c.strip())
-    for c in checks:
-        if c not in KNOWN_CHECKS:
-            raise ScenarioError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
+    dimension = _as_int(kv, "dimension", 1)
+    validate_checks(checks, dimension)
     return Scenario(
         name=kv.get("name", "unnamed"),
-        dimension=_as_int(kv, "dimension", 1),
+        dimension=dimension,
         n=_as_int(kv, "grid.n"),
         box_length=_as_float(kv, "grid.box_length"),
         s=_as_float(kv, "equation.s"),

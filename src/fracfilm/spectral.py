@@ -79,6 +79,12 @@ class PeriodicGrid:
         return -self.box_length / 2 + self.spacing * np.arange(self.n)
 
     @cached_property
+    def axis_edges(self) -> np.ndarray:
+        """Cell edges along one axis: x_j - h/2 for j = 0..n."""
+        h = self.spacing
+        return self.axis_coords[0] - h / 2 + h * np.arange(self.n + 1)
+
+    @cached_property
     def axis_freqs(self) -> np.ndarray:
         """Frequency lattice along one axis, xi = 2*pi*k/L in FFT order."""
         return 2 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)

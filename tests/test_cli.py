@@ -67,6 +67,15 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             parse_scenario(FAST_SCENARIO.replace("moment_bound", "frobnicate"))
 
+    def test_evi_entropy_needs_dimension_one(self):
+        from fracfilm.scenario import ScenarioError
+
+        text = FAST_SCENARIO.replace("dimension = 1", "dimension = 2").replace(
+            "checks = energy_estimate, moment_bound", "checks = energy_estimate, evi_entropy"
+        )
+        with pytest.raises(ScenarioError, match="evi_entropy"):
+            parse_scenario(text)
+
     def test_malformed_line_rejected(self):
         from fracfilm.scenario import ScenarioError
 
@@ -184,6 +193,16 @@ class TestVerify:
 
     def test_unknown_check_exits_3(self, run_dir):
         assert main(["verify", str(run_dir), "--checks", "bogus"]) == 3
+
+    def test_evi_entropy_in_2d_exits_3(self, tmp_path, capsys):
+        text = UNIFORM_SCENARIO.replace("dimension = 1", "dimension = 2").replace(
+            "grid.n = 64", "grid.n = 8"
+        ).replace("time.num_steps = 3", "time.num_steps = 0")
+        out = tmp_path / "run2d"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
+        assert main(["verify", str(out), "--checks", "evi_entropy"]) == 3
+        assert "evi_entropy" in capsys.readouterr().err
+        assert not (out / "check_evi_entropy.json").exists()
 
     def test_round_trip_diagnostics_bit_exact(self, run_dir):
         from fracfilm import energy_of_values, entropy, second_moment

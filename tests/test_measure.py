@@ -13,7 +13,6 @@ from fracfilm import (
     gaussian_density,
     gaussian_mixture_density,
     heat_semigroup,
-    pushforward,
     pushforward_with_drift,
     second_moment,
     sobolev_norm_sq,
@@ -238,14 +237,14 @@ class TestPushforward:
         g = grid1d(256)
         u = gaussian_density(g, 0.0, 0.25)
         fld = translation_field([1.0], 6.0, 9.0)
-        out = pushforward(u, fld, 0.0)
+        out, _ = pushforward_with_drift(u, fld, 0.0)
         assert np.max(np.abs(out.values - u.values)) < 1e-12
 
     def test_zero_field_unchanged(self):
         g = grid1d(256)
         u = gaussian_density(g, 0.0, 0.25)
         fld = translation_field([0.0], 6.0, 9.0)
-        out = pushforward(u, fld, 0.4)
+        out, _ = pushforward_with_drift(u, fld, 0.4)
         assert np.max(np.abs(out.values - u.values)) < 1e-12
 
     def test_translation_matches_analytic_target(self):
@@ -264,7 +263,7 @@ class TestPushforward:
         fld = translation_field([1.0], 6.0, 9.0)
         prev = np.inf
         for t in (0.2, 0.1, 0.05, 0.025):
-            d = w2_exact_1d(pushforward(u, fld, t), u, want_potential=False).w2_squared
+            d = w2_exact_1d(pushforward_with_drift(u, fld, t)[0], u, want_potential=False).w2_squared
             assert d < prev
             prev = d
         assert prev < 1e-3
@@ -273,7 +272,7 @@ class TestPushforward:
         g = grid1d(256)
         u = gaussian_density(g, 0.5, 0.7)
         fld = contraction_field(1, 5.0, 9.0)
-        out = pushforward(u, fld, 0.5)
+        out, _ = pushforward_with_drift(u, fld, 0.5)
         assert out.mass() == pytest.approx(1.0, abs=1e-12)
         assert np.min(out.values) >= 0.0
 
@@ -282,7 +281,7 @@ class TestPushforward:
         u = gaussian_density(g, 0.0, 0.25)
         fld = translation_field([1.0], 4.0, 6.0)  # support exceeds L/2
         with pytest.raises(ValueError):
-            pushforward(u, fld, 0.1)
+            pushforward_with_drift(u, fld, 0.1)
 
     def test_field_vanishing_on_boundary_enforced(self):
         def bad_func(pts):

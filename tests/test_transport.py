@@ -15,7 +15,7 @@ from fracfilm import (
     w2_exact_1d,
     w2_sinkhorn,
 )
-from fracfilm.transport import _cdf, _quantile, _edges
+from fracfilm.transport import _cdf, _quantile
 
 
 def grid1d(n=512, L=40.0):
@@ -29,7 +29,7 @@ def brute_force_w2(u, v, m=4_000_000):
     quantile jumps and tails; extrapolating m and 2m removes it.
     """
     grid = u.grid
-    edges = _edges(grid)
+    edges = grid.axis_edges
     cu = _cdf(u.values, grid)
     cv = _cdf(v.values, grid)
 
@@ -39,6 +39,59 @@ def brute_force_w2(u, v, m=4_000_000):
         return float(np.sum(d * d) / mm)
 
     return 2.0 * midpoint(2 * m) - midpoint(m)
+
+
+def per_node_w2_exact_1d(u, v):
+    """Reference for `w2_exact_1d`: returns (W^2, potential).
+
+    Every Milne node is searched in both CDFs by `_quantile`, one node at a
+    time, and the per-cell integrals are accumulated with `np.add.at`.
+    """
+    grid = u.grid
+    n, h, edges = grid.n, grid.spacing, grid.axis_edges
+    cu, cv = _cdf(u.values, grid), _cdf(v.values, grid)
+    qs = np.union1d(cu, cv)
+    a, w = qs[:-1], np.diff(qs)
+    a, w = a[w > 0], w[w > 0]
+    dq = np.diff(cu)
+    flat = dq <= 64 * np.finfo(float).eps
+    own = np.clip(np.searchsorted(cu, a, side="right") - 1, 0, n - 1)
+    to_x = h / np.where(flat, np.inf, dq)[own]
+    er = edges[own + 1]
+    w2_sq, seg_t, seg_ext = 0.0, np.zeros(len(a)), np.zeros(len(a))
+    for fr, cf in ((0.25, 2.0), (0.5, -1.0), (0.75, 2.0)):
+        tu, tv = _quantile(a + w * fr, cu, edges), _quantile(a + w * fr, cv, edges)
+        w2_sq += cf * np.sum(w / 3.0 * (tu - tv) ** 2)
+        seg_t += cf * (w / 3.0) * tv
+        seg_ext += cf * (w / 3.0) * (er - tu) * tv
+    int_t, int_ext = np.zeros(n), np.zeros(n)
+    np.add.at(int_t, own, seg_t * to_x)
+    np.add.at(int_ext, own, seg_ext * to_x)
+    el, e2 = edges[:-1], edges[1:]
+    dphi = (e2 ** 2 - el ** 2) / 2.0 - int_t
+    p_cell = e2 * (e2 ** 2 - el ** 2) / 2.0 - (e2 ** 3 - el ** 3) / 3.0 - int_ext
+    dphi[flat] = 0.0
+    p_cell[flat] = 0.0
+    phi = np.concatenate([[0.0], np.cumsum(dphi)])[:-1] + p_cell / h
+    return max(w2_sq, 0.0), phi - phi.mean()
+
+
+def rough_density(grid, rng, kind):
+    """Random data with the features that stress quantile evaluation."""
+    vals = rng.uniform(size=grid.shape) ** 3
+    holes = rng.uniform(size=grid.shape) < 0.3
+    if kind == "zeros":
+        vals[holes] = 0.0
+    elif kind == "tiny":
+        vals[holes] = 1e-300
+    elif kind == "tails":
+        # narrow bump: the CDF saturates at 1 (and sits at 0) over most cells
+        x = grid.axis_coords
+        var = rng.uniform(0.05, 0.5) * (grid.box_length / 40.0) ** 2
+        vals = (0.5 + vals) * np.exp(-((x - rng.uniform(-2.0, 2.0)) ** 2) / (2.0 * var))
+    if not np.any(vals > 0):
+        vals[grid.n // 2] = 1.0
+    return GridDensity.normalized(grid, vals)
 
 
 class TestExact1D:
@@ -80,6 +133,22 @@ class TestExact1D:
         v = GridDensity.normalized(g, vals)
         res = w2_exact_1d(u, v)
         assert res.w2_squared == pytest.approx(brute_force_w2(u, v), rel=1e-7)
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_matches_per_node_reference(self, n):
+        g = grid1d(n=n)
+        rng = np.random.default_rng(20 + n)
+        kinds = ("zeros", "tiny", "tails", "plain")
+        pairs = [(ku, kv) for ku in kinds for kv in kinds] + [(k, "equal") for k in kinds]
+        for ku, kv in pairs * 4:
+            u = rough_density(g, rng, ku)
+            v = u if kv == "equal" else rough_density(g, rng, kv)
+            ref_w2, ref_phi = per_node_w2_exact_1d(u, v)
+            res = w2_exact_1d(u, v)
+            value_only = w2_exact_1d(u, v, want_potential=False)
+            assert value_only.w2_squared == res.w2_squared
+            assert abs(res.w2_squared - ref_w2) <= 1e-12, (ku, kv)
+            assert np.max(np.abs(res.potential - ref_phi)) <= 1e-12, (ku, kv)
 
     def test_potential_zero_mean(self):
         g = grid1d()
