@@ -36,6 +36,7 @@ _SHRINK = 0.5  # Armijo backtracking factor
 _ARMIJO = 1e-4  # sufficient-decrease constant
 _ALPHA_MIN = 1e-12  # smallest step the line search tries
 _DEGENERATE_SHARE = 1e-8  # residual floor, relative to the peak value
+STOP_REASONS = ("converged", "max_iters", "obj_tol", "polish_floor")
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,7 @@ class StepRecord:
     kkt_residual: float
     objective_value: float
     boundary_mass: float
+    stop_reason: str  # why the inner loop ended: one of STOP_REASONS
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
     alpha, tmom = tau, 1.0
     accepted_total = noise_streak = polish_failures = 0
     polish = False
+    stop_reason = "max_iters"
     for _ in range(inner.max_iters):
         beta = 0.0 if polish else (tmom - 1.0) / (tmom + 2.0)
         y = _extrapolate(u, u_old, beta, hvol) if beta > 0 else u
@@ -178,7 +181,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         g, w2_y = gradient(y)
         kkt, gbar = residual(y, g)
         if kkt <= inner.grad_tol:
-            u = y
+            u, stop_reason = y, "converged"
             break
         obj_y = energy_of_values(y, grid, s) + w2_y / (2 * tau)
 
@@ -208,6 +211,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
                 tmom += 1.0
                 accepted_total += 1
                 if inner.obj_tol > 0 and 0 <= decrease <= inner.obj_tol * abs(obj):
+                    stop_reason = "obj_tol"
                     break
                 # objective progress at the floating-point noise floor for a
                 # sustained stretch: hand over to the residual-driven polish
@@ -235,7 +239,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
             if not accepted:
                 polish_failures += 1
                 if polish_failures >= 3:
-                    u = y
+                    u, stop_reason = y, "polish_floor"
                     break  # floating-point floor of the residual
                 alpha = tau * 2.0 ** -6
                 continue
@@ -260,6 +264,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         kkt_residual=kkt_final,
         objective_value=e_final + tr_final.w2_squared / (2 * tau),
         boundary_mass=boundary_shell_mass(final),
+        stop_reason=stop_reason,
     )
 
 

@@ -34,7 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .jko import InnerConfig, JkoConfig, StepRecord, Trajectory
+from .jko import STOP_REASONS, InnerConfig, JkoConfig, StepRecord, Trajectory
 from .measure import (
     GridDensity,
     gaussian_density,
@@ -54,6 +54,7 @@ CSV_COLUMNS = [
     "inner_iters",
     "kkt_residual",
     "boundary_mass",
+    "stop_reason",
 ]
 
 DEFAULT_CHECKS = ["energy_estimate", "moment_bound", "entropy_dissipation", "weak_form"]
@@ -324,6 +325,7 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
                 str(rec.inner_iterations),
                 _fmt(rec.kkt_residual),
                 _fmt(rec.boundary_mass),
+                rec.stop_reason,
             ]
             fh.write(",".join(row) + "\n")
     write_density_file(out / _density_filename(0), traj.initial)
@@ -378,7 +380,7 @@ def load_run_directory(run_dir):
             raise ScenarioError(f"unexpected diagnostics columns {header}")
         for line in fh:
             parts = line.strip().split(",")
-            if len(parts) != len(CSV_COLUMNS):
+            if len(parts) != len(CSV_COLUMNS) or parts[9] not in STOP_REASONS:
                 raise ScenarioError(f"malformed diagnostics row: {line!r}")
             rows.append(parts)
     steps: List[StepRecord] = []
@@ -403,6 +405,7 @@ def load_run_directory(run_dir):
                 kkt_residual=float(parts[7]),
                 objective_value=float(parts[2]) + float(parts[5]) / (2 * sc.tau),
                 boundary_mass=float(parts[8]),
+                stop_reason=parts[9],
             )
         )
     traj = Trajectory(sc.jko_config(), initial, steps, status=manifest.get("status", "ok"))

@@ -8,9 +8,9 @@ leans on.  Both quantile functions are linear on every interval of the
 merged CDF breakpoints, so one search per CDF locates all quadrature nodes
 and the exact integrals come out of one vectorised pass, with the
 per-cell sums scattered by `np.bincount`.  General dimension runs debiased
-log-domain Sinkhorn with separable Gaussian kernel contractions, and
-returns the gradient of half the debiased divergence, so both backends
-follow one convention.
+log-domain Sinkhorn at one softmin per half-step, each softmin one matrix
+product per axis, and returns the gradient of half the debiased
+divergence, so both backends follow one convention.
 """
 
 from __future__ import annotations
@@ -192,17 +192,20 @@ def _axis_kernels(grid, epsilon):
 
 
 def _kernel_contract(kmat, vals, dim):
-    """Apply the separable Gaussian kernel along every axis."""
+    """Apply the separable Gaussian kernel along every axis: each pass is one
+    matrix product on the leading axis, which then rotates to the back."""
+    rotate = (*range(1, dim), 0)
     out = vals
-    for axis in range(dim):
-        out = np.tensordot(kmat, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
+    for _ in range(dim):
+        out = (kmat @ out.reshape(len(kmat), -1)).reshape(out.shape).transpose(rotate)
     return out
 
 
 def _softmin(kmat, psi, dim, epsilon):
     """-eps log( K exp(psi/eps) ), computed with a global max shift."""
-    shift = np.max(psi[np.isfinite(psi)])
+    shift = np.max(psi, where=np.isfinite(psi), initial=-np.inf)
+    if shift == -np.inf:
+        raise ValueError("softmin needs at least one finite entry")
     with np.errstate(divide="ignore"):
         contracted = _kernel_contract(kmat, np.exp((psi - shift) / epsilon), dim)
         out = -epsilon * np.log(contracted) - shift
@@ -254,20 +257,17 @@ def w2_sinkhorn(
         la = np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), -np.inf) * epsilon
         lb = np.where(b > 0, np.log(np.where(b > 0, b, 1.0)), -np.inf) * epsilon
 
-    f = np.zeros(grid.shape)
-    g = np.zeros(grid.shape)
+    # one softmin per half-step: raw = softmin(g + lb) is the check's f_next and the next f
+    raw = _softmin(kmat, lb, dim, epsilon)
     marginal_error = np.inf
-    iterations = 0
     for it in range(max_iter):
-        iterations = it + 1
-        f = _softmin(kmat, g + lb, dim, epsilon)
-        f = np.where(np.isfinite(f), f, 0.0)
+        f = np.where(np.isfinite(raw), raw, 0.0)
         g = _softmin(kmat, f + la, dim, epsilon)
         g = np.where(np.isfinite(g), g, 0.0)
         # after the g-update the b-marginal is exact; the a-marginal defect is
         # a_i (exp((f_i - f_next_i)/eps) - 1)
-        f_next = _softmin(kmat, g + lb, dim, epsilon)
-        f_next = np.where(np.isfinite(f_next), f_next, f)
+        raw = _softmin(kmat, g + lb, dim, epsilon)
+        f_next = np.where(np.isfinite(raw), raw, f)
         with np.errstate(over="ignore"):
             row = a * np.exp(np.clip((f - f_next) / epsilon, -700, 700))
         marginal_error = float(np.sum(np.abs(row - a)))
@@ -296,7 +296,7 @@ def w2_sinkhorn(
         potential=debiased,
         method="sinkhorn",
         sinkhorn_epsilon=epsilon,
-        iterations=iterations + it_a + it_b,
+        iterations=it + 1 + it_a + it_b,
         marginal_error=marginal_error,
     )
 

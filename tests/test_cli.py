@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from fracfilm.cli import main
-from fracfilm.scenario import format_scenario, load_run_directory, parse_scenario
+from fracfilm.scenario import ScenarioError, format_scenario, load_run_directory, parse_scenario
 
 FAST_SCENARIO = """\
 name = smoke
@@ -215,6 +215,26 @@ class TestVerify:
             )
             assert entropy(rec.density) == pytest.approx(rec.entropy, abs=1e-12)
             assert second_moment(rec.density) == pytest.approx(rec.second_moment, abs=1e-12)
+
+    def test_stop_reason_round_trips(self, tmp_path):
+        text = FAST_SCENARIO.replace("inner.obj_tol = 0.0", "inner.obj_tol = 0.0\ninner.max_iters = 5")
+        out = tmp_path / "capped"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert rows[0].endswith(",stop_reason")
+        assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["max_iters"] * 4
+        _, traj = load_run_directory(out)
+        assert [rec.stop_reason for rec in traj.steps] == ["max_iters"] * 4
+
+    def test_unknown_stop_reason_rejected(self, run_dir, tmp_path):
+        import shutil
+
+        bad = tmp_path / "bad_run"
+        shutil.copytree(run_dir, bad)
+        csv = (bad / "diagnostics.csv").read_text().replace(",converged\n", ",done\n", 1)
+        (bad / "diagnostics.csv").write_text(csv)
+        with pytest.raises(ScenarioError):
+            load_run_directory(bad)
 
     def test_manifest_scenario_reparses_identically(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())

@@ -70,6 +70,20 @@ class TestJkoStep:
         rec = jko_step(u0, cfg)
         assert rec.kkt_residual <= 1e-7  # polish floor can sit slightly above
 
+    @pytest.mark.parametrize(
+        "inner, reason",
+        [
+            (InnerConfig(obj_tol=0.0), "converged"),
+            (InnerConfig(max_iters=5, obj_tol=0.0), "max_iters"),
+            (InnerConfig(obj_tol=1e-12), "obj_tol"),
+        ],
+        ids=["converged", "max_iters", "obj_tol"],
+    )
+    def test_stop_reason(self, inner, reason):
+        # reference grid, s = 1, tau = 1e-3, one step from N(0, 1)
+        cfg = JkoConfig(grid=PeriodicGrid(1, 256, 40.0), s=1.0, tau=1e-3, inner=inner)
+        assert jko_step(gaussian_density(cfg.grid), cfg).stop_reason == reason
+
 
 class TestRun:
     def test_zero_steps(self):

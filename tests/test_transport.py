@@ -15,7 +15,8 @@ from fracfilm import (
     w2_exact_1d,
     w2_sinkhorn,
 )
-from fracfilm.transport import _cdf, _quantile
+from fracfilm import transport
+from fracfilm.transport import _axis_kernels, _cdf, _quantile
 
 
 def grid1d(n=512, L=40.0):
@@ -92,6 +93,99 @@ def rough_density(grid, rng, kind):
     if not np.any(vals > 0):
         vals[grid.n // 2] = 1.0
     return GridDensity.normalized(grid, vals)
+
+
+def tensordot_softmin(kmat, psi, dim, epsilon):
+    """Reference for `_softmin`: shift by the max over a boolean-indexed
+    copy, contract every axis with `np.tensordot` and `np.moveaxis`."""
+    shift = np.max(psi[np.isfinite(psi)])
+    contracted = np.exp((psi - shift) / epsilon)
+    for axis in range(dim):
+        contracted = np.moveaxis(np.tensordot(kmat, contracted, axes=([1], [axis])), 0, axis)
+    with np.errstate(divide="ignore"):
+        return -epsilon * np.log(contracted) - shift
+
+
+def three_softmin_sinkhorn(u, v, epsilon, max_iter, tol):
+    """Reference for `w2_sinkhorn`: each pass computes f, g and the f of the
+    a-marginal check with three separate softmins.
+
+    Returns (value, potential, iterations, marginal_error, nonfinite), where
+    nonfinite counts the raw softmin entries that were not finite.
+    """
+    grid = u.grid
+    dim, hpow = grid.dim, grid.cell_volume
+    a, b = u.values * hpow, v.values * hpow
+    kmat = _axis_kernels(grid, epsilon)
+    nonfinite = 0
+
+    def softmin(psi):
+        nonlocal nonfinite
+        out = tensordot_softmin(kmat, psi, dim, epsilon)
+        nonfinite += int(np.sum(~np.isfinite(out)))
+        return out
+
+    with np.errstate(divide="ignore"):
+        la = np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), -np.inf) * epsilon
+        lb = np.where(b > 0, np.log(np.where(b > 0, b, 1.0)), -np.inf) * epsilon
+    f, g = np.zeros(grid.shape), np.zeros(grid.shape)
+    for it in range(max_iter):
+        f = softmin(g + lb)
+        f = np.where(np.isfinite(f), f, 0.0)
+        g = softmin(f + la)
+        g = np.where(np.isfinite(g), g, 0.0)
+        f_next = softmin(g + lb)
+        f_next = np.where(np.isfinite(f_next), f_next, f)
+        with np.errstate(over="ignore"):
+            row = a * np.exp(np.clip((f - f_next) / epsilon, -700, 700))
+        marginal_error = float(np.sum(np.abs(row - a)))
+        if marginal_error <= tol:
+            break
+    iterations = it + 1
+
+    def sym_potential(log_mass):
+        p = np.zeros_like(log_mass)
+        for k in range(max_iter):
+            p_new = softmin(p + log_mass)
+            p_new = np.where(np.isfinite(p_new), p_new, 0.0)
+            p_half = 0.5 * (p + p_new)
+            delta = np.max(np.abs(p_half - p))
+            p = p_half
+            if delta < 0.1 * epsilon * tol + 1e-15:
+                return p, k + 1
+        return p, max_iter
+
+    fa, it_a = sym_potential(la)
+    fb, it_b = sym_potential(lb)
+    ot_uv = float(np.sum(f * a) + np.sum(g * b))
+    ot_uu = float(2.0 * np.nansum(np.where(a > 0, fa * a, 0.0)))
+    ot_vv = float(2.0 * np.nansum(np.where(b > 0, fb * b, 0.0)))
+    value = ot_uv - 0.5 * ot_uu - 0.5 * ot_vv
+    if abs(value) < 1e3 * tol:
+        value = max(value, 0.0)
+    debiased = 0.5 * (f - np.where(np.isfinite(fa), fa, 0.0))
+    return value, debiased - debiased.mean(), iterations + it_a + it_b, marginal_error, nonfinite
+
+
+def compact_bump(grid, center, radius):
+    """Density proportional to (1 - |x - center|^2 / radius^2)_+, zero outside."""
+    r2 = sum((c - mu) ** 2 for c, mu in zip(grid.coords, center))
+    return GridDensity.normalized(grid, np.maximum(1.0 - r2 / radius ** 2, 0.0))
+
+
+# grid, the pair of densities, epsilon; "wide" puts compactly supported mass
+# in a small region of a wide box, so the Gibbs kernel underflows between the
+# support and the far cells and the raw softmins have non-finite entries
+SINKHORN_CASES = {
+    "1d": (PeriodicGrid(1, 64, 16.0), lambda g: (gaussian_density(g, 0.0, 1.0),
+                                                 gaussian_density(g, 0.7, 1.5)), 0.05),
+    "2d": (PeriodicGrid(2, 24, 12.0), lambda g: (gaussian_density(g, (0.0, 0.0), 1.0),
+                                                 gaussian_density(g, (0.5, -0.4), 1.3)), 0.2),
+    "3d": (PeriodicGrid(3, 8, 8.0), lambda g: (gaussian_density(g, (0.0, 0.0, 0.0), 1.0),
+                                               gaussian_density(g, (0.4, 0.0, -0.3), 1.2)), 0.5),
+    "wide": (PeriodicGrid(1, 64, 40.0), lambda g: (compact_bump(g, (0.0,), 2.0),
+                                                   compact_bump(g, (1.0,), 2.5)), 0.1),
+}
 
 
 class TestExact1D:
@@ -314,6 +408,51 @@ class TestSinkhorn:
         res = w2_sinkhorn(u, v, epsilon, max_iter=20000, tol=1e-9)
         pairing = grid.cell_volume * np.sum(res.potential * rho)
         assert fd == pytest.approx(pairing, rel=1e-4)
+
+    @pytest.mark.parametrize("case", sorted(SINKHORN_CASES))
+    def test_bitwise_equal_to_three_softmin_reference(self, case):
+        grid, densities, epsilon = SINKHORN_CASES[case]
+        u, v = densities(grid)
+        value, phi, iterations, marginal_error, nonfinite = three_softmin_sinkhorn(
+            u, v, epsilon, max_iter=20000, tol=1e-9
+        )
+        res = w2_sinkhorn(u, v, epsilon, max_iter=20000, tol=1e-9)
+        assert res.w2_squared == value
+        assert np.array_equal(res.potential, phi)
+        assert res.iterations == iterations
+        assert res.marginal_error == marginal_error
+        if case == "wide":
+            assert nonfinite > 0
+
+    def test_two_softmins_per_pass(self, monkeypatch):
+        # one softmin before the loop, two per main pass, one per pass of the
+        # two self-potential solves
+        calls, sym_passes = [0], [0]
+        softmin, sym_potential = transport._softmin, transport._sym_potential
+
+        def counted_softmin(*args):
+            calls[0] += 1
+            return softmin(*args)
+
+        def counted_sym_potential(*args):
+            f, passes = sym_potential(*args)
+            sym_passes[0] += passes
+            return f, passes
+
+        monkeypatch.setattr(transport, "_softmin", counted_softmin)
+        monkeypatch.setattr(transport, "_sym_potential", counted_sym_potential)
+        g = PeriodicGrid(2, 24, 12.0)
+        u = gaussian_density(g, (0.0, 0.0), 1.0)
+        v = gaussian_density(g, (0.5, -0.4), 1.3)
+        res = w2_sinkhorn(u, v, epsilon=0.2, max_iter=20000, tol=1e-9)
+        main_passes = res.iterations - sym_passes[0]
+        assert main_passes > 1
+        assert calls[0] == 1 + 2 * main_passes + sym_passes[0]
+
+    def test_softmin_without_finite_entry_raises(self):
+        g = PeriodicGrid(2, 8, 4.0)
+        with pytest.raises(ValueError):
+            transport._softmin(_axis_kernels(g, 0.1), np.full(g.shape, -np.inf), 2, 0.1)
 
     def test_nonconvergence_raises_with_marginal_error(self):
         g = grid1d(n=128, L=20.0)
