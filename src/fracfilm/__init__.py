@@ -65,4 +65,12 @@ from .spectral import (
     spectral_divergence,
     spectral_gradient,
 )
-from .transport import TransportConfig, TransportResult, optimal_map_1d, w2, w2_exact_1d, w2_sinkhorn
+from .transport import (
+    SinkhornCache,
+    TransportConfig,
+    TransportResult,
+    optimal_map_1d,
+    w2,
+    w2_exact_1d,
+    w2_sinkhorn,
+)

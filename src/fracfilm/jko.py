@@ -5,6 +5,8 @@ simplex by mirror descent: multiplicative updates u <- u exp(-alpha G) with
 G = L_s u + phi/tau, phi = delta(W^2/2) the first-variation potential of the
 transport term, recomputed every inner iteration.  Updates keep mass one
 and positivity exactly, which is the whole point of the parameterization.
+All transport calls of a step share one `SinkhornCache` for u_prev, and the
+step records how many calls it made and how many Sinkhorn passes they took.
 
 The inner loop runs in two phases.  The first is Nesterov-extrapolated
 mirror descent with Armijo backtracking on the objective, starting from
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import FracfilmError, StagnationError
 from .measure import GridDensity, boundary_shell_mass, entropy, second_moment
 from .spectral import PeriodicGrid, energy_of_values, fractional_laplacian
-from .transport import TransportConfig, w2
+from .transport import SinkhornCache, TransportConfig, w2
 
 _OBJ_NOISE = 32 * np.finfo(float).eps
 _SHRINK = 0.5  # Armijo backtracking factor
@@ -50,6 +52,8 @@ class InnerConfig:
     def __post_init__(self):
         if self.max_iters < 1 or self.grad_tol <= 0 or self.obj_tol < 0:
             raise ValueError("inner solver tolerances must be positive")
+        if not (np.isfinite(self.grad_tol) and np.isfinite(self.obj_tol)):
+            raise ValueError("inner solver tolerances must be finite")
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,8 @@ class StepRecord:
     objective_value: float
     boundary_mass: float
     stop_reason: str  # why the inner loop ended: one of STOP_REASONS
+    transport_calls: int  # w2 evaluations the step made, the final one included
+    sinkhorn_iters: int  # Sinkhorn passes of those calls (0 on the exact 1D path)
 
 
 @dataclass(frozen=True)
@@ -149,15 +155,22 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         raise ValueError("density grid does not match the configured grid")
     s, tau, inner = cfg.s, cfg.tau, cfg.inner
     hvol = grid.cell_volume
+    cache = SinkhornCache(u_prev, cfg.transport)
+    counts = [0, 0]  # transport calls, Sinkhorn passes
+
+    def count(tr):
+        counts[0] += 1
+        counts[1] += tr.iterations
+        return tr
 
     def objective(values: np.ndarray) -> float:
         dens = GridDensity(grid, values)
-        tr = w2(dens, u_prev, cfg.transport, want_potential=False)
+        tr = count(w2(dens, u_prev, cfg.transport, want_potential=False, cache=cache))
         return energy_of_values(values, grid, s) + tr.w2_squared / (2 * tau)
 
     def gradient(values: np.ndarray):
         dens = GridDensity(grid, values)
-        tr = w2(dens, u_prev, cfg.transport, want_potential=True)
+        tr = count(w2(dens, u_prev, cfg.transport, want_potential=True, cache=cache))
         g = fractional_laplacian(values, grid, s) + tr.potential / tau
         return g, tr.w2_squared
 
@@ -249,7 +262,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
             alpha = min(alpha * 1.2, tau)
 
     final = GridDensity(grid, u)
-    tr_final = w2(final, u_prev, cfg.transport, want_potential=True)
+    tr_final = count(w2(final, u_prev, cfg.transport, want_potential=True, cache=cache))
     g_final = fractional_laplacian(u, grid, s) + tr_final.potential / tau
     kkt_final, _ = residual(u, g_final)
     e_final = energy_of_values(u, grid, s)
@@ -265,6 +278,8 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         objective_value=e_final + tr_final.w2_squared / (2 * tau),
         boundary_mass=boundary_shell_mass(final),
         stop_reason=stop_reason,
+        transport_calls=counts[0],
+        sinkhorn_iters=counts[1],
     )
 
 

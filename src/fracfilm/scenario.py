@@ -28,6 +28,7 @@ manifest.json echoing the scenario text verbatim.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -55,6 +56,8 @@ CSV_COLUMNS = [
     "kkt_residual",
     "boundary_mass",
     "stop_reason",
+    "transport_calls",
+    "sinkhorn_iters",
 ]
 
 DEFAULT_CHECKS = ["energy_estimate", "moment_bound", "entropy_dissipation", "weak_form"]
@@ -326,6 +329,8 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
                 _fmt(rec.kkt_residual),
                 _fmt(rec.boundary_mass),
                 rec.stop_reason,
+                str(rec.transport_calls),
+                str(rec.sinkhorn_iters),
             ]
             fh.write(",".join(row) + "\n")
     write_density_file(out / _density_filename(0), traj.initial)
@@ -380,7 +385,8 @@ def load_run_directory(run_dir):
             raise ScenarioError(f"unexpected diagnostics columns {header}")
         for line in fh:
             parts = line.strip().split(",")
-            if len(parts) != len(CSV_COLUMNS) or parts[9] not in STOP_REASONS:
+            if (len(parts) != len(CSV_COLUMNS) or parts[9] not in STOP_REASONS
+                    or not all(re.fullmatch("[0-9]+", c) for c in parts[10:])):
                 raise ScenarioError(f"malformed diagnostics row: {line!r}")
             rows.append(parts)
     steps: List[StepRecord] = []
@@ -406,6 +412,8 @@ def load_run_directory(run_dir):
                 objective_value=float(parts[2]) + float(parts[5]) / (2 * sc.tau),
                 boundary_mass=float(parts[8]),
                 stop_reason=parts[9],
+                transport_calls=int(parts[10]),
+                sinkhorn_iters=int(parts[11]),
             )
         )
     traj = Trajectory(sc.jko_config(), initial, steps, status=manifest.get("status", "ok"))

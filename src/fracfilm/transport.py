@@ -11,6 +11,18 @@ per-cell sums scattered by `np.bincount`.  General dimension runs debiased
 log-domain Sinkhorn at one softmin per half-step, each softmin one matrix
 product per axis, and returns the gradient of half the debiased
 divergence, so both backends follow one convention.
+
+A JKO step measures many densities against one fixed target, so `w2`
+takes an optional `SinkhornCache` bound to that target and its settings.
+The first call of the step solves the target's kernel, log-mass and
+self-potential once; every call then warm-starts its main loop from the
+last converged dual g (the first call from the target's self-potential,
+the exact answer for u = target) and its u-side self-potential from the
+last converged one.  `TransportResult.iterations` counts the main passes
+plus the self-potential passes the call itself made, so the first cached
+call carries the target's.  The stopping rules are unchanged; a call
+without a cache starts from zero and is bitwise what it was before the
+cache existed, and the exact 1D path ignores the cache.
 """
 
 from __future__ import annotations
@@ -40,8 +52,12 @@ class TransportConfig:
     def __post_init__(self):
         if self.method not in ("auto", "exact", "sinkhorn"):
             raise ValueError(f"unknown transport method {self.method!r}")
-        if self.epsilon <= 0:
-            raise ValueError(f"sinkhorn epsilon must be positive, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"sinkhorn epsilon must be finite and positive, got {self.epsilon}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"sinkhorn tolerance must be finite and positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"sinkhorn iteration cap must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -201,6 +217,12 @@ def _kernel_contract(kmat, vals, dim):
     return out
 
 
+def _scaled_log(mass, epsilon):
+    """eps log(mass), -inf where the mass is zero."""
+    with np.errstate(divide="ignore"):
+        return np.where(mass > 0, np.log(np.where(mass > 0, mass, 1.0)), -np.inf) * epsilon
+
+
 def _softmin(kmat, psi, dim, epsilon):
     """-eps log( K exp(psi/eps) ), computed with a global max shift."""
     shift = np.max(psi, where=np.isfinite(psi), initial=-np.inf)
@@ -212,18 +234,48 @@ def _softmin(kmat, psi, dim, epsilon):
     return out
 
 
-def _sym_potential(a_log_mass, kmat, dim, epsilon, max_iter, tol):
-    """Fixed point of the symmetric problem OT_eps(a, a); returns f with f=g."""
-    f = np.zeros_like(a_log_mass)
+def _sym_potential(a_log_mass, kmat, dim, epsilon, max_iter, tol, f0=None):
+    """Fixed point of the symmetric problem OT_eps(a, a); returns (f, passes)
+    with f = g, starting from f0 (zero when None).  Raises ConvergenceError,
+    carrying the last step size, when `max_iter` passes miss the stopping rule."""
+    f = np.zeros_like(a_log_mass) if f0 is None else f0
+    delta = np.inf
     for it in range(max_iter):
         f_new = _softmin(kmat, f + a_log_mass, dim, epsilon)
         f_new = np.where(np.isfinite(f_new), f_new, 0.0)
         f_half = 0.5 * (f + f_new)
-        delta = np.max(np.abs(f_half - f))
+        delta = float(np.max(np.abs(f_half - f)))
         f = f_half
         if delta < 0.1 * epsilon * tol + 1e-15:
             return f, it + 1
-    return f, max_iter
+    raise ConvergenceError(
+        f"sinkhorn self-potential failed to settle in {max_iter} iterations "
+        f"(last step {delta:.3e})",
+        marginal_error=delta,
+    )
+
+
+class SinkhornCache:
+    """What every Sinkhorn call of one JKO step shares: the step's target
+    density and transport settings, the axis kernel, the target's scaled
+    log-mass and self-potential (filled by the first call), and the dual
+    potential g and u-side self-potential of the last call that converged,
+    from which the next call starts.  Exact 1D transport ignores it."""
+
+    def __init__(self, target: GridDensity, config: TransportConfig):
+        self.target = target
+        self.config = config
+        self.kmat = self.lb = self.fb = None  # the target's, filled on first use
+        self.g = self.fa = None  # the last converged call's
+
+    def check(self, target: GridDensity, epsilon: float, max_iter: int, tol: float):
+        """Raise ValueError unless the cache was made for `target` (the same
+        object) and these Sinkhorn settings."""
+        if target is not self.target:
+            raise ValueError("sinkhorn cache was made for another target density")
+        cfg = self.config
+        if (cfg.epsilon, cfg.max_iter, cfg.tol) != (epsilon, max_iter, tol):
+            raise ValueError("sinkhorn cache was made for other transport settings")
 
 
 def w2_sinkhorn(
@@ -232,6 +284,7 @@ def w2_sinkhorn(
     epsilon: float,
     max_iter: int = 20000,
     tol: float = 1e-9,
+    cache: Optional[SinkhornCache] = None,
 ) -> TransportResult:
     """Debiased entropic divergence S_eps(u, v) with log-domain iterations.
 
@@ -244,6 +297,14 @@ def w2_sinkhorn(
     `w2_exact_1d`.
     Raises ConvergenceError carrying the marginal error when the plan
     marginals fail to reach `tol` in L^1.
+
+    Without `cache` every call starts from zero potentials.  With a
+    `SinkhornCache` made for v and these settings, the kernel, v's log-mass
+    and v's self-potential fb are computed once, by the first call (whose
+    ``iterations`` include fb's passes); the main loop starts from the last
+    converged call's g, or from fb, the fixed point for u = v; and u's
+    self-potential starts from the last converged call's, or from fb.  The
+    stopping rules are those of a cold call.
     """
     _check_same_grid(u, v)
     if epsilon <= 0:
@@ -252,13 +313,22 @@ def w2_sinkhorn(
     dim, hpow = grid.dim, grid.cell_volume
     a = u.values * hpow
     b = v.values * hpow
-    kmat = _axis_kernels(grid, epsilon)
-    with np.errstate(divide="ignore"):
-        la = np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), -np.inf) * epsilon
-        lb = np.where(b > 0, np.log(np.where(b > 0, b, 1.0)), -np.inf) * epsilon
+    la = _scaled_log(a, epsilon)
+    g0 = fa0 = None
+    it_b = 0
+    if cache is None:
+        kmat, lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
+    else:
+        cache.check(v, epsilon, max_iter, tol)
+        if cache.fb is None:
+            cache.kmat, cache.lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
+            cache.fb, it_b = _sym_potential(cache.lb, cache.kmat, dim, epsilon, max_iter, tol)
+        kmat, lb = cache.kmat, cache.lb
+        g0 = cache.fb if cache.g is None else cache.g
+        fa0 = cache.fb if cache.fa is None else cache.fa
 
     # one softmin per half-step: raw = softmin(g + lb) is the check's f_next and the next f
-    raw = _softmin(kmat, lb, dim, epsilon)
+    raw = _softmin(kmat, lb if g0 is None else g0 + lb, dim, epsilon)
     marginal_error = np.inf
     for it in range(max_iter):
         f = np.where(np.isfinite(raw), raw, 0.0)
@@ -281,8 +351,12 @@ def w2_sinkhorn(
         )
 
     ot_uv = float(np.sum(f * a) + np.sum(g * b))
-    fa, it_a = _sym_potential(la, kmat, dim, epsilon, max_iter, tol)
-    fb, it_b = _sym_potential(lb, kmat, dim, epsilon, max_iter, tol)
+    fa, it_a = _sym_potential(la, kmat, dim, epsilon, max_iter, tol, fa0)
+    if cache is None:
+        fb, it_b = _sym_potential(lb, kmat, dim, epsilon, max_iter, tol)
+    else:
+        fb = cache.fb
+        cache.g, cache.fa = g, fa
     ot_uu = float(2.0 * np.nansum(np.where(a > 0, fa * a, 0.0)))
     ot_vv = float(2.0 * np.nansum(np.where(b > 0, fb * b, 0.0)))
     value = ot_uv - 0.5 * ot_uu - 0.5 * ot_vv
@@ -302,12 +376,13 @@ def w2_sinkhorn(
 
 
 def w2(u: GridDensity, v: GridDensity, config: TransportConfig = TransportConfig(),
-       want_potential: bool = True) -> TransportResult:
-    """Dispatch: exact quantile transport in 1D, Sinkhorn otherwise."""
+       want_potential: bool = True, cache: Optional[SinkhornCache] = None) -> TransportResult:
+    """Dispatch: exact quantile transport in 1D, Sinkhorn otherwise.  `cache`
+    (made for v and `config`) warm-starts Sinkhorn; the exact path ignores it."""
     _check_same_grid(u, v)
     method = config.method
     if method == "auto":
         method = "exact" if u.grid.dim == 1 else "sinkhorn"
     if method == "exact":
         return w2_exact_1d(u, v, want_potential=want_potential)
-    return w2_sinkhorn(u, v, config.epsilon, config.max_iter, config.tol)
+    return w2_sinkhorn(u, v, config.epsilon, config.max_iter, config.tol, cache)

@@ -131,8 +131,14 @@ class TestRun:
             ("grid.n = 128", "grid.n = 255"),
             ("equation.s = 1.0", "equation.s = -1"),
             ("dimension = 1", "dimension = 2\ntransport.method = exact"),
+            ("checks =", "transport.epsilon = nan\nchecks ="),
+            ("checks =", "transport.tol = 0\nchecks ="),
+            ("checks =", "transport.max_iter = 0\nchecks ="),
+            ("inner.grad_tol = 1e-7", "inner.grad_tol = nan\ninner.max_iters = 2"),
+            ("inner.obj_tol = 0.0", "inner.obj_tol = inf"),
         ],
-        ids=["odd_n", "negative_s", "exact_in_2d"],
+        ids=["odd_n", "negative_s", "exact_in_2d", "nan_epsilon", "zero_transport_tol",
+             "zero_transport_max_iter", "nan_grad_tol", "infinite_obj_tol"],
     )
     def test_invalid_setting_exits_3(self, tmp_path, capsys, old, new):
         scen = write_scenario(tmp_path, FAST_SCENARIO.replace(old, new))
@@ -220,18 +226,48 @@ class TestVerify:
         text = FAST_SCENARIO.replace("inner.obj_tol = 0.0", "inner.obj_tol = 0.0\ninner.max_iters = 5")
         out = tmp_path / "capped"
         assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
-        rows = (out / "diagnostics.csv").read_text().splitlines()
-        assert rows[0].endswith(",stop_reason")
-        assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["max_iters"] * 4
+        rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().splitlines()]
+        column = rows[0].index("stop_reason")
+        assert [r[column] for r in rows[1:]] == ["max_iters"] * 4
         _, traj = load_run_directory(out)
         assert [rec.stop_reason for rec in traj.steps] == ["max_iters"] * 4
+
+    def test_transport_counters_round_trip(self, tmp_path):
+        # 1D: the exact path makes no Sinkhorn pass; d = 2: every call does
+        one_d = FAST_SCENARIO.replace("inner.obj_tol = 0.0", "inner.obj_tol = 0.0\ninner.max_iters = 5")
+        two_d = one_d.replace("dimension = 1", "dimension = 2").replace(
+            "grid.n = 128", "grid.n = 16").replace("grid.box_length = 40.0", "grid.box_length = 12.0").replace(
+            "initial.center = 0.0", "initial.center = 0.0 0.0").replace(
+            "time.num_steps = 4", "time.num_steps = 1\ntransport.epsilon = 0.2\ntransport.tol = 1e-7")
+        for name, text in (("one_d", one_d), ("two_d", two_d)):
+            out = tmp_path / name
+            assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
+            rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().splitlines()]
+            assert rows[0][-3:] == ["stop_reason", "transport_calls", "sinkhorn_iters"]
+            _, traj = load_run_directory(out)
+            counters = [(rec.transport_calls, rec.sinkhorn_iters) for rec in traj.steps]
+            assert counters == [(int(r[-2]), int(r[-1])) for r in rows[1:]]
+            assert all(calls > 5 for calls, _ in counters)
+            if name == "one_d":
+                assert all(iters == 0 for _, iters in counters)
+            else:
+                assert all(iters > calls for calls, iters in counters)
+            csv = (out / "diagnostics.csv").read_text()
+            for bad in ("-1", "1.5", "x"):
+                lines = csv.splitlines()
+                parts = lines[1].split(",")
+                parts[-1] = bad
+                lines[1] = ",".join(parts)
+                (out / "diagnostics.csv").write_text("\n".join(lines) + "\n")
+                with pytest.raises(ScenarioError):
+                    load_run_directory(out)
 
     def test_unknown_stop_reason_rejected(self, run_dir, tmp_path):
         import shutil
 
         bad = tmp_path / "bad_run"
         shutil.copytree(run_dir, bad)
-        csv = (bad / "diagnostics.csv").read_text().replace(",converged\n", ",done\n", 1)
+        csv = (bad / "diagnostics.csv").read_text().replace(",converged,", ",done,", 1)
         (bad / "diagnostics.csv").write_text(csv)
         with pytest.raises(ScenarioError):
             load_run_directory(bad)

@@ -6,6 +6,7 @@ from fracfilm import (
     GridDensity,
     GridMismatchError,
     PeriodicGrid,
+    SinkhornCache,
     TransportConfig,
     gaussian_density,
     heat_semigroup,
@@ -16,7 +17,7 @@ from fracfilm import (
     w2_sinkhorn,
 )
 from fracfilm import transport
-from fracfilm.transport import _axis_kernels, _cdf, _quantile
+from fracfilm.transport import _axis_kernels, _cdf, _quantile, _scaled_log, _sym_potential
 
 
 def grid1d(n=512, L=40.0):
@@ -462,6 +463,100 @@ class TestSinkhorn:
             w2_sinkhorn(u, v, epsilon=0.05, max_iter=3, tol=1e-12)
         assert exc_info.value.marginal_error is not None
         assert exc_info.value.marginal_error > 1e-12
+
+    def test_self_potential_miss_raises(self):
+        g = PeriodicGrid(2, 24, 12.0)
+        lb = _scaled_log(gaussian_density(g, (0.0, 0.0), 1.0).values * g.cell_volume, 0.2)
+        _, passes = _sym_potential(lb, _axis_kernels(g, 0.2), 2, 0.2, 20000, 1e-9)
+        assert passes > 1
+        with pytest.raises(ConvergenceError) as exc_info:
+            _sym_potential(lb, _axis_kernels(g, 0.2), 2, 0.2, 1, 1e-9)
+        assert exc_info.value.marginal_error > 0.1 * 0.2 * 1e-9
+
+
+def line_search_sequence(grid, v):
+    """u = v, then six reweightings v exp(-a G) at halving a, the way a
+    backtracking line search approaches its target."""
+    x, y = grid.coords
+    field = np.sin(x) + 0.5 * np.cos(0.7 * y) + 0.05 * (x * x + y * y)
+    return [v] + [GridDensity.normalized(grid, v.values * np.exp(-a * field))
+                  for a in (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125)]
+
+
+class TestSinkhornCache:
+    GRID = PeriodicGrid(2, 48, 16.0)
+    CFG = TransportConfig(method="sinkhorn", epsilon=0.1, max_iter=20000, tol=1e-7)
+
+    def target(self):
+        return gaussian_density(self.GRID, (0.3, -0.2), 1.0)
+
+    def test_warm_matches_cold_with_fewer_passes(self):
+        v, tol = self.target(), self.CFG.tol
+        cache = SinkhornCache(v, self.CFG)
+        warm_passes = cold_passes = 0
+        for u in line_search_sequence(self.GRID, v):
+            cold = w2(u, v, self.CFG)
+            warm = w2(u, v, self.CFG, cache=cache)
+            assert abs(warm.w2_squared - cold.w2_squared) <= 10 * tol * abs(cold.w2_squared)
+            assert np.max(np.abs(warm.potential - cold.potential)) <= 100 * tol
+            assert warm.marginal_error <= tol
+            warm_passes += warm.iterations
+            cold_passes += cold.iterations
+        assert warm_passes < cold_passes
+
+    def test_fresh_cache_on_its_target_takes_one_main_pass(self, monkeypatch):
+        sym_passes = [0]
+        sym_potential = transport._sym_potential
+
+        def counted_sym_potential(*args):
+            f, passes = sym_potential(*args)
+            sym_passes[0] += passes
+            return f, passes
+
+        monkeypatch.setattr(transport, "_sym_potential", counted_sym_potential)
+        v = self.target()
+        res = w2(v, v, self.CFG, cache=SinkhornCache(v, self.CFG))
+        assert res.iterations - sym_passes[0] == 1
+
+    def test_other_target_or_settings_rejected(self):
+        v = self.target()
+        cache = SinkhornCache(v, self.CFG)
+        twin = GridDensity(self.GRID, v.values.copy())
+        with pytest.raises(ValueError, match="target"):
+            w2(v, twin, self.CFG, cache=cache)
+        for other in (TransportConfig("sinkhorn", 0.2, 20000, 1e-7),
+                      TransportConfig("sinkhorn", 0.1, 19999, 1e-7),
+                      TransportConfig("sinkhorn", 0.1, 20000, 1e-8)):
+            with pytest.raises(ValueError, match="settings"):
+                w2(v, v, other, cache=cache)
+        assert cache.fb is None
+
+    def test_failed_call_keeps_last_converged_state(self):
+        cfg = TransportConfig(method="sinkhorn", epsilon=0.1, max_iter=40, tol=1e-7)
+        v = self.target()
+        cache = SinkhornCache(v, cfg)
+        w2(v, v, cfg, cache=cache)
+        g, fa = cache.g.copy(), cache.fa.copy()
+        far = gaussian_density(self.GRID, (-1.5, 1.0), 1.4)
+        with pytest.raises(ConvergenceError):
+            w2(far, v, cfg, cache=cache)
+        assert np.array_equal(cache.g, g)
+        assert np.array_equal(cache.fa, fa)
+
+    def test_exact_1d_ignores_cache(self):
+        g = grid1d()
+        u = gaussian_density(g, 0.0, 1.0)
+        v = gaussian_density(g, 0.5, 1.2)
+        cfg = TransportConfig()
+        cache = SinkhornCache(v, cfg)
+        for want in (True, False):
+            plain = w2(u, v, cfg, want_potential=want)
+            cached = w2(u, v, cfg, want_potential=want, cache=cache)
+            assert cached.w2_squared == plain.w2_squared
+            assert cached.iterations == plain.iterations == 0
+            if want:
+                assert np.array_equal(cached.potential, plain.potential)
+        assert cache.fb is None and cache.g is None
 
 
 class TestDispatch:
