@@ -437,6 +437,19 @@ def pairwise_gap(
     return total, sup_gap
 
 
+def validate_refinement_settings(taus: Sequence[float], horizon: float, r: float, s: float) -> None:
+    """Raise ValueError unless the taus are finite, positive and strictly
+    decreasing, the horizon is finite and positive, and r < s."""
+    if not all(math.isfinite(t) and t > 0 for t in taus) or any(
+        a <= b for a, b in zip(taus, taus[1:])
+    ):
+        raise ValueError(f"tau_list must be finite, positive and strictly decreasing, got {taus}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not r < s:
+        raise ValueError(f"refinement order r must satisfy r < s, got r={r}, s={s}")
+
+
 def tau_refinement_study(
     u0: GridDensity,
     cfg_base: JkoConfig,
@@ -451,10 +464,7 @@ def tau_refinement_study(
     monotonically.  No limit object is claimed.
     """
     taus = list(tau_list)
-    if any(t <= 0 for t in taus) or any(a <= b for a, b in zip(taus, taus[1:])):
-        raise ValueError("tau_list must be positive and strictly decreasing")
-    if r >= cfg_base.s:
-        raise ValueError(f"refinement order r must satisfy r < s, got r={r}, s={cfg_base.s}")
+    validate_refinement_settings(taus, horizon, r, cfg_base.s)
     from dataclasses import replace as _replace
 
     trajs = []

@@ -19,6 +19,7 @@ from .analysis import (
     check_moment_bound,
     check_weak_form_step,
     tau_refinement_study,
+    validate_refinement_settings,
 )
 from .errors import FracfilmError
 from .fields import cosine_bump_test_function
@@ -131,11 +132,13 @@ def cmd_sweep(args) -> int:
         except ValueError:
             print(f"config error: bad tau list {args.tau_list!r}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-        if sorted(taus, reverse=True) != taus or len(set(taus)) != len(taus):
-            print("config error: tau list must be strictly decreasing", file=sys.stderr)
+        horizon = args.horizon if args.horizon else sc.num_steps * sc.tau
+        try:
+            validate_refinement_settings(taus, horizon, args.r, sc.s)
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         u0 = sc.initial_density()
-        horizon = args.horizon if args.horizon else sc.num_steps * sc.tau
         report = tau_refinement_study(
             u0, sc.jko_config(), tau_list=taus, horizon=horizon, r=args.r
         )

@@ -1,23 +1,32 @@
 """Minimizing-movement scheme: proximal steps, trajectories, interpolant.
 
 Each step minimizes  E(u) = F_s(u) + W^2(u, u_prev)/(2 tau)  over the grid
-simplex by mirror descent: multiplicative updates u <- u exp(-alpha G) with
-G = L_s u + phi/tau, phi = delta(W^2/2) the first-variation potential of the
-transport term, recomputed every inner iteration.  Updates keep mass one
-and positivity exactly, which is the whole point of the parameterization.
-All transport calls of a step share one `SinkhornCache` for u_prev, and the
-step records how many calls it made and how many Sinkhorn passes they took.
+simplex by Newton's method in the Otto (Wasserstein) metric.  With gradient
+G = L_s u + phi/tau (phi = delta(W^2/2), the transport potential) and the
+Hessian of W^2/2 taken as the inverse of A_u = -div(u grad) (Otto 2001),
+the direction is
 
-The inner loop runs in two phases.  The first is Nesterov-extrapolated
-mirror descent with Armijo backtracking on the objective, starting from
-step size tau; once objective decrements fall below double-precision
-resolution (long before the stationarity residual is exhausted) it hands
-over to a polish phase that accepts steps on strict residual decrease
-instead.  The residual ignores cells whose value is below 1e-8 of the peak
-(`_DEGENERATE_SHARE`): those cells relax only logarithmically under
-multiplicative updates while their influence on any functional of the
-iterate is bounded by their total mass, orders below every tolerance in the
-verification suite.
+    du = -tau A_u z,   (I + tau L_s A_u) z = G - mean(G),
+
+one linearised implicit step of the equation; it has zero mass.  A_u uses
+face-averaged mobility, zero on every face that touches a cell where
+u_prev = 0: outside u_prev's support the exact 1D potential is flat, so
+the slope there would be wrong.  Cells inside it that underflow to zero
+can refill.  In d = 1 the system is assembled densely from the step's
+circulant L_s and solved by LU, O(n^3) per iteration; in d >= 2 by
+restarted GMRES with a Fourier preconditioner.
+
+The candidate u + alpha du (u exp(alpha du / u) where du < 0, then
+renormalised) keeps positivity and mass one to rounding; a non-descent
+direction falls back to du = -tau u (G - mean(G)).  Armijo backtracking
+starts at alpha = min(1, 2 alpha_prev).  A step ends `converged`,
+`obj_tol`, `max_iters`, or `stalled` (`_STALL_ITERS` iterations without a
+new smallest residual, or an exhausted line search after an accepted
+step).  The residual ignores cells below 1e-8 of the peak
+(`_DEGENERATE_SHARE`), whose influence on any functional of the iterate is
+bounded by their total mass.  All transport calls of a step share one
+`SinkhornCache` for u_prev, and the step records how many calls it made and
+how many Sinkhorn passes they took.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import FracfilmError, StagnationError
 from .measure import GridDensity, boundary_shell_mass, entropy, second_moment
-from .spectral import PeriodicGrid, energy_of_values, fractional_laplacian
+from .spectral import PeriodicGrid, apply_multiplier, energy_of_values, fractional_laplacian
 from .transport import SinkhornCache, TransportConfig, w2
 
 _OBJ_NOISE = 32 * np.finfo(float).eps
@@ -38,7 +47,11 @@ _SHRINK = 0.5  # Armijo backtracking factor
 _ARMIJO = 1e-4  # sufficient-decrease constant
 _ALPHA_MIN = 1e-12  # smallest step the line search tries
 _DEGENERATE_SHARE = 1e-8  # residual floor, relative to the peak value
-STOP_REASONS = ("converged", "max_iters", "obj_tol", "polish_floor")
+_STALL_ITERS = 20  # iterations without a new smallest residual before a step stalls
+_GMRES_RESTART = 60
+_GMRES_RTOL = 1e-10
+_GMRES_CYCLES = 50  # restart cycles before GMRES returns its last iterate
+STOP_REASONS = ("converged", "max_iters", "obj_tol", "stalled")
 
 
 @dataclass(frozen=True)
@@ -134,17 +147,120 @@ def interpolant(traj: Trajectory, t: float) -> GridDensity:
     return traj.density_at_step(min(max(k, 1), traj.num_steps))
 
 
-def _mirror_candidate(base: np.ndarray, exponent: np.ndarray, cell_volume: float) -> np.ndarray:
-    e = exponent - np.max(exponent)
-    w = base * np.exp(e)
-    return w / (np.sum(w) * cell_volume)
+def _open_faces(support: np.ndarray) -> tuple:
+    """Per axis, the faces between cell j and j + e_a with both cells in `support`."""
+    return tuple(support & np.roll(support, -1, axis=a) for a in range(support.ndim))
 
 
-def _extrapolate(u: np.ndarray, u_old: np.ndarray, beta: float, cell_volume: float) -> np.ndarray:
-    # geometric extrapolation: the mirror-space analogue of y = u + beta (u - u_old)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(u_old > 0, u / np.where(u_old > 0, u_old, 1.0), 1.0)
-    w = u * ratio ** beta
+def _face_mobility(u: np.ndarray, open_faces: tuple, h: float) -> tuple:
+    """Per axis, (u_j + u_{j+e_a}) / (2 h^2) on open faces and 0 on closed ones."""
+    return tuple(
+        np.where(opened, (u + np.roll(u, -1, axis=a)) / (2 * h * h), 0.0)
+        for a, opened in enumerate(open_faces)
+    )
+
+
+def _apply_mobility(z: np.ndarray, mob: tuple) -> np.ndarray:
+    """A_u z = sum_a D_a^T (m_a D_a z), D_a the periodic forward difference:
+    the discrete -div(u grad z), symmetric positive semidefinite."""
+    out = np.zeros_like(z)
+    for a, m in enumerate(mob):
+        flux = m * (np.roll(z, -1, axis=a) - z)
+        out += np.roll(flux, 1, axis=a) - flux
+    return out
+
+
+def _dense_lap_diff(grid: PeriodicGrid, s: float) -> np.ndarray:
+    """L_s D^T as a dense matrix (d = 1).  L_s is the circulant of the
+    multiplier |xi|^(2s), so L_s D^T is the circulant of L_s (e_1 - e_0)."""
+    col = np.fft.ifft(grid.freq_sq ** s).real
+    col = np.roll(col, 1) - col
+    idx = np.arange(grid.n)
+    return col[(idx[:, None] - idx) % grid.n]
+
+
+def _solve_dense(lap_diff: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I + tau L_s A_u) z = rhs in d = 1.  L_s A_u = (L_s D^T) diag(m) D,
+    and right-multiplying by D maps column k to column k - 1 minus column k."""
+    scaled = lap_diff * mob[0]
+    system = np.roll(scaled, 1, axis=1)
+    system -= scaled
+    system *= tau
+    system[np.diag_indices_from(system)] += 1.0
+    return np.linalg.solve(system, rhs)
+
+
+def _solve_krylov(u: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray,
+                  grid: PeriodicGrid, s: float) -> np.ndarray:
+    """Solve (I + tau L_s A_u) z = rhs by GMRES, right-preconditioned with
+    the Fourier multiplier of the same operator at the constant mobility
+    sum(u^2)/sum(u)."""
+    lap = grid.freq_sq ** s
+    m_bar = float(np.sum(u * u) / np.sum(u))
+    inv_pre = 1.0 / (1.0 + tau * m_bar * lap * grid.freq_sq)
+    shape = rhs.shape
+
+    def apply(x):
+        z = x.reshape(shape)
+        return (z + tau * apply_multiplier(_apply_mobility(z, mob), grid, lap)).ravel()
+
+    def precond(x):
+        return apply_multiplier(x.reshape(shape), grid, inv_pre).ravel()
+
+    return _gmres(apply, rhs.ravel(), precond).reshape(shape)
+
+
+def _gmres(apply, b: np.ndarray, precond, restart: int = _GMRES_RESTART,
+           rtol: float = _GMRES_RTOL, max_cycles: int = _GMRES_CYCLES) -> np.ndarray:
+    """Right-preconditioned restarted GMRES for apply(x) = b on flat vectors.
+
+    Arnoldi with twice-iterated classical Gram-Schmidt, Givens rotations for
+    the residual estimate.  Returns x once |b - apply(x)| <= rtol |b|, or the
+    last iterate after `max_cycles` restarts (the caller checks descent).
+    """
+    x = np.zeros_like(b)
+    target = rtol * np.linalg.norm(b)
+    for _ in range(max_cycles):
+        res = b - apply(x)
+        beta = np.linalg.norm(res)
+        if beta <= target:
+            break
+        basis = np.zeros((restart + 1, b.size))
+        basis[0] = res / beta
+        tri = np.zeros((restart, restart))
+        cos, sin = np.zeros(restart), np.zeros(restart)
+        gam = np.zeros(restart + 1)
+        gam[0] = beta
+        k = restart
+        for j in range(restart):
+            w = apply(precond(basis[j]))
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            h2 = basis[: j + 1] @ w
+            w -= h2 @ basis[: j + 1]
+            col = np.append(h + h2, np.linalg.norm(w))
+            for i in range(j):
+                col[i], col[i + 1] = (cos[i] * col[i] + sin[i] * col[i + 1],
+                                      cos[i] * col[i + 1] - sin[i] * col[i])
+            rho = np.hypot(col[j], col[j + 1])
+            cos[j], sin[j] = col[j] / rho, col[j + 1] / rho
+            col[j] = rho
+            tri[: j + 1, j] = col[: j + 1]
+            gam[j + 1], gam[j] = -sin[j] * gam[j], cos[j] * gam[j]
+            if abs(gam[j + 1]) <= target or col[j + 1] == 0:
+                k = j + 1
+                break
+            basis[j + 1] = w / col[j + 1]
+        y = np.linalg.solve(tri[:k, :k], gam[:k])
+        x = x + precond(y @ basis[:k])
+    return x
+
+
+def _candidate(u: np.ndarray, du: np.ndarray, alpha: float, cell_volume: float) -> np.ndarray:
+    """u + alpha du where du >= 0, u exp(alpha du / u) where du < 0, renormalised."""
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(du, u, out=np.zeros_like(u), where=du < 0)
+    w = np.where(du < 0, u * np.exp(alpha * ratio), u + alpha * du)
     return w / (np.sum(w) * cell_volume)
 
 
@@ -168,11 +284,10 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         tr = count(w2(dens, u_prev, cfg.transport, want_potential=False, cache=cache))
         return energy_of_values(values, grid, s) + tr.w2_squared / (2 * tau)
 
-    def gradient(values: np.ndarray):
+    def gradient(values: np.ndarray) -> np.ndarray:
         dens = GridDensity(grid, values)
         tr = count(w2(dens, u_prev, cfg.transport, want_potential=True, cache=cache))
-        g = fractional_laplacian(values, grid, s) + tr.potential / tau
-        return g, tr.w2_squared
+        return fractional_laplacian(values, grid, s) + tr.potential / tau
 
     def residual(values: np.ndarray, g: np.ndarray):
         mask = values > _DEGENERATE_SHARE * np.max(values)
@@ -181,85 +296,65 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         gbar = float(np.sum(p * gm) / np.sum(p))
         return float(np.sqrt(np.sum(p * (gm - gbar) ** 2))), gbar
 
-    u = u_old = u_prev.values.copy()
+    open_faces = _open_faces(u_prev.values > 0)
+    if grid.dim == 1:
+        lap_diff = _dense_lap_diff(grid, s)
+
+        def solve(u, mob, rhs):
+            return _solve_dense(lap_diff, mob, tau, rhs)
+    else:
+        def solve(u, mob, rhs):
+            return _solve_krylov(u, mob, tau, rhs, grid, s)
+
+    u = u_prev.values.copy()
     obj = energy_of_values(u, grid, s)
-    alpha, tmom = tau, 1.0
-    accepted_total = noise_streak = polish_failures = 0
-    polish = False
+    alpha = 0.5  # the first trial step is min(1, 2 alpha) = 1
+    accepted_total = since_best = 0
+    best_kkt = np.inf
     stop_reason = "max_iters"
     for _ in range(inner.max_iters):
-        beta = 0.0 if polish else (tmom - 1.0) / (tmom + 2.0)
-        y = _extrapolate(u, u_old, beta, hvol) if beta > 0 else u
-
-        g, w2_y = gradient(y)
-        kkt, gbar = residual(y, g)
+        g = gradient(u)
+        kkt, gbar = residual(u, g)
         if kkt <= inner.grad_tol:
-            u, stop_reason = y, "converged"
+            stop_reason = "converged"
             break
-        obj_y = energy_of_values(y, grid, s) + w2_y / (2 * tau)
-
-        if not polish:
-            alpha = min(2 * alpha, tau)
-            accepted = False
-            obj_c, cand = None, None
-            while alpha >= _ALPHA_MIN:
-                cand = _mirror_candidate(y, -alpha * (g - gbar), hvol)
-                obj_c = objective(cand)
-                if obj_c <= obj_y - _ARMIJO * alpha * kkt * kkt + _OBJ_NOISE * max(1.0, abs(obj_y)):
-                    accepted = True
-                    break
-                alpha *= _SHRINK
-            if not accepted:
-                if accepted_total == 0:
-                    raise StagnationError(
-                        f"no descent step above alpha_min={_ALPHA_MIN} "
-                        f"(kkt residual {kkt:.3e})",
-                        last_iterate=GridDensity(grid, u),
-                    )
-                polish, tmom = True, 1.0
-                continue
-            if obj_c <= obj + _OBJ_NOISE * max(1.0, abs(obj)):
-                decrease = obj - obj_c
-                u_old, u, obj = u, cand, obj_c
-                tmom += 1.0
-                accepted_total += 1
-                if inner.obj_tol > 0 and 0 <= decrease <= inner.obj_tol * abs(obj):
-                    stop_reason = "obj_tol"
-                    break
-                # objective progress at the floating-point noise floor for a
-                # sustained stretch: hand over to the residual-driven polish
-                if decrease <= 8 * np.finfo(float).eps * max(1.0, abs(obj)):
-                    noise_streak += 1
-                    if noise_streak >= 10:
-                        polish, tmom = True, 1.0
-                else:
-                    noise_streak = 0
-            else:
-                tmom, u_old = 1.0, u  # momentum overshoot: restart
+        if kkt < best_kkt:
+            best_kkt, since_best = kkt, 0
         else:
-            # polish: accept on strict residual decrease; backtrack patiently
-            accepted = False
-            fails = 0
-            while alpha >= _ALPHA_MIN / 10 and fails < 40:
-                cand = _mirror_candidate(y, -alpha * (g - gbar), hvol)
-                cand_g, _ = gradient(cand)
-                kkt_c, _ = residual(cand, cand_g)
-                if kkt_c < kkt:
-                    accepted = True
-                    break
-                alpha *= 0.7
-                fails += 1
-            if not accepted:
-                polish_failures += 1
-                if polish_failures >= 3:
-                    u, stop_reason = y, "polish_floor"
-                    break  # floating-point floor of the residual
-                alpha = tau * 2.0 ** -6
-                continue
-            polish_failures = 0
-            u_old, u = u, cand
-            accepted_total += 1
-            alpha = min(alpha * 1.2, tau)
+            since_best += 1
+            if since_best >= _STALL_ITERS:
+                stop_reason = "stalled"
+                break
+
+        mob = _face_mobility(u, open_faces, grid.spacing)
+        du = -tau * _apply_mobility(solve(u, mob, g - gbar), mob)
+        slope = hvol * float(np.sum(g * du))
+        if not slope < 0:
+            du = -tau * u * (g - gbar)
+            slope = hvol * float(np.sum(g * du))
+
+        alpha = min(1.0, 2 * alpha)
+        while alpha >= _ALPHA_MIN:
+            cand = _candidate(u, du, alpha, hvol)
+            obj_c = objective(cand)
+            if obj_c <= obj + _ARMIJO * alpha * slope + _OBJ_NOISE * max(1.0, abs(obj)):
+                break
+            alpha *= _SHRINK
+        else:
+            if accepted_total == 0:
+                raise StagnationError(
+                    f"no descent step above alpha_min={_ALPHA_MIN} "
+                    f"(kkt residual {kkt:.3e})",
+                    last_iterate=GridDensity(grid, u),
+                )
+            stop_reason = "stalled"
+            break
+        decrease = obj - obj_c
+        u, obj = cand, obj_c
+        accepted_total += 1
+        if inner.obj_tol > 0 and 0 <= decrease <= inner.obj_tol * abs(obj):
+            stop_reason = "obj_tol"
+            break
 
     final = GridDensity(grid, u)
     tr_final = count(w2(final, u_prev, cfg.transport, want_potential=True, cache=cache))

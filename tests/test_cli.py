@@ -265,12 +265,14 @@ class TestVerify:
     def test_unknown_stop_reason_rejected(self, run_dir, tmp_path):
         import shutil
 
-        bad = tmp_path / "bad_run"
-        shutil.copytree(run_dir, bad)
-        csv = (bad / "diagnostics.csv").read_text().replace(",converged,", ",done,", 1)
-        (bad / "diagnostics.csv").write_text(csv)
-        with pytest.raises(ScenarioError):
-            load_run_directory(bad)
+        # polish_floor: the stop reason of the retired mirror-descent solver
+        for reason in ("done", "polish_floor"):
+            bad = tmp_path / f"bad_run_{reason}"
+            shutil.copytree(run_dir, bad)
+            csv = (bad / "diagnostics.csv").read_text().replace(",converged,", f",{reason},", 1)
+            (bad / "diagnostics.csv").write_text(csv)
+            with pytest.raises(ScenarioError):
+                load_run_directory(bad)
 
     def test_manifest_scenario_reparses_identically(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -316,12 +318,16 @@ class TestSweep:
         assert (out / "tau_refinement.csv").exists()
 
     def test_bad_tau_list_exits_3(self, tmp_path):
+        # every bad refinement setting is a config error (3), never a
+        # traceback; the scenario has s = 1, so r = 2 is out of range
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
-        assert (
-            main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "x"),
-                  "--tau-list", "1e-3,2e-3"])
-            == 3
-        )
+        for extra in (["--tau-list", "1e-3,2e-3"],
+                      ["--tau-list", "1e-3,-1e-3"],
+                      ["--tau-list", "1e-3,nan"],
+                      ["--tau-list", "1e-3", "--horizon", "-1"],
+                      ["--tau-list", "1e-3", "--r", "2"]):
+            code = main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "x")] + extra)
+            assert code == 3, extra
 
     def test_s_sweep_runs_and_verifies(self, tmp_path):
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
