@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .errors import FracfilmError
 from .jko import JkoConfig, Trajectory, interpolant, run
 from .measure import (
     GridDensity,
@@ -461,7 +462,8 @@ def tau_refinement_study(
 
     Runs one trajectory per tau, measures consecutive-pair distances in
     L^2((0,T); H^{1+r}) and sup_t H^r, and reports whether the gaps decrease
-    monotonically.  No limit object is claimed.
+    monotonically.  No limit object is claimed.  A run that fails raises
+    `FracfilmError`.
     """
     taus = list(tau_list)
     validate_refinement_settings(taus, horizon, r, cfg_base.s)
@@ -473,7 +475,7 @@ def tau_refinement_study(
         nsteps = math.ceil(horizon / tau)
         traj = run(u0, cfg, nsteps)
         if traj.status != "ok":
-            raise RuntimeError(f"refinement run at tau={tau} failed: {traj.status}")
+            raise FracfilmError(f"refinement run at tau={tau} failed: {traj.status}")
         trajs.append(traj)
     gaps, sups = [], []
     for t1, t2 in zip(trajs[:-1], trajs[1:]):

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -166,6 +165,8 @@ def cmd_sweep(args) -> int:
             sub = replace(sc, s=sv, name=f"{sc.name}_s{sv:g}", raw_text="")
             payloads.append((format_scenario(sub), out / f"s_{sv:g}", None))
         if args.threads > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.threads) as pool:
                 statuses = list(pool.map(_sweep_one, payloads))
         else:

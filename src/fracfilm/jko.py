@@ -103,7 +103,7 @@ class StepRecord:
     objective_value: float
     boundary_mass: float
     stop_reason: str  # why the inner loop ended: one of STOP_REASONS
-    transport_calls: int  # w2 evaluations the step made, the final one included
+    transport_calls: int  # w2 evaluations the step made
     sinkhorn_iters: int  # Sinkhorn passes of those calls (0 on the exact 1D path)
 
 
@@ -284,10 +284,10 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         tr = count(w2(dens, u_prev, cfg.transport, want_potential=False, cache=cache))
         return energy_of_values(values, grid, s) + tr.w2_squared / (2 * tau)
 
-    def gradient(values: np.ndarray) -> np.ndarray:
+    def gradient(values: np.ndarray):
         dens = GridDensity(grid, values)
         tr = count(w2(dens, u_prev, cfg.transport, want_potential=True, cache=cache))
-        return fractional_laplacian(values, grid, s) + tr.potential / tau
+        return fractional_laplacian(values, grid, s) + tr.potential / tau, tr
 
     def residual(values: np.ndarray, g: np.ndarray):
         mask = values > _DEGENERATE_SHARE * np.max(values)
@@ -313,7 +313,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
     best_kkt = np.inf
     stop_reason = "max_iters"
     for _ in range(inner.max_iters):
-        g = gradient(u)
+        g, tr = gradient(u)
         kkt, gbar = residual(u, g)
         if kkt <= inner.grad_tol:
             stop_reason = "converged"
@@ -356,21 +356,21 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
             stop_reason = "obj_tol"
             break
 
+    if stop_reason in ("max_iters", "obj_tol"):  # u moved after the last gradient
+        g, tr = gradient(u)
+        kkt, _ = residual(u, g)
     final = GridDensity(grid, u)
-    tr_final = count(w2(final, u_prev, cfg.transport, want_potential=True, cache=cache))
-    g_final = fractional_laplacian(u, grid, s) + tr_final.potential / tau
-    kkt_final, _ = residual(u, g_final)
     e_final = energy_of_values(u, grid, s)
     return StepRecord(
         index=0,  # caller assigns
         density=final,
-        w2_sq_to_prev=tr_final.w2_squared,
+        w2_sq_to_prev=tr.w2_squared,
         energy=e_final,
         entropy=entropy(final),
         second_moment=second_moment(final),
         inner_iterations=accepted_total,
-        kkt_residual=kkt_final,
-        objective_value=e_final + tr_final.w2_squared / (2 * tau),
+        kkt_residual=kkt,
+        objective_value=e_final + tr.w2_squared / (2 * tau),
         boundary_mass=boundary_shell_mass(final),
         stop_reason=stop_reason,
         transport_calls=counts[0],

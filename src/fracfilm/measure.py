@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridMismatchError, MassDriftError
 from .spectral import PeriodicGrid, apply_multiplier
@@ -247,6 +246,8 @@ def pushforward_with_drift(u: GridDensity, eta: VectorField, t: float):
             "vector field support wraps the periodic boundary; "
             f"support radius {eta.support_radius} must stay below L/2 = {grid.box_length / 2}"
         )
+    from scipy import ndimage  # loaded on first use: no run or verify path needs it
+
     pts = np.stack([c.ravel() for c in grid.coords], axis=1)
     back, jac = _integrate_flow(eta, -t, pts, with_jacobian=True)
     det = np.linalg.det(jac)

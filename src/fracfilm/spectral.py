@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import GridMismatchError
 
@@ -340,6 +339,8 @@ def sobolev_norm_sq(
 
 def _kink_excess(values: np.ndarray, grid: PeriodicGrid, r: float) -> float:
     """The two leading Euler-Maclaurin terms of `sobolev_norm_sq` in 1D."""
+    from scipy.special import zeta  # loaded on first use: no run or verify path needs it
+
     k = 2 * np.pi / grid.box_length
     m0, m1, m2 = (grid.spacing * np.sum(grid.axis_coords ** p * values) for p in range(3))
     psi0 = m0 ** 2 / (2 * np.pi)

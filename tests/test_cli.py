@@ -1,9 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import fracfilm
+from fracfilm import (
+    PeriodicGrid,
+    contraction_field,
+    gaussian_density,
+    pushforward_with_drift,
+    sobolev_norm_sq,
+)
 from fracfilm.cli import main
 from fracfilm.scenario import ScenarioError, format_scenario, load_run_directory, parse_scenario
 
@@ -34,6 +45,12 @@ time.num_steps = 3
 initial.kind = uniform
 checks = energy_estimate
 """
+
+# one Sinkhorn step on a 16 x 16 grid
+SINKHORN_2D_SCENARIO = FAST_SCENARIO.replace("dimension = 1", "dimension = 2").replace(
+    "grid.n = 128", "grid.n = 16").replace("grid.box_length = 40.0", "grid.box_length = 12.0").replace(
+    "initial.center = 0.0", "initial.center = 0.0 0.0").replace(
+    "time.num_steps = 4", "time.num_steps = 1\ntransport.epsilon = 0.2\ntransport.tol = 1e-7")
 
 
 def write_scenario(tmp_path, text, name="scenario.cfg"):
@@ -329,6 +346,16 @@ class TestSweep:
             code = main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "x")] + extra)
             assert code == 3, extra
 
+    def test_failed_tau_sweep_run_exits_2(self, tmp_path, capsys):
+        # a starved Sinkhorn solver fails the first step: the same solver
+        # failure (exit 2) as `fracfilm run`, not a traceback
+        scen = write_scenario(tmp_path, SINKHORN_2D_SCENARIO + "transport.max_iter = 2\n")
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 2
+        code = main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "sweep"),
+                     "--tau-list", "2e-2,1e-2"])
+        assert code == 2
+        assert "solver failure: refinement run at tau=0.02 failed" in capsys.readouterr().err
+
     def test_s_sweep_runs_and_verifies(self, tmp_path):
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         out = tmp_path / "ssweep"
@@ -360,3 +387,51 @@ class TestPrintConfig:
         out = capsys.readouterr().out
         assert "grid.n = 128" in out
         assert parse_scenario(out).name == "smoke"
+
+
+STARTUP_PROBE = """\
+import json
+import sys
+
+import fracfilm as ff
+from fracfilm.cli import main
+
+for scen in sys.argv[1:]:
+    assert main(["run", "--scenario", scen, "--out", scen + ".run"]) == 0
+    assert main(["verify", scen + ".run"]) in (0, 1)  # 1: a FAIL verdict, not an error
+leaked = sorted(m for m in sys.modules if m.startswith("scipy"))
+grid = ff.PeriodicGrid(1, 256, 40.0)
+u = ff.gaussian_density(grid, 0.0, 1.0)
+pushed, drift = ff.pushforward_with_drift(u, ff.contraction_field(1, 9.0, 14.0), 1e-2)
+norm = ff.sobolev_norm_sq(u.values, grid, 0.5)
+loaded = [m in sys.modules for m in ("scipy.ndimage", "scipy.special")]
+print(json.dumps({"leaked": leaked, "loaded": loaded, "pushed": pushed.values.tolist(),
+                  "drift": drift, "norm": norm}))
+"""
+
+
+class TestStartup:
+    def test_run_and_verify_never_import_scipy(self, tmp_path):
+        # a fresh interpreter, since this one has loaded scipy already: run
+        # and verify (every check in 1D, a Sinkhorn run in d = 2) must leave
+        # scipy out; the two functions that need it load it on first use
+        one_d = FAST_SCENARIO.replace("time.num_steps = 4", "time.num_steps = 2").replace(
+            "checks = energy_estimate, moment_bound",
+            "checks = energy_estimate, moment_bound, entropy_dissipation, weak_form, evi_entropy")
+        scens = [str(write_scenario(tmp_path, text, f"{name}.cfg"))
+                 for name, text in (("one_d", one_d), ("two_d", SINKHORN_2D_SCENARIO))]
+        src = str(Path(fracfilm.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *scens],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert len(list(Path(scens[0] + ".run").glob("check_*.json"))) == 5
+        got = json.loads(done.stdout.splitlines()[-1])
+        assert got["leaked"] == []
+        assert got["loaded"] == [True, True]
+        grid = PeriodicGrid(1, 256, 40.0)
+        u = gaussian_density(grid, 0.0, 1.0)
+        pushed, drift = pushforward_with_drift(u, contraction_field(1, 9.0, 14.0), 1e-2)
+        assert got["pushed"] == pushed.values.tolist()
+        assert got["drift"] == drift
+        assert got["norm"] == sobolev_norm_sq(u.values, grid, 0.5)

@@ -21,6 +21,7 @@ from fracfilm import (
     jko_step,
     run,
     uniform_density,
+    w2,
 )
 from fracfilm.jko import (
     _apply_mobility,
@@ -103,6 +104,27 @@ class TestJkoStep:
         cfg = JkoConfig(grid=PeriodicGrid(1, 256, 40.0), s=1.0, tau=1e-3, inner=inner)
         assert jko_step(gaussian_density(cfg.grid), cfg).stop_reason == reason
 
+    @pytest.mark.parametrize(
+        "inner", [InnerConfig(obj_tol=0.0), InnerConfig(max_iters=5, obj_tol=0.0)],
+        ids=["converged", "max_iters"],
+    )
+    def test_one_potential_call_per_iterate(self, inner, monkeypatch):
+        # the record of a converged step reuses the gradient its last loop
+        # top measured; a capped step's final iterate is measured once more
+        import fracfilm.jko
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["want_potential"])
+            return w2(*args, **kwargs)
+
+        monkeypatch.setattr(fracfilm.jko, "w2", counted)
+        cfg = JkoConfig(grid=PeriodicGrid(1, 256, 40.0), s=1.0, tau=1e-3, inner=inner)
+        rec = jko_step(gaussian_density(cfg.grid), cfg)
+        assert rec.transport_calls == len(calls)
+        assert calls.count(True) == rec.inner_iterations + 1
+
 
 def compact_bump(grid):
     """(4 - x^2)_+^2, normalised: 25 positive cells on the reference grid."""
@@ -110,11 +132,11 @@ def compact_bump(grid):
     return GridDensity.normalized(grid, np.maximum(4.0 - x * x, 0.0) ** 2)
 
 
-def sink2d_step_config(max_iters):
+def sink2d_step_config(max_iters, s=1.0):
     grid = PeriodicGrid(2, 48, 16.0)
     inner = InnerConfig(grad_tol=1e-3, obj_tol=0.0, max_iters=max_iters)
     transport = TransportConfig(method="sinkhorn", epsilon=0.1, max_iter=5000, tol=1e-7)
-    return JkoConfig(grid=grid, s=1.0, tau=1e-2, inner=inner, transport=transport)
+    return JkoConfig(grid=grid, s=s, tau=1e-2, inner=inner, transport=transport)
 
 
 SINK2D_MIXTURE = ((0.6, (-1.0, 0.5), 0.8), (0.4, (1.2, -0.6), 1.0))
@@ -130,6 +152,13 @@ class TestRegimes:
 
     def test_sinkhorn_2d_step_converges(self):
         cfg = sink2d_step_config(max_iters=10)
+        rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
+        assert rec.stop_reason == "converged"
+        assert rec.kkt_residual <= 1e-3
+
+    @pytest.mark.parametrize("s", [0.5, 2.5])
+    def test_sinkhorn_2d_step_converges_at_order(self, s):
+        cfg = sink2d_step_config(max_iters=10, s=s)
         rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
         assert rec.stop_reason == "converged"
         assert rec.kkt_residual <= 1e-3
