@@ -36,6 +36,15 @@ from .spectral import (
 )
 from .transport import w2_exact_1d
 
+_FD_STEP = 1e-3  # flow time of the derivative identity's finite difference
+_ENERGY_REL_TOL = 1e-8  # relative tolerance of the telescoped energy estimate
+_MOMENT_ABS_TOL = 1e-6  # absolute tolerance of the second-moment bound
+_MULT_SLACK = 0.05  # multiplicative slack of the inequalities met only at exact minimizers
+_ENTROPY_ABS_SLACK = 1e-3  # absolute floor of the entropy-dissipation inequality
+_WEAK_FORM_ABS_SLACK = 1e-6  # absolute floor of the discrete weak form
+_EVI_TIMES = (1e-2, 5e-3, 2.5e-3)  # decreasing heat-flow times of the EVI check
+_EVI_MONO_TOL = 1e-12  # allowed increase of the EVI slack as t decreases
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -125,16 +134,16 @@ def operator_N_density(v: GridDensity, eta: VectorField, s: float) -> float:
     return operator_N(v.values, v.grid, vals, s)
 
 
-def derivative_identity_check(
-    v: GridDensity, eta: VectorField, s: float, t_fd: float = 1e-3
-) -> CheckReport:
+def derivative_identity_check(v: GridDensity, eta: VectorField, s: float) -> CheckReport:
     """Centered finite difference of F_s along the flow against -N(v, eta).
 
-    Richardson consistency: a third evaluation at t_fd/2 estimates the
-    quadratic truncation constant; pass when the relative error stays
-    within max(1e-3, C_est * t_fd^2).
+    Richardson consistency: a third evaluation at t_fd/2 (t_fd = `_FD_STEP`)
+    estimates the quadratic truncation constant; pass when the relative
+    error stays within max(1e-3, C_est * t_fd^2).
     """
     from .spectral import energy as _energy
+
+    t_fd = _FD_STEP
 
     def pushed_energy(t):
         return _energy(pushforward_with_drift(v, eta, t)[0], s)
@@ -179,10 +188,10 @@ def _traj_energies(traj: Trajectory):
     return e0, np.array([rec.energy for rec in traj.steps])
 
 
-def check_energy_estimate(traj: Trajectory, rel_tol: float = 1e-8) -> CheckReport:
+def check_energy_estimate(traj: Trajectory) -> CheckReport:
     """Telescoped one-step minimality: for every prefix N,
 
-        F_s(u^N) + (1/2) sum_{k<=N} W^2_k / tau  <=  F_s(u0) (1 + rel_tol).
+        F_s(u^N) + (1/2) sum_{k<=N} W^2_k / tau  <=  F_s(u0) (1 + _ENERGY_REL_TOL).
     """
     cfg = traj.config
     e0, energies = _traj_energies(traj)
@@ -195,13 +204,13 @@ def check_energy_estimate(traj: Trajectory, rel_tol: float = 1e-8) -> CheckRepor
         np.arange(len(lhs)),
         lhs,
         rhs,
-        tolerance=rel_tol * max(e0, 1e-300),
+        tolerance=_ENERGY_REL_TOL * max(e0, 1e-300),
         extra={"initial_energy": e0},
     )
 
 
-def check_moment_bound(traj: Trajectory, horizon: Optional[float] = None, abs_tol: float = 1e-6) -> CheckReport:
-    """Second-moment bound M(u^N) <= 2 T F_s(u0) + 2 M(u0) for N tau <= T.
+def check_moment_bound(traj: Trajectory) -> CheckReport:
+    """Second-moment bound M(u^N) <= 2 T F_s(u0) + 2 M(u0), T = num_steps tau.
 
     In one dimension the series also carries the triangle/Jensen chain rows
     W^2(u^N, spike) <= 2 N tau sum_k W^2_k / tau + 2 W^2(u0, spike), an
@@ -210,15 +219,10 @@ def check_moment_bound(traj: Trajectory, horizon: Optional[float] = None, abs_to
     cfg = traj.config
     e0, _ = _traj_energies(traj)
     m0 = second_moment(traj.initial)
-    if horizon is None:
-        horizon = traj.num_steps * cfg.tau
+    horizon = traj.num_steps * cfg.tau
     bound = 2.0 * horizon * e0 + 2.0 * m0
     ks, lhs, rhs = [0], [m0], [bound]
-    included = []
     for rec in traj.steps:
-        if rec.index * cfg.tau > horizon * (1 + 1e-12):
-            break
-        included.append(rec)
         ks.append(rec.index)
         lhs.append(rec.second_moment)
         rhs.append(bound)
@@ -228,19 +232,18 @@ def check_moment_bound(traj: Trajectory, horizon: Optional[float] = None, abs_to
         w0 = w2_exact_1d(traj.initial, spike, want_potential=False).w2_squared
         acc = 0.0
         offset = traj.num_steps
-        for rec in included:
+        for rec in traj.steps:
             acc += rec.w2_sq_to_prev / cfg.tau
             wn = w2_exact_1d(rec.density, spike, want_potential=False).w2_squared
             ks.append(offset + rec.index)
             lhs.append(wn)
             rhs.append(2.0 * rec.index * cfg.tau * acc + 2.0 * w0)
         extra["chain_reference_w2"] = float(w0)
-    return CheckReport.from_series("moment_bound", ks, lhs, rhs, tolerance=abs_tol, extra=extra)
+    return CheckReport.from_series("moment_bound", ks, lhs, rhs, tolerance=_MOMENT_ABS_TOL,
+                                   extra=extra)
 
 
-def check_entropy_dissipation(
-    traj: Trajectory, mult_slack: float = 0.05, abs_slack: float = 1e-3
-) -> CheckReport:
+def check_entropy_dissipation(traj: Trajectory) -> CheckReport:
     """Regularity gain from the heat-flow interchange:
 
         ||u^k||^2_{H^{1+s},hom} <= (H(u^{k-1}) - H(u^k))/tau
@@ -271,34 +274,27 @@ def check_entropy_dissipation(
         "entropy_dissipation",
         ks,
         lhs,
-        rhs * (1.0 + mult_slack),
-        tolerance=abs_slack,
+        rhs * (1.0 + _MULT_SLACK),
+        tolerance=_ENTROPY_ABS_SLACK,
         extra={
             "raw_violation": float(np.max(lhs - rhs)) if len(lhs) else 0.0,
             "integrated_lhs": integrated_lhs,
             "integrated_rhs": integrated_rhs,
-            "integrated_ok": bool(integrated_lhs <= integrated_rhs + abs_slack),
+            "integrated_ok": bool(integrated_lhs <= integrated_rhs + _ENTROPY_ABS_SLACK),
             "reconstructed_constant": float(c_dim),
         },
     )
 
 
-def check_evi_entropy(
-    u: GridDensity,
-    v: GridDensity,
-    t_list: Sequence[float] = (1e-2, 5e-3, 2.5e-3),
-    mono_tol: float = 1e-12,
-) -> CheckReport:
+def check_evi_entropy(u: GridDensity, v: GridDensity) -> CheckReport:
     """Evolution variational inequality of the entropy (a 0-flow):
 
         (W^2(S_t u, v) - W^2(u, v)) / (2t)  <=  H(v) - H(u) + eps(t)
 
-    with the measured slack eps(t) required nonincreasing along the given
-    decreasing t list.
+    with the measured slack eps(t) required nonincreasing along the
+    decreasing times `_EVI_TIMES`.
     """
-    ts = list(t_list)
-    if any(t <= 0 for t in ts) or any(a <= b for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_list must be positive and strictly decreasing")
+    ts = list(_EVI_TIMES)
     w2_uv = w2_exact_1d(u, v, want_potential=False).w2_squared
     rhs_val = entropy(v) - entropy(u)
     lhs = []
@@ -312,7 +308,7 @@ def check_evi_entropy(
         np.arange(1, len(ts)),
         slack[1:],
         slack[:-1],
-        tolerance=mono_tol,
+        tolerance=_EVI_MONO_TOL,
         extra={
             "t_list": ts,
             "quotients": [float(x) for x in lhs],
@@ -322,17 +318,11 @@ def check_evi_entropy(
     )
 
 
-def check_weak_form_step(
-    traj: Trajectory,
-    phi,
-    mult_slack: float = 0.05,
-    abs_slack: float = 1e-6,
-    lam: Optional[float] = None,
-) -> CheckReport:
+def check_weak_form_step(traj: Trajectory, phi, lam: Optional[float] = None) -> CheckReport:
     """Two-sided discrete weak form from the potential-flow interchange:
 
         |<phi(t_n), u^n - u^{n-1}> - tau N(u^n, grad phi(t_n))|
-            <= (lam/2) W^2(u^n, u^{n-1}) (1 + slack) + abs_slack,
+            <= (lam/2) W^2(u^n, u^{n-1}) (1 + _MULT_SLACK) + _WEAK_FORM_ABS_SLACK,
 
     phi sampled at the right endpoint t_n = n tau.  The report appends two
     synthetic rows: the time-integrated residual against (lam/2) sum W^2,
@@ -356,7 +346,7 @@ def check_weak_form_step(
         resid = pairing - cfg.tau * nval
         ks.append(rec.index)
         lhs.append(abs(resid))
-        rhs.append(0.5 * lam_val * rec.w2_sq_to_prev * (1.0 + mult_slack))
+        rhs.append(0.5 * lam_val * rec.w2_sq_to_prev * (1.0 + _MULT_SLACK))
         resid_sum += resid
         w2_sum += rec.w2_sq_to_prev
         u_prev = rec.density
@@ -366,18 +356,19 @@ def check_weak_form_step(
     nsteps = len(traj.steps)
     ks.append(nsteps + 1)
     lhs.append(abs(resid_sum))
-    rhs.append(0.5 * lam_val * w2_sum * (1.0 + mult_slack) + max(nsteps - 1, 0) * abs_slack)
+    rhs.append(0.5 * lam_val * w2_sum * (1.0 + _MULT_SLACK)
+               + max(nsteps - 1, 0) * _WEAK_FORM_ABS_SLACK)
     # vanishing bound: (1/2) sum W^2 <= tau F_s(u0)
     ks.append(nsteps + 2)
     lhs.append(0.5 * w2_sum)
-    rhs.append(cfg.tau * e0 * (1.0 + mult_slack))
-    raw = [l - r / (1.0 + mult_slack) for l, r in zip(lhs, rhs)]
+    rhs.append(cfg.tau * e0 * (1.0 + _MULT_SLACK))
+    raw = [l - r / (1.0 + _MULT_SLACK) for l, r in zip(lhs, rhs)]
     return CheckReport.from_series(
         "weak_form",
         ks,
         lhs,
         rhs,
-        tolerance=abs_slack,
+        tolerance=_WEAK_FORM_ABS_SLACK,
         extra={
             "lambda": lam_val,
             "raw_violation": float(np.max(raw)),

@@ -19,10 +19,10 @@ restarted GMRES with a Fourier preconditioner.
 The candidate u + alpha du (u exp(alpha du / u) where du < 0, then
 renormalised) keeps positivity and mass one to rounding; a non-descent
 direction falls back to du = -tau u (G - mean(G)).  Armijo backtracking
-starts at alpha = min(1, 2 alpha_prev).  A step ends `converged`,
-`obj_tol`, `max_iters`, or `stalled` (`_STALL_ITERS` iterations without a
-new smallest residual, or an exhausted line search after an accepted
-step).  The residual ignores cells below 1e-8 of the peak
+starts at alpha = min(1, 2 alpha_prev).  A step ends `converged`
+(residual at most `grad_tol`), `max_iters`, or `stalled` (`_STALL_ITERS`
+iterations without a new smallest residual, or an exhausted line search
+after an accepted step).  The residual ignores cells below 1e-8 of the peak
 (`_DEGENERATE_SHARE`), whose influence on any functional of the iterate is
 bounded by their total mass.  All transport calls of a step share one
 `SinkhornCache` for u_prev, and the step records how many calls it made and
@@ -51,21 +51,20 @@ _STALL_ITERS = 20  # iterations without a new smallest residual before a step st
 _GMRES_RESTART = 60
 _GMRES_RTOL = 1e-10
 _GMRES_CYCLES = 50  # restart cycles before GMRES returns its last iterate
-STOP_REASONS = ("converged", "max_iters", "obj_tol", "stalled")
+STOP_REASONS = ("converged", "max_iters", "stalled")
 
 
 @dataclass(frozen=True)
 class InnerConfig:
-    """Inner (proximal) solver settings: iteration cap and stopping rules."""
+    """Inner (proximal) solver settings: iteration cap and stationarity target."""
 
     max_iters: int = 20000
     grad_tol: float = 1e-8
-    obj_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.obj_tol < 0:
+        if self.max_iters < 1 or self.grad_tol <= 0:
             raise ValueError("inner solver tolerances must be positive")
-        if not (np.isfinite(self.grad_tol) and np.isfinite(self.obj_tol)):
+        if not np.isfinite(self.grad_tol):
             raise ValueError("inner solver tolerances must be finite")
 
 
@@ -84,8 +83,6 @@ class JkoConfig:
             raise ValueError(f"equation order must satisfy s > 0, got {self.s}")
         if self.tau <= 0 or not np.isfinite(self.tau):
             raise ValueError(f"time step must satisfy tau > 0, got {self.tau}")
-        if self.transport.method == "exact" and self.grid.dim != 1:
-            raise ValueError(f"exact transport requires dimension 1, got {self.grid.dim}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,6 @@ class StepRecord:
     second_moment: float
     inner_iterations: int
     kkt_residual: float
-    objective_value: float
     boundary_mass: float
     stop_reason: str  # why the inner loop ended: one of STOP_REASONS
     transport_calls: int  # w2 evaluations the step made
@@ -210,17 +206,19 @@ def _solve_krylov(u: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray,
     return _gmres(apply, rhs.ravel(), precond).reshape(shape)
 
 
-def _gmres(apply, b: np.ndarray, precond, restart: int = _GMRES_RESTART,
-           rtol: float = _GMRES_RTOL, max_cycles: int = _GMRES_CYCLES) -> np.ndarray:
-    """Right-preconditioned restarted GMRES for apply(x) = b on flat vectors.
+def _gmres(apply, b: np.ndarray, precond) -> np.ndarray:
+    """Right-preconditioned GMRES for apply(x) = b on flat vectors, restarted
+    every `_GMRES_RESTART` iterations.
 
     Arnoldi with twice-iterated classical Gram-Schmidt, Givens rotations for
-    the residual estimate.  Returns x once |b - apply(x)| <= rtol |b|, or the
-    last iterate after `max_cycles` restarts (the caller checks descent).
+    the residual estimate.  Returns x once |b - apply(x)| <= _GMRES_RTOL |b|,
+    or the last iterate after `_GMRES_CYCLES` restarts (the caller checks
+    descent).
     """
+    restart = _GMRES_RESTART
     x = np.zeros_like(b)
-    target = rtol * np.linalg.norm(b)
-    for _ in range(max_cycles):
+    target = _GMRES_RTOL * np.linalg.norm(b)
+    for _ in range(_GMRES_CYCLES):
         res = b - apply(x)
         beta = np.linalg.norm(res)
         if beta <= target:
@@ -349,28 +347,22 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
                 )
             stop_reason = "stalled"
             break
-        decrease = obj - obj_c
         u, obj = cand, obj_c
         accepted_total += 1
-        if inner.obj_tol > 0 and 0 <= decrease <= inner.obj_tol * abs(obj):
-            stop_reason = "obj_tol"
-            break
 
-    if stop_reason in ("max_iters", "obj_tol"):  # u moved after the last gradient
+    if stop_reason == "max_iters":  # u moved after the last gradient
         g, tr = gradient(u)
         kkt, _ = residual(u, g)
     final = GridDensity(grid, u)
-    e_final = energy_of_values(u, grid, s)
     return StepRecord(
         index=0,  # caller assigns
         density=final,
         w2_sq_to_prev=tr.w2_squared,
-        energy=e_final,
+        energy=energy_of_values(u, grid, s),
         entropy=entropy(final),
         second_moment=second_moment(final),
         inner_iterations=accepted_total,
         kkt_residual=kkt,
-        objective_value=e_final + tr.w2_squared / (2 * tau),
         boundary_mass=boundary_shell_mass(final),
         stop_reason=stop_reason,
         transport_calls=counts[0],

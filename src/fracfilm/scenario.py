@@ -12,16 +12,19 @@ A scenario is a flat key-value text file with dotted section names:
     initial.kind = gaussian          # gaussian | gaussian_mixture | uniform | from_file
     initial.center = 0.0             # space-separated vector for d > 1
     initial.variance = 1.0
-    transport.method = auto          # auto | exact | sinkhorn
     checks = energy_estimate, moment_bound
 
 Lines starting with '#' and blank lines are ignored; '#' also starts an
 inline comment.  Values are numbers, words, or comma-separated lists;
 mixture components are 'weight : center : variance' triples separated by
-';' with space-separated center vectors.
+;' with space-separated center vectors.  A key outside `KNOWN_KEYS`, or
+one given twice, is an error.  The transport backend follows from the
+dimension: exact quantile transport in 1D, Sinkhorn otherwise.  So that old
+texts and manifests still load, the `RETIRED_KEYS` are accepted at the
+value that selects today's behaviour, and refused at any other.
 
 A run directory contains diagnostics.csv (17 significant digits, one row
-per step), density_??????.txt snapshots (k = 0 included), and
+per step), one density_??????.txt snapshot per step (k = 0 included), and
 manifest.json echoing the scenario text verbatim.
 """
 
@@ -96,7 +99,6 @@ class Scenario:
     transport: TransportConfig = field(default_factory=TransportConfig)
     inner: InnerConfig = field(default_factory=InnerConfig)
     checks: tuple = tuple(DEFAULT_CHECKS)
-    snapshot_stride: int = 1
     output_dir: Optional[str] = None
     raw_text: str = ""
 
@@ -136,7 +138,10 @@ def _parse_kv(text: str) -> dict:
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
+        key = key.strip()
+        if key in kv:
+            raise ScenarioError(f"line {lineno}: key {key!r} given twice")
+        kv[key] = val.strip()
     return kv
 
 
@@ -153,7 +158,7 @@ def _as_float(kv, key, default=None):
 
 def _as_int(kv, key, default=None):
     v = _as_float(kv, key, default)
-    if v != int(v):
+    if not np.isfinite(v) or v != int(v):
         raise ScenarioError(f"key {key!r}: expected an integer, got {v}")
     return int(v)
 
@@ -177,7 +182,33 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
+KNOWN_KEYS = (
+    "name", "dimension", "grid.n", "grid.box_length", "equation.s", "time.tau",
+    "time.num_steps", "initial.kind", "initial.center", "initial.variance",
+    "initial.components", "initial.path", "transport.epsilon", "transport.max_iter",
+    "transport.tol", "inner.max_iters", "inner.grad_tol", "checks", "output.dir",
+)
+RETIRED_KEYS = ("inner.obj_tol", "output.snapshot_stride", "transport.method")
+
+
+def _check_retired(kv: dict, dimension: int) -> None:
+    """Accept a retired key only at the value that selects today's behaviour."""
+    def refuse(key, allowed):
+        raise ScenarioError(f"retired key {key!r} accepts only {allowed}, got {kv[key]!r}")
+
+    if "inner.obj_tol" in kv and _as_float(kv, "inner.obj_tol") != 0:
+        refuse("inner.obj_tol", "0 (no objective-decrease stop)")
+    if "output.snapshot_stride" in kv and _as_int(kv, "output.snapshot_stride") != 1:
+        refuse("output.snapshot_stride", "1 (every step is written)")
+    backend = "exact" if dimension == 1 else "sinkhorn"
+    if kv.get("transport.method", "auto") not in ("auto", backend):
+        refuse("transport.method", f"'auto' or {backend!r} in dimension {dimension}")
+
+
 def _scenario_from_keys(kv: dict, text: str) -> Scenario:
+    unknown = [key for key in kv if key not in KNOWN_KEYS + RETIRED_KEYS]
+    if unknown:
+        raise ScenarioError(f"unknown scenario key {unknown[0]!r}")
     kind = kv.get("initial.kind", "gaussian")
     components = ()
     if kind == "gaussian_mixture":
@@ -197,6 +228,7 @@ def _scenario_from_keys(kv: dict, text: str) -> Scenario:
     checks = kv.get("checks", ", ".join(DEFAULT_CHECKS))
     checks = tuple(c.strip() for c in checks.split(",") if c.strip())
     dimension = _as_int(kv, "dimension", 1)
+    _check_retired(kv, dimension)
     validate_checks(checks, dimension)
     return Scenario(
         name=kv.get("name", "unnamed"),
@@ -212,7 +244,6 @@ def _scenario_from_keys(kv: dict, text: str) -> Scenario:
         initial_components=components,
         initial_path=kv.get("initial.path"),
         transport=TransportConfig(
-            method=kv.get("transport.method", "auto"),
             epsilon=_as_float(kv, "transport.epsilon", 0.025),
             max_iter=_as_int(kv, "transport.max_iter", 20000),
             tol=_as_float(kv, "transport.tol", 1e-9),
@@ -220,10 +251,8 @@ def _scenario_from_keys(kv: dict, text: str) -> Scenario:
         inner=InnerConfig(
             max_iters=_as_int(kv, "inner.max_iters", 20000),
             grad_tol=_as_float(kv, "inner.grad_tol", 1e-8),
-            obj_tol=_as_float(kv, "inner.obj_tol", 1e-12),
         ),
         checks=checks,
-        snapshot_stride=_as_int(kv, "output.snapshot_stride", 1),
         output_dir=kv.get("output.dir"),
         raw_text=text,
     )
@@ -259,15 +288,12 @@ def format_scenario(sc: Scenario) -> str:
     elif sc.initial_kind == "from_file":
         lines.append(f"initial.path = {sc.initial_path}")
     lines += [
-        f"transport.method = {sc.transport.method}",
         f"transport.epsilon = {sc.transport.epsilon!r}",
         f"transport.max_iter = {sc.transport.max_iter}",
         f"transport.tol = {sc.transport.tol!r}",
         f"inner.max_iters = {sc.inner.max_iters}",
         f"inner.grad_tol = {sc.inner.grad_tol!r}",
-        f"inner.obj_tol = {sc.inner.obj_tol!r}",
         "checks = " + ", ".join(sc.checks),
-        f"output.snapshot_stride = {sc.snapshot_stride}",
     ]
     if sc.output_dir:
         lines.append(f"output.dir = {sc.output_dir}")
@@ -333,10 +359,8 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
                 str(rec.sinkhorn_iters),
             ]
             fh.write(",".join(row) + "\n")
-    write_density_file(out / _density_filename(0), traj.initial)
-    for rec in traj.steps:
-        if rec.index % sc.snapshot_stride == 0 or rec.index == len(traj.steps):
-            write_density_file(out / _density_filename(rec.index), rec.density)
+    for k in range(traj.num_steps + 1):
+        write_density_file(out / _density_filename(k), traj.density_at_step(k))
     from .measure import boundary_shell_mass, entropy, second_moment
     from .spectral import energy_of_values
 
@@ -394,10 +418,7 @@ def load_run_directory(run_dir):
         k = int(parts[0])
         snap = run / _density_filename(k)
         if not snap.is_file():
-            raise ScenarioError(
-                f"density snapshot for step {k} missing ({snap}); "
-                "rerun with output.snapshot_stride = 1 to verify"
-            )
+            raise ScenarioError(f"density snapshot for step {k} missing ({snap})")
         dens = GridDensity(grid, _read_density_file(snap, grid))
         steps.append(
             StepRecord(
@@ -409,7 +430,6 @@ def load_run_directory(run_dir):
                 second_moment=float(parts[4]),
                 inner_iterations=int(parts[6]),
                 kkt_residual=float(parts[7]),
-                objective_value=float(parts[2]) + float(parts[5]) / (2 * sc.tau),
                 boundary_mass=float(parts[8]),
                 stop_reason=parts[9],
                 transport_calls=int(parts[10]),

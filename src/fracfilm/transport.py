@@ -44,14 +44,13 @@ _MILNE_WEIGHTS = np.array([[2.0], [-1.0], [2.0]])
 
 @dataclass(frozen=True)
 class TransportConfig:
-    method: str = "auto"  # auto | exact | sinkhorn
+    """Sinkhorn settings; exact quantile transport (d = 1) needs none."""
+
     epsilon: float = 0.025
     max_iter: int = 20000
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.method not in ("auto", "exact", "sinkhorn"):
-            raise ValueError(f"unknown transport method {self.method!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"sinkhorn epsilon must be finite and positive, got {self.epsilon}")
         if not (np.isfinite(self.tol) and self.tol > 0):
@@ -71,7 +70,6 @@ class TransportResult:
     w2_squared: float
     potential: Optional[np.ndarray]
     method: str
-    sinkhorn_epsilon: Optional[float] = None
     iterations: int = 0
     marginal_error: float = 0.0
 
@@ -369,7 +367,6 @@ def w2_sinkhorn(
         w2_squared=float(value),
         potential=debiased,
         method="sinkhorn",
-        sinkhorn_epsilon=epsilon,
         iterations=it + 1 + it_a + it_b,
         marginal_error=marginal_error,
     )
@@ -380,9 +377,6 @@ def w2(u: GridDensity, v: GridDensity, config: TransportConfig = TransportConfig
     """Dispatch: exact quantile transport in 1D, Sinkhorn otherwise.  `cache`
     (made for v and `config`) warm-starts Sinkhorn; the exact path ignores it."""
     _check_same_grid(u, v)
-    method = config.method
-    if method == "auto":
-        method = "exact" if u.grid.dim == 1 else "sinkhorn"
-    if method == "exact":
+    if u.grid.dim == 1:
         return w2_exact_1d(u, v, want_potential=want_potential)
     return w2_sinkhorn(u, v, config.epsilon, config.max_iter, config.tol, cache)

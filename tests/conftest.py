@@ -4,10 +4,10 @@ from fracfilm import InnerConfig, JkoConfig, PeriodicGrid, gaussian_density, run
 
 
 def reference_config(grad_tol=1e-8):
-    """d=1 Gaussian(0,1), s=1, tau=1e-3, L=40, n=256; obj_tol disabled so the
-    stationarity target governs termination."""
+    """d=1 Gaussian(0,1), s=1, tau=1e-3, L=40, n=256; the stationarity target
+    `grad_tol` governs termination."""
     grid = PeriodicGrid(1, 256, 40.0)
-    inner = InnerConfig(grad_tol=grad_tol, obj_tol=0.0)
+    inner = InnerConfig(grad_tol=grad_tol)
     return JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=inner)
 
 

@@ -106,7 +106,7 @@ class TestCriterion3DerivativeIdentity:
         fld = ff.contraction_field(1, 9.0, 14.0)
         rels = {}
         for s in (0.5, 1.0, 1.5, 2.0, 2.5):
-            rep = ff.derivative_identity_check(u, fld, s, t_fd=1e-3)
+            rep = ff.derivative_identity_check(u, fld, s)
             rels[s] = rep.extra["relative_error"]
         elapsed = time.monotonic() - t0
         ok = all(r <= 1e-3 for r in rels.values()) and elapsed < 60.0
@@ -119,7 +119,7 @@ class TestCriterion3DerivativeIdentity:
 
 def _reference_scenario_config(grad_tol):
     grid = ff.PeriodicGrid(1, 256, 40.0)
-    inner = ff.InnerConfig(grad_tol=grad_tol, obj_tol=0.0)
+    inner = ff.InnerConfig(grad_tol=grad_tol)
     return ff.JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=inner)
 
 
@@ -186,7 +186,7 @@ class TestCriterion5EviEntropy:
         for (c1, v1), (c2, v2) in pairs:
             u = ff.gaussian_density(grid, c1, v1)
             v = ff.gaussian_density(grid, c2, v2)
-            rep = ff.check_evi_entropy(u, v, t_list=(1e-2, 5e-3, 2.5e-3))
+            rep = ff.check_evi_entropy(u, v)
             if not rep.passed:
                 failures.append(((c1, v1, c2, v2), rep.extra["slack"]))
         elapsed = time.monotonic() - t0
@@ -301,9 +301,7 @@ initial.kind = gaussian
 initial.center = 0.0
 initial.variance = 1.0
 inner.grad_tol = 1e-8
-inner.obj_tol = 0.0
 checks = energy_estimate, moment_bound, entropy_dissipation, weak_form
-output.snapshot_stride = 1
 """
 
 

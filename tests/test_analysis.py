@@ -39,7 +39,7 @@ def field_values(fld, grid):
 @pytest.fixture(scope="module")
 def short_trajectory():
     grid = grid1d()
-    cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-8, obj_tol=0.0))
+    cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-8))
     return run(gaussian_density(grid, 0.0, 1.0), cfg, 8)
 
 
@@ -154,7 +154,7 @@ class TestEnergyEstimate:
 class TestMomentBound:
     def test_uniform_initial_datum(self):
         grid = grid1d(128)
-        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-2, inner=InnerConfig(grad_tol=1e-7, obj_tol=0.0))
+        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-2, inner=InnerConfig(grad_tol=1e-7))
         traj = run(uniform_density(grid), cfg, 2)
         rep = check_moment_bound(traj)
         assert rep.passed
@@ -174,7 +174,7 @@ class TestMomentBound:
 class TestEntropyDissipation:
     def test_single_step_from_uniform(self):
         grid = grid1d(128)
-        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-8, obj_tol=0.0))
+        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-8))
         traj = run(uniform_density(grid), cfg, 1)
         rep = check_entropy_dissipation(traj)
         assert rep.passed
@@ -190,7 +190,7 @@ class TestEntropyDissipation:
         u0 = gaussian_density(grid, 0.0, 1.0)
         viols = []
         for tau in (2e-3, 1e-3):
-            cfg = JkoConfig(grid=grid, s=1.0, tau=tau, inner=InnerConfig(grad_tol=1e-8, obj_tol=0.0))
+            cfg = JkoConfig(grid=grid, s=1.0, tau=tau, inner=InnerConfig(grad_tol=1e-8))
             traj = run(u0, cfg, 4)
             viols.append(check_entropy_dissipation(traj).extra["raw_violation"])
         assert max(viols[1], 0.0) <= max(viols[0], 0.0) + 1e-6
@@ -270,7 +270,7 @@ class TestWeakForm:
         # remainder term dominates the absolute slack, so shrinking lambda
         # by 100x must flip the check
         grid = grid1d()
-        cfg = JkoConfig(grid=grid, s=1.0, tau=0.05, inner=InnerConfig(grad_tol=1e-8, obj_tol=0.0))
+        cfg = JkoConfig(grid=grid, s=1.0, tau=0.05, inner=InnerConfig(grad_tol=1e-8))
         traj = run(gaussian_density(grid, 0.0, 1.0), cfg, 3)
         phi = cosine_bump_test_function(1, amplitude=0.5, freq=3.0, r_inner=12.0, r_outer=16.0)
         good = check_weak_form_step(traj, phi)
@@ -282,7 +282,7 @@ class TestWeakForm:
 class TestTauRefinement:
     def test_uniform_initial_datum_all_zero(self):
         grid = grid1d(128)
-        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-7, obj_tol=0.0))
+        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-7))
         rep = tau_refinement_study(
             uniform_density(grid), cfg, tau_list=(4e-3, 2e-3), horizon=8e-3, r=0.5
         )
@@ -290,7 +290,7 @@ class TestTauRefinement:
 
     def test_single_tau_empty_table(self):
         grid = grid1d(128)
-        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-7, obj_tol=0.0))
+        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-7))
         rep = tau_refinement_study(
             uniform_density(grid), cfg, tau_list=(4e-3,), horizon=8e-3, r=0.5
         )
@@ -299,7 +299,7 @@ class TestTauRefinement:
 
     def test_short_gaussian_study_decreasing(self):
         grid = grid1d()
-        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-8, obj_tol=0.0))
+        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-8))
         rep = tau_refinement_study(
             gaussian_density(grid, 0.0, 1.0), cfg, tau_list=(4e-3, 2e-3, 1e-3), horizon=0.02, r=0.5
         )

@@ -16,7 +16,13 @@ from fracfilm import (
     sobolev_norm_sq,
 )
 from fracfilm.cli import main
-from fracfilm.scenario import ScenarioError, format_scenario, load_run_directory, parse_scenario
+from fracfilm.scenario import (
+    KNOWN_KEYS,
+    ScenarioError,
+    format_scenario,
+    load_run_directory,
+    parse_scenario,
+)
 
 FAST_SCENARIO = """\
 name = smoke
@@ -30,7 +36,6 @@ initial.kind = gaussian
 initial.center = 0.0
 initial.variance = 1.0
 inner.grad_tol = 1e-7
-inner.obj_tol = 0.0
 checks = energy_estimate, moment_bound
 """
 
@@ -59,11 +64,60 @@ def write_scenario(tmp_path, text, name="scenario.cfg"):
     return path
 
 
+def readme_key_table():
+    """The keys listed in the README's scenario-key table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Supported keys:", 1)[1].split("\n\n", 2)[1]
+    return {line.split()[0] for line in table.splitlines()
+            if line.startswith("    ") and not line.startswith("     ")}
+
+
+def written_keys(text):
+    return {line.split(" = ", 1)[0] for line in text.splitlines()}
+
+
 class TestParsing:
     def test_round_trip_normalized_form(self):
+        # doc-drift guard: the README documents exactly the keys the parser
+        # knows, and the normalized form writes only those and reparses equal
+        assert readme_key_table() == set(KNOWN_KEYS)
         sc = parse_scenario(FAST_SCENARIO)
-        again = parse_scenario(format_scenario(sc))
+        text = format_scenario(sc)
+        assert written_keys(text) <= set(KNOWN_KEYS)
+        again = parse_scenario(text)
+        assert replace(again, raw_text="") == replace(sc, raw_text="")
         assert format_scenario(again) == format_scenario(sc)
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("inner.grad_tl = 1e-3", "inner.grad_tl"), ("equation.s = 2.0", "equation.s")],
+        ids=["misspelt", "repeated"],
+    )
+    def test_unknown_or_repeated_key_named(self, line, key):
+        with pytest.raises(ScenarioError, match=key):
+            parse_scenario(FAST_SCENARIO + line + "\n")
+
+    @pytest.mark.parametrize(
+        "text, method",
+        [(FAST_SCENARIO, "exact"), (SINKHORN_2D_SCENARIO, "sinkhorn")],
+        ids=["one_d", "two_d"],
+    )
+    def test_retired_keys_at_fixed_values_change_nothing(self, tmp_path, text, method):
+        # old texts and manifests carry these lines; at these values they
+        # select what the code always does now
+        old = text + (f"inner.obj_tol = 0.0\noutput.snapshot_stride = 1\n"
+                      f"transport.method = {method}\n")
+        assert replace(parse_scenario(old), raw_text="") == replace(parse_scenario(text), raw_text="")
+        outs = []
+        for name, body in (("new", text), ("old", old)):
+            out = tmp_path / name
+            assert main(["run", "--scenario", str(write_scenario(tmp_path, body, f"{name}.cfg")),
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        files = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert files == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_comments_and_blanks_ignored(self):
         sc = parse_scenario("# header\n\n" + FAST_SCENARIO + "\n# tail\n")
@@ -110,13 +164,9 @@ class TestParsing:
         ids=["gaussian", "gaussian_mixture", "uniform", "from_file"],
     )
     def test_readme_key_table_lists_every_written_key(self, kind_lines):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        table = readme.split("Supported keys:", 1)[1].split("\n\n", 2)[1]
-        documented = {line.split()[0] for line in table.splitlines() if line.startswith("    ")}
         sc = parse_scenario(FAST_SCENARIO.replace("initial.kind = gaussian", kind_lines))
         text = format_scenario(replace(sc, output_dir="runs/smoke"))
-        written = {line.split(" = ", 1)[0] for line in text.splitlines()}
-        assert written - documented == set()
+        assert written_keys(text) - readme_key_table() == set()
 
 
 class TestRun:
@@ -152,10 +202,19 @@ class TestRun:
             ("checks =", "transport.tol = 0\nchecks ="),
             ("checks =", "transport.max_iter = 0\nchecks ="),
             ("inner.grad_tol = 1e-7", "inner.grad_tol = nan\ninner.max_iters = 2"),
-            ("inner.obj_tol = 0.0", "inner.obj_tol = inf"),
+            ("checks =", "inner.obj_tol = inf\nchecks ="),
+            ("checks =", "inner.obj_tol = 1e-6\nchecks ="),
+            ("checks =", "transport.method = sinkhorn\nchecks ="),
+            ("checks =", "output.snapshot_stride = 0\nchecks ="),
+            ("checks =", "output.snapshot_stride = 2\nchecks ="),
+            ("inner.grad_tol = 1e-7", "inner.grad_tl = 1e-7"),
+            ("checks =", "time.tau = 1e-2\nchecks ="),
+            ("grid.n = 128", "grid.n = inf"),
         ],
         ids=["odd_n", "negative_s", "exact_in_2d", "nan_epsilon", "zero_transport_tol",
-             "zero_transport_max_iter", "nan_grad_tol", "infinite_obj_tol"],
+             "zero_transport_max_iter", "nan_grad_tol", "infinite_obj_tol", "nonzero_obj_tol",
+             "sinkhorn_in_1d", "zero_snapshot_stride", "snapshot_stride_2", "misspelt_key",
+             "repeated_key", "infinite_grid_n"],
     )
     def test_invalid_setting_exits_3(self, tmp_path, capsys, old, new):
         scen = write_scenario(tmp_path, FAST_SCENARIO.replace(old, new))
@@ -240,7 +299,7 @@ class TestVerify:
             assert second_moment(rec.density) == pytest.approx(rec.second_moment, abs=1e-12)
 
     def test_stop_reason_round_trips(self, tmp_path):
-        text = FAST_SCENARIO.replace("inner.obj_tol = 0.0", "inner.obj_tol = 0.0\ninner.max_iters = 5")
+        text = FAST_SCENARIO.replace("inner.grad_tol = 1e-7", "inner.grad_tol = 1e-7\ninner.max_iters = 5")
         out = tmp_path / "capped"
         assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
         rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().splitlines()]
@@ -251,7 +310,7 @@ class TestVerify:
 
     def test_transport_counters_round_trip(self, tmp_path):
         # 1D: the exact path makes no Sinkhorn pass; d = 2: every call does
-        one_d = FAST_SCENARIO.replace("inner.obj_tol = 0.0", "inner.obj_tol = 0.0\ninner.max_iters = 5")
+        one_d = FAST_SCENARIO.replace("inner.grad_tol = 1e-7", "inner.grad_tol = 1e-7\ninner.max_iters = 5")
         two_d = one_d.replace("dimension = 1", "dimension = 2").replace(
             "grid.n = 128", "grid.n = 16").replace("grid.box_length = 40.0", "grid.box_length = 12.0").replace(
             "initial.center = 0.0", "initial.center = 0.0 0.0").replace(

@@ -36,7 +36,7 @@ from fracfilm.jko import (
 
 def make_cfg(n=256, L=40.0, s=1.0, tau=1e-3, grad_tol=1e-8, **inner_kw):
     grid = PeriodicGrid(1, n, L)
-    inner = InnerConfig(grad_tol=grad_tol, obj_tol=0.0, **inner_kw)
+    inner = InnerConfig(grad_tol=grad_tol, **inner_kw)
     return JkoConfig(grid=grid, s=s, tau=tau, inner=inner)
 
 
@@ -71,10 +71,7 @@ class TestJkoStep:
         u0 = gaussian_density(cfg.grid)
         rec = jko_step(u0, cfg)
         e_prev = energy(u0, cfg.s)
-        assert rec.objective_value <= e_prev * (1 + 1e-10)
-        assert rec.objective_value == pytest.approx(
-            rec.energy + rec.w2_sq_to_prev / (2 * cfg.tau), abs=1e-10
-        )
+        assert rec.energy + rec.w2_sq_to_prev / (2 * cfg.tau) <= e_prev * (1 + 1e-10)
 
     def test_mass_and_positivity_exact(self):
         cfg = make_cfg()
@@ -92,12 +89,11 @@ class TestJkoStep:
     @pytest.mark.parametrize(
         "inner, reason",
         [
-            (InnerConfig(obj_tol=0.0), "converged"),
-            (InnerConfig(max_iters=5, obj_tol=0.0), "max_iters"),
-            (InnerConfig(obj_tol=1e-12), "obj_tol"),
-            (InnerConfig(grad_tol=1e-16, obj_tol=0.0), "stalled"),  # below the rounding floor
+            (InnerConfig(), "converged"),
+            (InnerConfig(max_iters=5), "max_iters"),
+            (InnerConfig(grad_tol=1e-16), "stalled"),  # below the rounding floor
         ],
-        ids=["converged", "max_iters", "obj_tol", "stalled"],
+        ids=["converged", "max_iters", "stalled"],
     )
     def test_stop_reason(self, inner, reason):
         # reference grid, s = 1, tau = 1e-3, one step from N(0, 1)
@@ -105,7 +101,7 @@ class TestJkoStep:
         assert jko_step(gaussian_density(cfg.grid), cfg).stop_reason == reason
 
     @pytest.mark.parametrize(
-        "inner", [InnerConfig(obj_tol=0.0), InnerConfig(max_iters=5, obj_tol=0.0)],
+        "inner", [InnerConfig(), InnerConfig(max_iters=5)],
         ids=["converged", "max_iters"],
     )
     def test_one_potential_call_per_iterate(self, inner, monkeypatch):
@@ -134,8 +130,8 @@ def compact_bump(grid):
 
 def sink2d_step_config(max_iters, s=1.0):
     grid = PeriodicGrid(2, 48, 16.0)
-    inner = InnerConfig(grad_tol=1e-3, obj_tol=0.0, max_iters=max_iters)
-    transport = TransportConfig(method="sinkhorn", epsilon=0.1, max_iter=5000, tol=1e-7)
+    inner = InnerConfig(grad_tol=1e-3, max_iters=max_iters)
+    transport = TransportConfig(epsilon=0.1, max_iter=5000, tol=1e-7)
     return JkoConfig(grid=grid, s=s, tau=1e-2, inner=inner, transport=transport)
 
 
@@ -210,9 +206,9 @@ class TestNewtonDirection:
             "import sys\n"
             "import fracfilm as ff\n"
             "grid = ff.PeriodicGrid(2, 16, 12.0)\n"
-            "tr = ff.TransportConfig(method='sinkhorn', epsilon=0.2, tol=1e-7)\n"
+            "tr = ff.TransportConfig(epsilon=0.2, tol=1e-7)\n"
             "cfg = ff.JkoConfig(grid=grid, s=1.0, tau=1e-2, transport=tr,\n"
-            "                   inner=ff.InnerConfig(grad_tol=1e-4, obj_tol=0.0, max_iters=5))\n"
+            "                   inner=ff.InnerConfig(grad_tol=1e-4, max_iters=5))\n"
             "ff.jko_step(ff.gaussian_density(grid, (0.0, 0.0), 1.0), cfg)\n"
             "assert 'scipy.sparse.linalg' not in sys.modules\n"
         )
@@ -255,17 +251,18 @@ class TestRun:
         traj = reference_trajectory
         e_prev = energy(traj.initial, traj.config.s)
         for rec in traj.steps:
-            assert rec.energy <= rec.objective_value + 1e-16
-            assert rec.objective_value <= e_prev * (1 + 1e-10)
+            objective = rec.energy + rec.w2_sq_to_prev / (2 * traj.config.tau)
+            assert rec.energy <= objective + 1e-16
+            assert objective <= e_prev * (1 + 1e-10)
             e_prev = rec.energy
 
     def test_failed_step_reported_in_status(self):
         # starve the sinkhorn solver so the first step fails; run() must
         # stop early with the step index in the status instead of raising
         grid = PeriodicGrid(2, 32, 16.0)
-        transport = TransportConfig(method="sinkhorn", epsilon=0.05, max_iter=2, tol=1e-12)
+        transport = TransportConfig(epsilon=0.05, max_iter=2, tol=1e-12)
         cfg = JkoConfig(grid=grid, s=1.0, tau=1e-2,
-                        inner=InnerConfig(grad_tol=1e-6, obj_tol=0.0), transport=transport)
+                        inner=InnerConfig(grad_tol=1e-6), transport=transport)
         traj = run(gaussian_density(grid, (0.0, 0.0), 1.0), cfg, 2)
         assert traj.status.startswith("failed:step=1:")
         assert traj.num_steps == 0
@@ -336,11 +333,11 @@ class TestInterpolant:
 class TestTwoDimensional:
     def test_single_step_descends(self):
         grid = PeriodicGrid(2, 48, 16.0)
-        inner = InnerConfig(grad_tol=1e-3, obj_tol=0.0, max_iters=60)
-        transport = TransportConfig(method="sinkhorn", epsilon=0.1, max_iter=5000, tol=1e-7)
+        inner = InnerConfig(grad_tol=1e-3, max_iters=60)
+        transport = TransportConfig(epsilon=0.1, max_iter=5000, tol=1e-7)
         cfg = JkoConfig(grid=grid, s=1.0, tau=1e-2, inner=inner, transport=transport)
         u0 = gaussian_density(grid, (0.0, 0.0), 1.0)
         rec = jko_step(u0, cfg)
-        assert rec.objective_value <= energy(u0, 1.0) * (1 + 1e-8)
+        assert rec.energy + rec.w2_sq_to_prev / (2 * cfg.tau) <= energy(u0, 1.0) * (1 + 1e-8)
         assert abs(rec.density.mass() - 1.0) <= 1e-12
         assert np.min(rec.density.values) >= 0.0

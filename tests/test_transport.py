@@ -485,7 +485,7 @@ def line_search_sequence(grid, v):
 
 class TestSinkhornCache:
     GRID = PeriodicGrid(2, 48, 16.0)
-    CFG = TransportConfig(method="sinkhorn", epsilon=0.1, max_iter=20000, tol=1e-7)
+    CFG = TransportConfig(epsilon=0.1, max_iter=20000, tol=1e-7)
 
     def target(self):
         return gaussian_density(self.GRID, (0.3, -0.2), 1.0)
@@ -524,15 +524,15 @@ class TestSinkhornCache:
         twin = GridDensity(self.GRID, v.values.copy())
         with pytest.raises(ValueError, match="target"):
             w2(v, twin, self.CFG, cache=cache)
-        for other in (TransportConfig("sinkhorn", 0.2, 20000, 1e-7),
-                      TransportConfig("sinkhorn", 0.1, 19999, 1e-7),
-                      TransportConfig("sinkhorn", 0.1, 20000, 1e-8)):
+        for other in (TransportConfig(0.2, 20000, 1e-7),
+                      TransportConfig(0.1, 19999, 1e-7),
+                      TransportConfig(0.1, 20000, 1e-8)):
             with pytest.raises(ValueError, match="settings"):
                 w2(v, v, other, cache=cache)
         assert cache.fb is None
 
     def test_failed_call_keeps_last_converged_state(self):
-        cfg = TransportConfig(method="sinkhorn", epsilon=0.1, max_iter=40, tol=1e-7)
+        cfg = TransportConfig(epsilon=0.1, max_iter=40, tol=1e-7)
         v = self.target()
         cache = SinkhornCache(v, cfg)
         w2(v, v, cfg, cache=cache)
@@ -564,7 +564,7 @@ class TestDispatch:
         g = grid1d()
         u = gaussian_density(g, 0.0, 1.0)
         v = gaussian_density(g, 0.5, 1.2)
-        auto = w2(u, v, TransportConfig(method="auto"))
+        auto = w2(u, v, TransportConfig())
         exact = w2_exact_1d(u, v)
         assert auto.w2_squared == exact.w2_squared
         assert np.array_equal(auto.potential, exact.potential)
@@ -574,11 +574,7 @@ class TestDispatch:
         g = PeriodicGrid(2, 48, 16.0)
         u = gaussian_density(g, (0.0, 0.0), 1.0)
         v = gaussian_density(g, (0.5, 0.0), 1.0)
-        cfg = TransportConfig(method="auto", epsilon=0.1, max_iter=20000, tol=1e-7)
+        cfg = TransportConfig(epsilon=0.1, max_iter=20000, tol=1e-7)
         res = w2(u, v, cfg)
         assert res.method == "sinkhorn"
         assert res.w2_squared > 0
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            TransportConfig(method="magic")
