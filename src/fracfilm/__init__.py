@@ -1,7 +1,7 @@
 """Spectral minimizing-movement solver for a fractional thin-film equation.
 
 The packages splits along the natural seams of the problem: `spectral`
-(grid, transforms, multipliers, norms), `measure` (densities, entropy,
+(grid, FFT multipliers, norms), `measure` (densities, entropy,
 flows), `transport` (exact 1D and entropic Wasserstein), `jko` (the
 proximal scheme), `analysis` (the inequality checkers), and `cli`.
 """
@@ -54,13 +54,10 @@ from .measure import (
 )
 from .spectral import (
     PeriodicGrid,
-    SpectralField,
     energy,
     energy_of_values,
-    forward_transform,
     fractional_laplacian,
     interpolation_check,
-    inverse_transform,
     sobolev_norm_sq,
     spectral_divergence,
     spectral_gradient,

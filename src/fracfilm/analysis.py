@@ -392,17 +392,6 @@ class TauRefinementReport:
     horizon: float
     r: float
 
-    def to_dict(self) -> dict:
-        return {
-            "taus": self.taus,
-            "l2h_gaps": self.l2h_gaps,
-            "sup_gaps": self.sup_gaps,
-            "rates": self.rates,
-            "cauchy_monotone": self.cauchy_monotone,
-            "horizon": self.horizon,
-            "r": self.r,
-        }
-
 
 def _merged_breakpoints(tau1: float, tau2: float, horizon: float):
     ks1 = np.arange(0, math.ceil(horizon / tau1) + 1) * tau1

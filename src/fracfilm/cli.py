@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .analysis import (
@@ -90,11 +90,11 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     sc, traj = load_run_directory(args.run_dir)
-    checks = (
-        [c.strip() for c in args.checks.split(",") if c.strip()]
-        if args.checks
-        else list(sc.checks)
-    )
+    checks = list(sc.checks)
+    if args.checks is not None:
+        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not checks:
+            raise ScenarioError(f"--checks {args.checks!r} names no check")
     reports = run_checks(sc, traj, checks)
     run_dir = Path(args.run_dir)
     all_passed = True
@@ -109,40 +109,37 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_one(payload):
-    text, out_dir, tau = payload
-    from .scenario import parse_scenario
-
-    sc = parse_scenario(text)
-    if tau is not None:
-        sc = replace(sc, tau=tau, raw_text="")
+    sc, out_dir = payload
     u0 = sc.initial_density()
     traj = jko_run(u0, sc.jko_config(), sc.num_steps)
     write_run_directory(out_dir, sc, traj)
     return traj.status
 
 
+def _float_list(text: str, what: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ScenarioError(f"bad {what} list {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
     sc = load_scenario(args.scenario)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.tau_list:
-        try:
-            taus = [float(t) for t in args.tau_list.split(",")]
-        except ValueError:
-            print(f"config error: bad tau list {args.tau_list!r}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+        taus = _float_list(args.tau_list, "tau")
         horizon = args.horizon if args.horizon else sc.num_steps * sc.tau
         try:
             validate_refinement_settings(taus, horizon, args.r, sc.s)
         except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+            raise ScenarioError(str(exc)) from exc
+        out.mkdir(parents=True, exist_ok=True)
         u0 = sc.initial_density()
         report = tau_refinement_study(
             u0, sc.jko_config(), tau_list=taus, horizon=horizon, r=args.r
         )
         with open(out / "tau_refinement.json", "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
         with open(out / "tau_refinement.csv", "w") as fh:
             fh.write("tau_coarse,tau_fine,l2h_gap,sup_gap,rate\n")
@@ -155,15 +152,16 @@ def cmd_sweep(args) -> int:
         print(f"tau sweep: gaps {report.l2h_gaps} cauchy_monotone={report.cauchy_monotone}")
         return EXIT_OK
     if args.s_list:
-        try:
-            svals = [float(v) for v in args.s_list.split(",")]
-        except ValueError:
-            print(f"config error: bad s list {args.s_list!r}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        payloads = []
-        for sv in svals:
+        # every order is checked before the first run starts
+        subs = []
+        for sv in _float_list(args.s_list, "s"):
             sub = replace(sc, s=sv, name=f"{sc.name}_s{sv:g}", raw_text="")
-            payloads.append((format_scenario(sub), out / f"s_{sv:g}", None))
+            try:
+                sub.jko_config()
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from exc
+            subs.append(sub)
+        payloads = [(sub, out / f"s_{sub.s:g}") for sub in subs]
         if args.threads > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -172,11 +170,10 @@ def cmd_sweep(args) -> int:
         else:
             statuses = [_sweep_one(p) for p in payloads]
         bad = [s for s in statuses if s != "ok"]
-        for sv, status in zip(svals, statuses):
-            print(f"s = {sv:g}: {status}")
+        for sub, status in zip(subs, statuses):
+            print(f"s = {sub.s:g}: {status}")
         return EXIT_OK if not bad else EXIT_SOLVER_FAILED
-    print("config error: sweep needs --tau-list or --s-list", file=sys.stderr)
-    return EXIT_CONFIG_ERROR
+    raise ScenarioError("sweep needs --tau-list or --s-list")
 
 
 def cmd_print_config(args) -> int:
@@ -200,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run analysis checks on a run directory")
     p_ver.add_argument("run_dir", help="run directory produced by `run`")
-    p_ver.add_argument("--checks", default="", help="comma list (default: scenario's checks)")
+    p_ver.add_argument("--checks", default=None, help="comma list (default: scenario's checks)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_sw = sub.add_parser("sweep", help="tau-refinement study or s sweep")

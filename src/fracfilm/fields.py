@@ -141,14 +141,13 @@ def sine_field(dim: int, r_inner: float, r_outer: float, freq: float = 0.5, axis
 class SpaceTimeTestFunction:
     """Separable smooth test function phi(t, x) = a(t) psi(x), compact in x.
 
-    Carries analytic time derivative, gradient and Hessian plus a certified
+    Carries the analytic gradient and Hessian plus a certified
     bound ``hessian_sup`` >= sup ||D^2 phi||; the bound is validated against
     a sampled estimate on construction.
     """
 
     dim: int
     value: Callable
-    dt: Callable
     grad: Callable
     hessian: Callable
     hessian_sup: float
@@ -184,9 +183,6 @@ def cosine_bump_test_function(
     def a(t):
         return 1.0 / (1.0 + t / time_scale)
 
-    def a_dt(t):
-        return -1.0 / time_scale / (1.0 + t / time_scale) ** 2
-
     def psi_parts(points):
         r, rhat = _radial_parts(points)
         chi, dchi, ddchi = plateau(r, r_inner, r_outer)
@@ -197,11 +193,6 @@ def cosine_bump_test_function(
         points = np.atleast_2d(points)
         _, _, chi, _, _, c, _ = psi_parts(points)
         return a(t) * amplitude * c * chi
-
-    def dt(t, points):
-        points = np.atleast_2d(points)
-        _, _, chi, _, _, c, _ = psi_parts(points)
-        return a_dt(t) * amplitude * c * chi
 
     def grad(t, points):
         points = np.atleast_2d(points)
@@ -242,7 +233,6 @@ def cosine_bump_test_function(
     return SpaceTimeTestFunction(
         dim=dim,
         value=value,
-        dt=dt,
         grad=grad,
         hessian=hessian,
         hessian_sup=float(bound) * 1.0000001,

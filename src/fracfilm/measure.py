@@ -159,15 +159,10 @@ class VectorField:
     jacobian: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     sup_norm: float = field(default=0.0)
-    grad_sup_norm: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.sup_norm == 0.0 or self.grad_sup_norm == 0.0:
-            sup, gsup = _sample_sup_norms(self)
-            if self.sup_norm == 0.0:
-                object.__setattr__(self, "sup_norm", sup)
-            if self.grad_sup_norm == 0.0:
-                object.__setattr__(self, "grad_sup_norm", gsup)
+        if self.sup_norm == 0.0:
+            object.__setattr__(self, "sup_norm", _sample_sup_norm(self))
         # spot-check the declared support on boundary samples
         probe = _boundary_probe(self.dim, self.support_radius)
         if np.max(np.abs(self.func(probe))) > 1e-12:
@@ -177,14 +172,11 @@ class VectorField:
         return self.func(points)
 
 
-def _sample_sup_norms(fld: VectorField):
+def _sample_sup_norm(fld: VectorField) -> float:
     rng = np.random.default_rng(7)
     pts = rng.uniform(-fld.support_radius, fld.support_radius, size=(4096, fld.dim))
-    v = fld.func(pts)
-    j = fld.jacobian(pts)
-    sup = float(np.max(np.linalg.norm(v, axis=1)))
-    gsup = float(np.max(np.linalg.norm(j.reshape(len(pts), -1), axis=1)))
-    return max(sup, 1e-300), max(gsup, 1e-300)
+    sup = float(np.max(np.linalg.norm(fld.func(pts), axis=1)))
+    return max(sup, 1e-300)
 
 
 def _boundary_probe(dim: int, radius: float) -> np.ndarray:

@@ -239,18 +239,19 @@ def _scenario_from_keys(kv: dict, text: str) -> Scenario:
         tau=_as_float(kv, "time.tau"),
         num_steps=_as_int(kv, "time.num_steps"),
         initial_kind=kind,
-        initial_center=_as_vector(kv.get("initial.center", "0")),
-        initial_variance=_as_float(kv, "initial.variance", 1.0),
+        initial_center=(_as_vector(kv["initial.center"]) if "initial.center" in kv
+                        else Scenario.initial_center),
+        initial_variance=_as_float(kv, "initial.variance", Scenario.initial_variance),
         initial_components=components,
         initial_path=kv.get("initial.path"),
         transport=TransportConfig(
-            epsilon=_as_float(kv, "transport.epsilon", 0.025),
-            max_iter=_as_int(kv, "transport.max_iter", 20000),
-            tol=_as_float(kv, "transport.tol", 1e-9),
+            epsilon=_as_float(kv, "transport.epsilon", TransportConfig.epsilon),
+            max_iter=_as_int(kv, "transport.max_iter", TransportConfig.max_iter),
+            tol=_as_float(kv, "transport.tol", TransportConfig.tol),
         ),
         inner=InnerConfig(
-            max_iters=_as_int(kv, "inner.max_iters", 20000),
-            grad_tol=_as_float(kv, "inner.grad_tol", 1e-8),
+            max_iters=_as_int(kv, "inner.max_iters", InnerConfig.max_iters),
+            grad_tol=_as_float(kv, "inner.grad_tol", InnerConfig.grad_tol),
         ),
         checks=checks,
         output_dir=kv.get("output.dir"),

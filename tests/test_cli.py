@@ -9,7 +9,9 @@ import pytest
 
 import fracfilm
 from fracfilm import (
+    InnerConfig,
     PeriodicGrid,
+    TransportConfig,
     contraction_field,
     gaussian_density,
     pushforward_with_drift,
@@ -18,6 +20,7 @@ from fracfilm import (
 from fracfilm.cli import main
 from fracfilm.scenario import (
     KNOWN_KEYS,
+    Scenario,
     ScenarioError,
     format_scenario,
     load_run_directory,
@@ -118,6 +121,15 @@ class TestParsing:
         assert files == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_required_keys_only_take_the_class_defaults(self):
+        text = ("grid.n = 64\ngrid.box_length = 40.0\nequation.s = 1.0\n"
+                "time.tau = 1e-3\ntime.num_steps = 1\n")
+        sc = parse_scenario(text)
+        assert sc.transport == TransportConfig()
+        assert sc.inner == InnerConfig()
+        assert sc == Scenario(name="unnamed", dimension=1, n=64, box_length=40.0, s=1.0,
+                              tau=1e-3, num_steps=1, initial_kind="gaussian", raw_text=text)
 
     def test_comments_and_blanks_ignored(self):
         sc = parse_scenario("# header\n\n" + FAST_SCENARIO + "\n# tail\n")
@@ -276,6 +288,18 @@ class TestVerify:
     def test_unknown_check_exits_3(self, run_dir):
         assert main(["verify", str(run_dir), "--checks", "bogus"]) == 3
 
+    @pytest.mark.parametrize("checks", [",", " , ", ""], ids=["comma", "blank_items", "empty"])
+    def test_checks_flag_naming_no_check_exits_3(self, run_dir, capsys, checks):
+        assert main(["verify", str(run_dir), "--checks", checks]) == 3
+        assert "names no check" in capsys.readouterr().err
+
+    def test_scenario_with_empty_checks_key_runs_none(self, tmp_path):
+        text = UNIFORM_SCENARIO.replace("checks = energy_estimate", "checks =")
+        out = tmp_path / "nochecks"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        assert not list(out.glob("check_*.json"))
+
     def test_evi_entropy_in_2d_exits_3(self, tmp_path, capsys):
         text = UNIFORM_SCENARIO.replace("dimension = 1", "dimension = 2").replace(
             "grid.n = 64", "grid.n = 8"
@@ -404,6 +428,20 @@ class TestSweep:
                       ["--tau-list", "1e-3", "--r", "2"]):
             code = main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "x")] + extra)
             assert code == 3, extra
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--s-list", "1,-1"], ["--s-list", "1,-1", "--threads", "2"], ["--s-list", "1,abc"],
+         ["--s-list", "1,nan"], ["--tau-list", "4e-3,abc"]],
+        ids=["negative_s", "negative_s_parallel", "word_in_s", "nan_s", "word_in_tau"],
+    )
+    def test_bad_list_exits_3_before_any_run(self, tmp_path, capsys, extra):
+        # every entry is checked first: no order runs and no --out is made
+        scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
+        out = tmp_path / "bad"
+        assert main(["sweep", "--scenario", str(scen), "--out", str(out)] + extra) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_tau_sweep_run_exits_2(self, tmp_path, capsys):
         # a starved Sinkhorn solver fails the first step: the same solver

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,15 +10,14 @@ from fracfilm import (
     PeriodicGrid,
     energy,
     energy_of_values,
-    forward_transform,
     fractional_laplacian,
     gaussian_density,
     interpolation_check,
-    inverse_transform,
     sobolev_norm_sq,
     spike_density,
     uniform_density,
 )
+from fracfilm.spectral import _kink_excess, apply_multiplier
 
 
 def grid1d(n=512, L=40.0):
@@ -54,68 +55,81 @@ class TestGridConstruction:
             PeriodicGrid(8, 2 ** 10, 1.0)
 
 
-class TestForwardTransform:
-    def test_constant_function_single_mode(self):
-        g = PeriodicGrid(1, 16, 1.0)
-        f = np.ones(16)
-        field = forward_transform(f, g)
-        assert abs(field.coeffs[0] - 1.0) < 1e-14
-        assert np.max(np.abs(field.coeffs[1:])) < 1e-14
+def _phased_norm_sq(values, grid, r, homogeneous=True, lattice=False):
+    """Reference: the norm from the continuum-phased coefficients
+    h^d * (-1)^(k_1+...+k_d) * fftn(u), the transform the norms once used."""
+    d = grid.dim
+    alt = (-1.0) ** np.arange(grid.n)
+    phase = reduce(np.multiply.outer, [alt] * d)
+    coeffs = grid.cell_volume * phase * np.fft.fftn(values)
+    weight = (2 * np.pi) ** (-d) * (2 * np.pi / grid.box_length) ** d
+    if not homogeneous:
+        mult = (1.0 + grid.freq_sq) ** r
+    elif r >= 0:
+        mult = grid.freq_sq ** r
+    else:
+        mult = np.where(grid.freq_sq > 0, grid.freq_sq, 1.0) ** r
+        mult[(0,) * d] = 0.0
+    total = float(weight * np.sum(mult * np.abs(coeffs) ** 2))
+    if lattice or not homogeneous or d != 1 or r <= 0 or float(r).is_integer():
+        return total
+    return total - _kink_excess(values, grid, r)
 
-    def test_single_cosine_mode(self):
-        g = PeriodicGrid(1, 16, 1.0)
-        f = np.cos(2 * np.pi * g.axis_coords)
-        field = forward_transform(f, g)
-        idx = {int(round(xi * 1.0 / (2 * np.pi))): j for j, xi in enumerate(g.axis_freqs)}
-        assert field.coeffs[idx[1]] == pytest.approx(0.5, abs=1e-14)
-        assert field.coeffs[idx[-1]] == pytest.approx(0.5, abs=1e-14)
-        rest = np.delete(field.coeffs, [idx[1], idx[-1]])
-        assert np.max(np.abs(rest)) < 1e-14
 
-    def test_gaussian_matches_quadrature_oracle(self):
-        g = grid1d()
-        u = np.exp(-g.axis_coords ** 2 / 2) / np.sqrt(2 * np.pi)
-        field = forward_transform(u, g)
-        sel = np.abs(g.axis_freqs) <= 10.0
-        # independent oracle: continuum transform by high-precision quadrature
-        import mpmath as mp
+def _bumpy_gaussian(grid, seed):
+    """Positive data with random texture under a unit Gaussian envelope."""
+    rng = np.random.default_rng(seed)
+    return np.exp(-grid.radius_sq / 2) * (1.0 + 0.5 * rng.uniform(size=grid.shape))
 
-        mp.mp.dps = 30
-        for xi, coeff in zip(g.axis_freqs[sel][::16], field.coeffs[sel][::16]):
-            xim = mp.mpf(float(xi))
-            re = mp.quad(
-                lambda x: mp.cos(x * xim) * mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi),
-                mp.linspace(-25, 25, 51),
-            )
-            assert coeff.real == pytest.approx(float(re), abs=1e-10)
-            assert abs(coeff.imag) < 1e-10
 
-    def test_round_trip(self):
+class TestOneTransformPath:
+    GRIDS = [PeriodicGrid(1, 64, 20.0), PeriodicGrid(2, 32, 20.0), PeriodicGrid(3, 16, 20.0)]
+
+    @pytest.mark.parametrize("g", GRIDS, ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize(
+        "homogeneous,lattice", [(True, False), (False, False), (True, True)],
+        ids=["homogeneous", "inhomogeneous", "lattice"],
+    )
+    def test_bitwise_equal_to_phased_coefficients(self, g, r, homogeneous, lattice):
+        # d = 1, r = 0.5 and 1.5, homogeneous: the kink-corrected path
+        f = _bumpy_gaussian(g, seed=g.dim)
+        got = sobolev_norm_sq(f, g, r, homogeneous=homogeneous, lattice=lattice)
+        assert got == _phased_norm_sq(f, g, r, homogeneous=homogeneous, lattice=lattice)
+
+    @pytest.mark.parametrize("g", GRIDS, ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_negative_order_zero_mean_bitwise(self, g, homogeneous):
+        f = _bumpy_gaussian(g, seed=10 + g.dim)
+        f -= np.mean(f)
+        got = sobolev_norm_sq(f, g, -0.5, homogeneous=homogeneous)
+        assert got == _phased_norm_sq(f, g, -0.5, homogeneous=homogeneous)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
+    def test_cosine_mode_exact(self, dim, k, r):
+        # ||cos(2 pi k x_1/L)||^2 of order r = (2 pi k/L)^(2r) L^d / 2
+        g = PeriodicGrid(dim, 16, 3.0)
+        f = np.cos(2 * np.pi * k * g.coords[0] / g.box_length)
+        exact = (2 * np.pi * k / g.box_length) ** (2 * r) * g.box_length ** dim / 2
+        assert sobolev_norm_sq(f, g, r, lattice=True) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "g,shape",
+        [(PeriodicGrid(1, 64, 1.0), (65,)), (PeriodicGrid(2, 32, 1.0), (32,)),
+         (PeriodicGrid(1, 32, 1.0), (32, 32))],
+        ids=["one_too_many", "1d_on_2d", "2d_on_1d"],
+    )
+    def test_shape_mismatch_rejected(self, g, shape):
+        with pytest.raises(GridMismatchError):
+            sobolev_norm_sq(np.ones(shape), g, 1.0)
+
+    def test_unit_multiplier_is_identity(self):
         g = grid1d(128)
         rng = np.random.default_rng(0)
         f = rng.normal(size=g.shape)
-        back = inverse_transform(forward_transform(f, g))
-        assert np.max(np.abs(back - f)) < 1e-12 * max(1.0, np.max(np.abs(f)))
-
-    def test_size_mismatch_rejected(self):
-        g = grid1d(64)
-        with pytest.raises(GridMismatchError):
-            forward_transform(np.ones(65), g)
-
-    def test_conjugate_symmetry_for_real_input(self):
-        g = PeriodicGrid(2, 32, 5.0)
-        rng = np.random.default_rng(1)
-        f = rng.normal(size=g.shape)
-        assert forward_transform(f, g).conjugate_symmetry_defect() < 1e-12
-
-    def test_plancherel(self):
-        g = grid1d(256)
-        rng = np.random.default_rng(2)
-        f = rng.normal(size=g.shape)
-        field = forward_transform(f, g)
-        lhs = (2 * np.pi) ** (-1) * (2 * np.pi / g.box_length) * np.sum(np.abs(field.coeffs) ** 2)
-        rhs = g.cell_volume * np.sum(f ** 2)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert np.max(np.abs(apply_multiplier(f, g, np.ones(g.shape)) - f)) < 1e-12
 
 
 class TestFractionalLaplacian:
