@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -315,22 +316,21 @@ def _density_filename(k: int) -> str:
 
 def write_density_file(path, u: GridDensity):
     grid = u.grid
-    cols = [c.ravel() for c in grid.coords] + [u.values.ravel()]
+    table = np.stack([c.ravel() for c in grid.coords] + [u.values.ravel()], axis=1)
+    row = " ".join(["%.17g"] * (grid.dim + 1)) + "\n"  # '%.17g' % x == _fmt(x)
     with open(path, "w") as fh:
         fh.write("# " + " ".join(["x%d" % i for i in range(grid.dim)] + ["u"]) + "\n")
-        for row in zip(*cols):
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _read_density_file(path, grid: PeriodicGrid) -> np.ndarray:
-    vals = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals.append(float(line.split()[-1]))
-    arr = np.array(vals)
+    """The last column of a density file: one value per grid cell."""
+    try:
+        with warnings.catch_warnings():  # an empty file is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(path, usecols=-1, ndmin=1)
+    except ValueError as exc:
+        raise ScenarioError(f"density file {path} is malformed: {exc}") from None
     if arr.size != grid.size:
         raise ScenarioError(
             f"density file {path} has {arr.size} rows, grid needs {grid.size}"

@@ -278,6 +278,21 @@ class TestWeakForm:
         bad = check_weak_form_step(traj, phi, lam=phi.hessian_sup / 100.0)
         assert not bad.passed
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_hessian_self_check_matches_svd_norm(self, dim):
+        # the eigenvalue estimate is the per-point SVD norm of the same
+        # samples, and a declared bound just below it is refused
+        phi = cosine_bump_test_function(dim, amplitude=0.1, freq=2.0, r_inner=10.0, r_outer=16.0)
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-phi.support_radius, phi.support_radius, size=(2048, dim))
+        svd = max(float(np.max(np.linalg.norm(phi.hessian(t, pts), axis=(1, 2), ord=2)))
+                  for t in (0.0, 0.3, 0.7, 1.3))
+        worst = phi.sampled_hessian_norm()
+        assert worst == pytest.approx(svd, rel=1e-12)
+        assert phi.hessian_sup >= worst
+        with pytest.raises(ValueError, match="below sampled estimate"):
+            replace(phi, hessian_sup=worst * (1.0 - 1e-9))
+
 
 class TestTauRefinement:
     def test_uniform_initial_datum_all_zero(self):

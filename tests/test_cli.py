@@ -255,6 +255,28 @@ class TestRun:
         scen2 = write_scenario(tmp_path, text, "scenario2.cfg")
         assert main(["run", "--scenario", str(scen2), "--out", str(tmp_path / "run2")]) == 0
 
+    def test_from_file_single_column(self, tmp_path):
+        # a file of values alone, one per line, is the same datum as the
+        # snapshot it was cut from
+        scen = write_scenario(tmp_path, FAST_SCENARIO.replace("time.num_steps = 4", "time.num_steps = 1"))
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "run1")]) == 0
+        snapshot = tmp_path / "run1" / "density_000000.txt"
+        values = [line.split()[-1] for line in snapshot.read_text().splitlines()[1:]]
+        (tmp_path / "u0.txt").write_text("\n".join(values) + "\n")
+        outs = []
+        for name, path in (("two", snapshot), ("one", tmp_path / "u0.txt")):
+            text = FAST_SCENARIO.replace(
+                "initial.kind = gaussian", f"initial.kind = from_file\ninitial.path = {path}"
+            ).replace("time.num_steps = 4", "time.num_steps = 1")
+            out = tmp_path / name
+            assert main(["run", "--scenario", str(write_scenario(tmp_path, text, f"{name}.cfg")),
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        for k in range(2):
+            f = f"density_{k:06d}.txt"
+            assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+        assert (outs[0] / "diagnostics.csv").read_bytes() == (outs[1] / "diagnostics.csv").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -284,6 +306,18 @@ class TestVerify:
         csv[2] = ",".join(parts)
         (bad / "diagnostics.csv").write_text("\n".join(csv) + "\n")
         assert main(["verify", str(bad), "--checks", "energy_estimate"]) == 1
+
+    def test_corrupt_snapshot_value_exits_3(self, run_dir, tmp_path, capsys):
+        import shutil
+
+        bad = tmp_path / "bad_snapshot"
+        shutil.copytree(run_dir, bad)
+        snap = bad / "density_000002.txt"
+        lines = snap.read_text().splitlines()
+        lines[5] = "0.1 abc"
+        snap.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(bad)]) == 3
+        assert "density_000002.txt" in capsys.readouterr().err
 
     def test_unknown_check_exits_3(self, run_dir):
         assert main(["verify", str(run_dir), "--checks", "bogus"]) == 3
@@ -532,3 +566,50 @@ class TestStartup:
         assert got["pushed"] == pushed.values.tolist()
         assert got["drift"] == drift
         assert got["norm"] == sobolev_norm_sq(u.values, grid, 0.5)
+
+
+# the d = 2 Sinkhorn benchmark workload (sink2d) at its default mixture, three steps
+SINK2D_SCENARIO = """\
+name = sink2d
+dimension = 2
+grid.n = 48
+grid.box_length = 16.0
+equation.s = 1.0
+time.tau = 1e-2
+time.num_steps = 3
+initial.kind = gaussian_mixture
+initial.components = 0.6 : -1.0 0.5 : 0.8 ; 0.4 : 1.2 -0.6 : 1.0
+transport.epsilon = 0.1
+transport.max_iter = 5000
+transport.tol = 1e-7
+inner.max_iters = 3
+inner.grad_tol = 1e-3
+checks = energy_estimate, moment_bound, entropy_dissipation, weak_form
+"""
+
+
+@pytest.fixture(scope="module")
+def sink2d_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sink2d")
+    out = tmp / "run"
+    assert main(["run", "--scenario", str(write_scenario(tmp, SINK2D_SCENARIO)), "--out", str(out)]) == 0
+    return out
+
+
+class TestSinkhorn2DRun:
+    def test_first_step_sinkhorn_passes(self, sink2d_run):
+        # over-relaxed warm starts: the first step took 601 passes without them
+        row = (sink2d_run / "diagnostics.csv").read_text().splitlines()[1].split(",")
+        assert int(row[11]) <= 400
+
+    def test_three_steps_converge_and_pass_every_check(self, sink2d_run):
+        sc, traj = load_run_directory(sink2d_run)
+        assert [rec.stop_reason for rec in traj.steps] == ["converged"] * 3
+        for k in range(4):
+            assert abs(traj.density_at_step(k).mass() - 1.0) <= 1e-12
+        initial = json.loads((sink2d_run / "manifest.json").read_text())["initial"]["energy"]
+        energies = [initial] + [rec.energy for rec in traj.steps]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+        assert main(["verify", str(sink2d_run)]) == 0
+        for name in sc.checks:
+            assert json.loads((sink2d_run / f"check_{name}.json").read_text())["passed"]

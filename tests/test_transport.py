@@ -543,6 +543,110 @@ class TestSinkhornCache:
         assert np.array_equal(cache.g, g)
         assert np.array_equal(cache.fa, fa)
 
+    def test_relaxed_update_defect_and_dual_ascent(self):
+        # the returned defect is the L1 distance of the dense plan's column
+        # sums to b; a relaxed update never lowers the dual objective, and an
+        # overshooting one falls back to the plain update
+        grid, eps = PeriodicGrid(2, 12, 6.0), 0.2
+        a = gaussian_density(grid, (0.0, 0.0), 1.0).values.ravel() * grid.cell_volume
+        b = gaussian_density(grid, (0.5, -0.3), 0.8).values.ravel() * grid.cell_volume
+        x = np.stack([c.ravel() for c in grid.coords], axis=1)
+        cost = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+
+        def plan(f, g):
+            return np.outer(a, b) * np.exp((f[:, None] + g[None, :] - cost) / eps)
+
+        def dual(f, g):
+            return a @ f + b @ g - eps * np.sum(plan(f, g))
+
+        kmat = _axis_kernels(grid, eps)
+        f = transport._softmin(kmat, _scaled_log(b, eps).reshape(grid.shape), 2, eps).ravel()
+        g_soft = transport._softmin(kmat, (f + _scaled_log(a, eps)).reshape(grid.shape), 2, eps).ravel()
+        for shift, relaxed in ((0.3, True), (10.0, False)):
+            g_old = g_soft - shift * eps * np.cos(x[:, 0])
+            g, defect = transport._relaxed(b, g_old, g_soft, eps)
+            assert np.array_equal(g, g_soft) != relaxed
+            assert defect == pytest.approx(np.sum(np.abs(plan(f, g).sum(axis=0) - b)), rel=1e-9, abs=1e-15)
+            assert dual(f, g) >= dual(f, g_old)
+
+    @pytest.mark.parametrize("case", ["1d", "2d", "3d"])
+    def test_relaxed_call_stops_with_both_marginals_within_tol(self, case, monkeypatch):
+        # the last two _relaxed calls of a call give its final f and g; the
+        # dense plan of (f, g) misses each marginal by at most tol, and
+        # marginal_error is the larger of the two defects
+        potentials = []
+        relaxed = transport._relaxed
+
+        def recorded_relaxed(*args):
+            out = relaxed(*args)
+            potentials.append(out[0])
+            return out
+
+        monkeypatch.setattr(transport, "_relaxed", recorded_relaxed)
+        grid, densities, epsilon = SINKHORN_CASES[case]
+        u, v = densities(grid)
+        tol = 1e-11
+        res = w2_sinkhorn(u, v, epsilon, 20000, tol, cache=SinkhornCache(v, TransportConfig(epsilon, 20000, tol)))
+        f, g = potentials[-2].ravel(), potentials[-1].ravel()
+        a, b = (w.values.ravel() * grid.cell_volume for w in (u, v))
+        x = np.stack([c.ravel() for c in grid.coords], axis=1)
+        cost = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+        plan = np.outer(a, b) * np.exp((f[:, None] + g[None, :] - cost) / epsilon)
+        a_defect = np.sum(np.abs(plan.sum(axis=1) - a))
+        b_defect = np.sum(np.abs(plan.sum(axis=0) - b))
+        assert max(a_defect, b_defect) <= tol
+        assert b_defect > 0  # the final g-update was relaxed
+        assert res.marginal_error == pytest.approx(max(a_defect, b_defect), rel=1e-3)
+
+    def test_cached_call_waits_for_the_b_marginal(self, monkeypatch):
+        # on its target the a-marginal is met at once; a b-defect above tol
+        # still keeps the loop going to its cap
+        relaxed = transport._relaxed
+        monkeypatch.setattr(transport, "_relaxed", lambda *args: (relaxed(*args)[0], 1.0))
+        cfg = TransportConfig(epsilon=0.1, max_iter=50, tol=1e-7)
+        v = self.target()
+        with pytest.raises(ConvergenceError) as exc_info:
+            w2(v, v, cfg, cache=SinkhornCache(v, cfg))
+        assert exc_info.value.marginal_error == 1.0
+
+    def test_warm_start_from_far_dual_matches_cold(self):
+        # far's tail cells carry masses down to 1e-30, which no L1 stopping
+        # rule sees, so cold calls from different starts disagree there by
+        # O(1) too; the potentials are compared where u is at least 1e-8 of
+        # its peak (the cells the inner solver's residual counts), up to a
+        # constant
+        v, tol = self.target(), self.CFG.tol
+        cache = SinkhornCache(v, self.CFG)
+        far = gaussian_density(self.GRID, (-1.5, 1.0), 1.4)
+        near = line_search_sequence(self.GRID, v)[3]
+        for u in (far, near, far):  # each call starts from the other's dual
+            cold = w2(u, v, self.CFG)
+            warm = w2(u, v, self.CFG, cache=cache)
+            live = u.values >= 1e-8 * u.values.max()
+            warm_live, cold_live = warm.potential[live], cold.potential[live]
+            gap = (warm_live - warm_live.mean()) - (cold_live - cold_live.mean())
+            assert abs(warm.w2_squared - cold.w2_squared) <= 10 * tol * abs(cold.w2_squared)
+            assert np.max(np.abs(gap)) <= 100 * tol
+            assert warm.marginal_error <= tol
+
+    @pytest.mark.parametrize("case", sorted(SINKHORN_CASES))
+    def test_cached_call_matches_cold_on_reference_cases(self, case):
+        # "wide" has zero-mass cells and non-finite softmins.  Off u's support
+        # the potential is an extension that depends on the start (zero where
+        # the kernel underflows), so it is compared on the support, up to the
+        # constant that the zero-mean normalisation over all cells adds
+        grid, densities, epsilon = SINKHORN_CASES[case]
+        u, v = densities(grid)
+        cfg = TransportConfig(epsilon, 20000, 1e-9)
+        cold = w2_sinkhorn(u, v, epsilon, 20000, 1e-9)
+        warm = w2_sinkhorn(u, v, epsilon, 20000, 1e-9, cache=SinkhornCache(v, cfg))
+        live = u.values > 0
+        warm_live, cold_live = warm.potential[live], cold.potential[live]
+        gap = (warm_live - warm_live.mean()) - (cold_live - cold_live.mean())
+        assert abs(warm.w2_squared - cold.w2_squared) <= 10 * cfg.tol * abs(cold.w2_squared)
+        assert np.max(np.abs(gap)) <= 100 * cfg.tol
+        assert warm.marginal_error <= cfg.tol
+
     def test_exact_1d_ignores_cache(self):
         g = grid1d()
         u = gaussian_density(g, 0.0, 1.0)
