@@ -24,6 +24,7 @@ from fracfilm import (
     w2,
 )
 from fracfilm.jko import (
+    _NEWTON_FORCING,
     _apply_mobility,
     _dense_lap_diff,
     _face_mobility,
@@ -138,6 +139,33 @@ def sink2d_step_config(max_iters, s=1.0):
 SINK2D_MIXTURE = ((0.6, (-1.0, 0.5), 0.8), (0.4, (1.2, -0.6), 1.0))
 
 
+@pytest.fixture(scope="module", params=[0.5, 1.0, 1.5, 2.0, 2.5])
+def sink2d_order_step(request):
+    """The mixture step at order s, with one (rtol, relative residual,
+    operator applications) entry per Newton solve handed to GMRES."""
+    import fracfilm.jko
+
+    gmres = fracfilm.jko._gmres
+    solves = []
+
+    def recorded(apply, b, precond, rtol):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return apply(x)
+
+        x = gmres(counted, b, precond, rtol)
+        solves.append((rtol, np.linalg.norm(b - apply(x)) / np.linalg.norm(b), calls[0]))
+        return x
+
+    cfg = sink2d_step_config(max_iters=10, s=request.param)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fracfilm.jko, "_gmres", recorded)
+        rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
+    return rec, solves
+
+
 class TestRegimes:
     @pytest.mark.parametrize("s, tau", [(0.5, 1e-3), (1.5, 1e-3), (2.0, 1e-3), (1.0, 0.05)])
     def test_gaussian_step_converges(self, s, tau):
@@ -152,12 +180,29 @@ class TestRegimes:
         assert rec.stop_reason == "converged"
         assert rec.kkt_residual <= 1e-3
 
-    @pytest.mark.parametrize("s", [0.5, 2.5])
-    def test_sinkhorn_2d_step_converges_at_order(self, s):
-        cfg = sink2d_step_config(max_iters=10, s=s)
-        rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
+    def test_sinkhorn_2d_step_converges_at_order(self, sink2d_order_step):
+        rec, _ = sink2d_order_step
         assert rec.stop_reason == "converged"
         assert rec.kkt_residual <= 1e-3
+        # the count of exact linear solves; a forcing of 1e-3 takes 8 at s = 2
+        assert rec.inner_iterations <= 3
+
+    def test_newton_solves_reach_forcing(self, sink2d_order_step):
+        # every Newton solve asks for the forcing tolerance and returns within
+        # it; at s = 2.5 an exact (1e-10) solve ran out of restart cycles
+        _, solves = sink2d_order_step
+        assert solves
+        for rtol, rel, _ in solves:
+            assert rtol == _NEWTON_FORCING
+            assert rel <= rtol
+
+    @pytest.mark.parametrize("sink2d_order_step", [1.0], indirect=True)
+    def test_sinkhorn_2d_newton_work(self, sink2d_order_step):
+        # the exact solves took 27 + 51 operator applications
+        rec, solves = sink2d_order_step
+        assert rec.inner_iterations == 2
+        assert rec.sinkhorn_iters == 223
+        assert sum(apps for *_, apps in solves) <= 40
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-2])
     def test_compact_support_step(self, tau):
@@ -178,6 +223,15 @@ class TestNewtonDirection:
         rhs = rng.standard_normal(50)
         x = _gmres(lambda v: mat @ v, rhs, lambda v: v)
         assert np.max(np.abs(x - np.linalg.solve(mat, rhs))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    def test_dense_lap_diff_is_the_circulant(self, n, s):
+        grid = PeriodicGrid(1, n, 40.0)
+        col = np.fft.ifft(grid.freq_sq ** s).real
+        col = np.roll(col, 1) - col
+        idx = np.arange(n)
+        assert np.array_equal(_dense_lap_diff(grid, s), col[(idx[:, None] - idx) % n])
 
     def test_dense_and_krylov_directions_agree(self):
         # d = 1 runs the dense solve; GMRES is the d >= 2 path, checked here on the same system
