@@ -28,7 +28,9 @@ after an accepted step).  The residual ignores cells below 1e-8 of the peak
 (`_DEGENERATE_SHARE`), whose influence on any functional of the iterate is
 bounded by their total mass.  All transport calls of a step share one
 `SinkhornCache` for u_prev, and the step records how many calls it made and
-how many Sinkhorn passes they took.
+how many Sinkhorn passes they took, and in d >= 2 how many operator
+applications its GMRES solves made and how many of them missed
+`_NEWTON_FORCING`.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ _STALL_ITERS = 20  # iterations without a new smallest residual before a step st
 _GMRES_RESTART = 60
 _GMRES_RTOL = 1e-10  # default tolerance of `_gmres`
 _NEWTON_FORCING = 1e-5  # relative linear residual of a d >= 2 Newton solve
-_GMRES_CYCLES = 50  # restart cycles before GMRES returns its last iterate
+_GMRES_CYCLES = 50  # restart cycles before GMRES gives up on its tolerance
 STOP_REASONS = ("converged", "max_iters", "stalled")
 
 
@@ -104,6 +106,8 @@ class StepRecord:
     stop_reason: str  # why the inner loop ended: one of STOP_REASONS
     transport_calls: int  # w2 evaluations the step made
     sinkhorn_iters: int  # Sinkhorn passes of those calls (0 on the exact 1D path)
+    krylov_applications: int  # GMRES operator applications (0 on the dense 1D path)
+    krylov_unmet: int  # GMRES solves that missed their tolerance (0 on the dense 1D path)
 
 
 @dataclass(frozen=True)
@@ -192,10 +196,11 @@ def _solve_dense(lap_diff: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray) 
 
 
 def _solve_krylov(u: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray,
-                  grid: PeriodicGrid, s: float, rtol: float = _GMRES_RTOL) -> np.ndarray:
+                  grid: PeriodicGrid, s: float, rtol: float = _GMRES_RTOL) -> tuple:
     """Solve (I + tau L_s A_u) z = rhs by GMRES to the relative residual
     `rtol`, right-preconditioned with the Fourier multiplier of the same
-    operator at the constant mobility sum(u^2)/sum(u)."""
+    operator at the constant mobility sum(u^2)/sum(u).  Returns `_gmres`'s
+    (z, applications, met), z in the grid's shape."""
     lap = grid.freq_sq ** s
     m_bar = float(np.sum(u * u) / np.sum(u))
     inv_pre = 1.0 / (1.0 + tau * m_bar * lap * grid.freq_sq)
@@ -208,16 +213,19 @@ def _solve_krylov(u: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray,
     def precond(x):
         return apply_multiplier(x.reshape(shape), grid, inv_pre).ravel()
 
-    return _gmres(apply, rhs.ravel(), precond, rtol).reshape(shape)
+    x, applications, met = _gmres(apply, rhs.ravel(), precond, rtol)
+    return x.reshape(shape), applications, met
 
 
-def _gmres(apply, b: np.ndarray, precond, rtol: float = _GMRES_RTOL) -> np.ndarray:
+def _gmres(apply, b: np.ndarray, precond, rtol: float = _GMRES_RTOL) -> tuple:
     """Right-preconditioned GMRES for apply(x) = b on flat vectors, restarted
     every `_GMRES_RESTART` iterations.
 
     Arnoldi with twice-iterated classical Gram-Schmidt, Givens rotations for
-    the residual estimate.  Returns x once |b - apply(x)| <= rtol |b|, or the
-    last iterate after `_GMRES_CYCLES` restarts (the caller checks descent).
+    the residual estimate.  Returns (x, applications, met): x once
+    |b - apply(x)| <= rtol |b| (met True), or the last iterate after
+    `_GMRES_CYCLES` restart cycles (met as that test finds it; the caller
+    checks descent), with the number of calls of `apply` made.
 
     `jko_step` asks for `_NEWTON_FORCING` only: its loop tests the step's
     own residual and descent-checks every direction, so the extra digits of
@@ -230,11 +238,13 @@ def _gmres(apply, b: np.ndarray, precond, rtol: float = _GMRES_RTOL) -> np.ndarr
     restart = _GMRES_RESTART
     x = np.zeros_like(b)
     target = rtol * np.linalg.norm(b)
-    for _ in range(_GMRES_CYCLES):
+    applications = 0
+    for cycle in range(_GMRES_CYCLES + 1):
         res = b - apply(x)
+        applications += 1
         beta = np.linalg.norm(res)
-        if beta <= target:
-            break
+        if beta <= target or cycle == _GMRES_CYCLES:
+            return x, applications, bool(beta <= target)
         basis = np.zeros((restart + 1, b.size))
         basis[0] = res / beta
         tri = np.zeros((restart, restart))
@@ -244,6 +254,7 @@ def _gmres(apply, b: np.ndarray, precond, rtol: float = _GMRES_RTOL) -> np.ndarr
         k = restart
         for j in range(restart):
             w = apply(precond(basis[j]))
+            applications += 1
             h = basis[: j + 1] @ w
             w -= h @ basis[: j + 1]
             h2 = basis[: j + 1] @ w
@@ -263,7 +274,6 @@ def _gmres(apply, b: np.ndarray, precond, rtol: float = _GMRES_RTOL) -> np.ndarr
             basis[j + 1] = w / col[j + 1]
         y = np.linalg.solve(tri[:k, :k], gam[:k])
         x = x + precond(y @ basis[:k])
-    return x
 
 
 def _candidate(u: np.ndarray, du: np.ndarray, alpha: float, cell_volume: float) -> np.ndarray:
@@ -282,7 +292,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
     s, tau, inner = cfg.s, cfg.tau, cfg.inner
     hvol = grid.cell_volume
     cache = SinkhornCache(u_prev, cfg.transport)
-    counts = [0, 0]  # transport calls, Sinkhorn passes
+    counts = [0, 0, 0, 0]  # transport calls, Sinkhorn passes, GMRES applications, unmet solves
 
     def count(tr):
         counts[0] += 1
@@ -314,7 +324,10 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
             return _solve_dense(lap_diff, mob, tau, rhs)
     else:
         def solve(u, mob, rhs):
-            return _solve_krylov(u, mob, tau, rhs, grid, s, _NEWTON_FORCING)
+            z, applications, met = _solve_krylov(u, mob, tau, rhs, grid, s, _NEWTON_FORCING)
+            counts[2] += applications
+            counts[3] += not met
+            return z
 
     u = u_prev.values.copy()
     obj = energy_of_values(u, grid, s)
@@ -379,6 +392,8 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         stop_reason=stop_reason,
         transport_calls=counts[0],
         sinkhorn_iters=counts[1],
+        krylov_applications=counts[2],
+        krylov_unmet=counts[3],
     )
 
 

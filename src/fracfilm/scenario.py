@@ -62,6 +62,8 @@ CSV_COLUMNS = [
     "stop_reason",
     "transport_calls",
     "sinkhorn_iters",
+    "krylov_applications",
+    "krylov_unmet",
 ]
 
 DEFAULT_CHECKS = ["energy_estimate", "moment_bound", "entropy_dissipation", "weak_form"]
@@ -358,6 +360,8 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
                 rec.stop_reason,
                 str(rec.transport_calls),
                 str(rec.sinkhorn_iters),
+                str(rec.krylov_applications),
+                str(rec.krylov_unmet),
             ]
             fh.write(",".join(row) + "\n")
     for k in range(traj.num_steps + 1):
@@ -435,6 +439,8 @@ def load_run_directory(run_dir):
                 stop_reason=parts[9],
                 transport_calls=int(parts[10]),
                 sinkhorn_iters=int(parts[11]),
+                krylov_applications=int(parts[12]),
+                krylov_unmet=int(parts[13]),
             )
         )
     traj = Trajectory(sc.jko_config(), initial, steps, status=manifest.get("status", "ok"))

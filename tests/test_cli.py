@@ -367,7 +367,8 @@ class TestVerify:
         assert [rec.stop_reason for rec in traj.steps] == ["max_iters"] * 4
 
     def test_transport_counters_round_trip(self, tmp_path):
-        # 1D: the exact path makes no Sinkhorn pass; d = 2: every call does
+        # 1D: the exact path makes no Sinkhorn pass and the dense solve no
+        # GMRES application; d = 2: every transport call and Newton solve does
         one_d = FAST_SCENARIO.replace("inner.grad_tol = 1e-7", "inner.grad_tol = 1e-7\ninner.max_iters = 5")
         two_d = one_d.replace("dimension = 1", "dimension = 2").replace(
             "grid.n = 128", "grid.n = 16").replace("grid.box_length = 40.0", "grid.box_length = 12.0").replace(
@@ -377,15 +378,16 @@ class TestVerify:
             out = tmp_path / name
             assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
             rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().splitlines()]
-            assert rows[0][-3:] == ["stop_reason", "transport_calls", "sinkhorn_iters"]
+            names = ["transport_calls", "sinkhorn_iters", "krylov_applications", "krylov_unmet"]
+            assert rows[0][-5:] == ["stop_reason"] + names
             _, traj = load_run_directory(out)
-            counters = [(rec.transport_calls, rec.sinkhorn_iters) for rec in traj.steps]
-            assert counters == [(int(r[-2]), int(r[-1])) for r in rows[1:]]
-            assert all(calls > 5 for calls, _ in counters)
+            counters = [tuple(getattr(rec, c) for c in names) for rec in traj.steps]
+            assert counters == [tuple(int(v) for v in r[-4:]) for r in rows[1:]]
+            assert all(calls > 5 and unmet == 0 for calls, _, _, unmet in counters)
             if name == "one_d":
-                assert all(iters == 0 for _, iters in counters)
+                assert all(iters == apps == 0 for _, iters, apps, _ in counters)
             else:
-                assert all(iters > calls for calls, iters in counters)
+                assert all(iters > calls and apps > 0 for calls, iters, apps, _ in counters)
             csv = (out / "diagnostics.csv").read_text()
             for bad in ("-1", "1.5", "x"):
                 lines = csv.splitlines()
@@ -415,8 +417,9 @@ class TestVerify:
 
 
 class TestDeterminism:
-    def test_rerun_byte_identical(self, tmp_path):
-        scen = write_scenario(tmp_path, FAST_SCENARIO)
+    @pytest.mark.parametrize("text", [FAST_SCENARIO, SINKHORN_2D_SCENARIO], ids=["one_d", "two_d"])
+    def test_rerun_byte_identical(self, tmp_path, text):
+        scen = write_scenario(tmp_path, text)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--scenario", str(scen), "--out", str(out1)]) == 0
         assert main(["run", "--scenario", str(scen), "--out", str(out2)]) == 0

@@ -142,7 +142,10 @@ SINK2D_MIXTURE = ((0.6, (-1.0, 0.5), 0.8), (0.4, (1.2, -0.6), 1.0))
 @pytest.fixture(scope="module", params=[0.5, 1.0, 1.5, 2.0, 2.5])
 def sink2d_order_step(request):
     """The mixture step at order s, with one (rtol, relative residual,
-    operator applications) entry per Newton solve handed to GMRES."""
+    operator applications) entry per Newton solve handed to GMRES; the
+    applications are counted by wrapping the operator, and each solve's
+    own count and `met` flag are checked against that count and the
+    residual."""
     import fracfilm.jko
 
     gmres = fracfilm.jko._gmres
@@ -155,9 +158,12 @@ def sink2d_order_step(request):
             calls[0] += 1
             return apply(x)
 
-        x = gmres(counted, b, precond, rtol)
-        solves.append((rtol, np.linalg.norm(b - apply(x)) / np.linalg.norm(b), calls[0]))
-        return x
+        x, applications, met = gmres(counted, b, precond, rtol)
+        rel = np.linalg.norm(b - apply(x)) / np.linalg.norm(b)
+        assert applications == calls[0]
+        assert met == (rel <= rtol)
+        solves.append((rtol, rel, calls[0]))
+        return x, applications, met
 
     cfg = sink2d_step_config(max_iters=10, s=request.param)
     with pytest.MonkeyPatch.context() as mp:
@@ -204,6 +210,33 @@ class TestRegimes:
         assert rec.sinkhorn_iters == 223
         assert sum(apps for *_, apps in solves) <= 40
 
+    @pytest.mark.parametrize("sink2d_order_step", [1.0], indirect=True)
+    def test_sinkhorn_2d_krylov_counts(self, sink2d_order_step):
+        # the seed-0 sink2d benchmark step: two Newton solves, 8 + 26
+        # operator applications, both within the forcing tolerance
+        rec, _ = sink2d_order_step
+        assert (rec.krylov_applications, rec.krylov_unmet) == (34, 0)
+
+    def test_step_records_krylov_work(self, sink2d_order_step):
+        # the record adds up the applications of every Newton solve and
+        # counts the solves that missed the forcing tolerance (none here)
+        rec, solves = sink2d_order_step
+        assert rec.krylov_applications == sum(apps for *_, apps in solves)
+        assert rec.krylov_unmet == 0
+
+    def test_unmet_krylov_solve_is_counted(self, monkeypatch):
+        # one restart cycle of two iterations cannot reach the forcing
+        # tolerance: each solve applies the operator for its residual, its
+        # two Arnoldi steps and the final residual that finds the miss
+        import fracfilm.jko
+
+        monkeypatch.setattr(fracfilm.jko, "_GMRES_RESTART", 2)
+        monkeypatch.setattr(fracfilm.jko, "_GMRES_CYCLES", 1)
+        cfg = sink2d_step_config(max_iters=2)
+        rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
+        assert rec.krylov_unmet >= 1
+        assert rec.krylov_applications == 4 * rec.krylov_unmet
+
     @pytest.mark.parametrize("tau", [1e-3, 1e-2])
     def test_compact_support_step(self, tau):
         cfg = make_cfg(s=1.0, tau=tau, grad_tol=1e-8, max_iters=50)
@@ -221,7 +254,8 @@ class TestNewtonDirection:
         rng = np.random.default_rng(7)
         mat = rng.standard_normal((50, 50)) + 8.0 * np.eye(50)
         rhs = rng.standard_normal(50)
-        x = _gmres(lambda v: mat @ v, rhs, lambda v: v)
+        x, applications, met = _gmres(lambda v: mat @ v, rhs, lambda v: v)
+        assert met and applications > 1
         assert np.max(np.abs(x - np.linalg.solve(mat, rhs))) <= 1e-10
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -241,7 +275,9 @@ class TestNewtonDirection:
         rhs = fractional_laplacian(u, grid, s)
         mob = _face_mobility(u, _open_faces(u > 0), grid.spacing)
         dense = _apply_mobility(_solve_dense(_dense_lap_diff(grid, s), mob, tau, rhs), mob)
-        krylov = _apply_mobility(_solve_krylov(u, mob, tau, rhs, grid, s), mob)
+        z, _, met = _solve_krylov(u, mob, tau, rhs, grid, s)
+        assert met
+        krylov = _apply_mobility(z, mob)
         assert np.max(np.abs(dense - krylov)) <= 1e-9 * np.max(np.abs(dense))
 
     def test_direction_mass_support_and_slope(self):

@@ -5,11 +5,15 @@ from fracfilm import (
     ConvergenceError,
     GridDensity,
     GridMismatchError,
+    InnerConfig,
+    JkoConfig,
     PeriodicGrid,
     SinkhornCache,
     TransportConfig,
     gaussian_density,
+    gaussian_mixture_density,
     heat_semigroup,
+    jko_step,
     optimal_map_1d,
     uniform_density,
     w2,
@@ -455,6 +459,17 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             transport._softmin(_axis_kernels(g, 0.1), np.full(g.shape, -np.inf), 2, 0.1)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, np.nan, np.inf])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        # a nan or infinite epsilon used to surface as "softmin needs at
+        # least one finite entry"
+        g = PeriodicGrid(2, 8, 4.0)
+        u = gaussian_density(g, (0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            w2_sinkhorn(u, u, epsilon)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            TransportConfig(epsilon=epsilon)
+
     def test_nonconvergence_raises_with_marginal_error(self):
         g = grid1d(n=128, L=20.0)
         u = gaussian_density(g, 0.0, 1.0)
@@ -481,6 +496,55 @@ def line_search_sequence(grid, v):
     field = np.sin(x) + 0.5 * np.cos(0.7 * y) + 0.05 * (x * x + y * y)
     return [v] + [GridDensity.normalized(grid, v.values * np.exp(-a * field))
                   for a in (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125)]
+
+
+def unfloored_axis_kernels(grid, epsilon):
+    """`_axis_kernels` without the floor: every entry exp(-|x - y|^2 / eps)."""
+    x = grid.axis_coords
+    return np.exp(-((x[:, None] - x[None, :]) ** 2) / epsilon)
+
+
+class TestKernelFloor:
+    def test_floor_keeps_products_of_kept_entries_normal(self):
+        floor = transport._KERNEL_FLOOR
+        assert floor * floor >= np.finfo(float).tiny
+        grid = PeriodicGrid(2, 48, 16.0)
+        plain = unfloored_axis_kernels(grid, 0.1)
+        assert np.any((plain > 0) & (plain < floor))
+        assert np.array_equal(_axis_kernels(grid, 0.1), np.where(plain < floor, 0.0, plain))
+
+    @pytest.mark.parametrize("case", sorted(SINKHORN_CASES))
+    def test_unfloored_kernel_gives_the_same_answer(self, case, monkeypatch):
+        grid, densities, epsilon = SINKHORN_CASES[case]
+        u, v = densities(grid)
+        floored = w2_sinkhorn(u, v, epsilon, 20000, 1e-9)
+        monkeypatch.setattr(transport, "_axis_kernels", unfloored_axis_kernels)
+        plain = w2_sinkhorn(u, v, epsilon, 20000, 1e-9)
+        assert floored.w2_squared == plain.w2_squared
+        if case != "wide":
+            assert np.array_equal(floored.potential, plain.potential)
+            return
+        # "wide" has cells without mass where the kernel between them and
+        # the support underflows.  Their potential is the start-dependent
+        # tail value of the w2_sinkhorn FOUND on tail potentials in
+        # CHANGES.md, and the floor moves it by up to 32.5; the zero-mean
+        # normalisation turns that into a constant (-0.617) on the support
+        live = u.values > 0
+        gap = floored.potential[live] - plain.potential[live]
+        assert np.max(gap) - np.min(gap) <= 1e-14
+
+    def test_sink2d_step_at_small_epsilon(self, monkeypatch):
+        # the d = 2 step of the solver tests at eps = 0.05, where the floor
+        # zeroes every entry with |x - y| > 4.2 (the box is 16 wide)
+        grid = PeriodicGrid(2, 48, 16.0)
+        cfg = JkoConfig(grid=grid, s=1.0, tau=1e-2, inner=InnerConfig(grad_tol=1e-3, max_iters=3),
+                        transport=TransportConfig(epsilon=0.05, max_iter=5000, tol=1e-7))
+        u0 = gaussian_mixture_density(grid, ((0.6, (-1.0, 0.5), 0.8), (0.4, (1.2, -0.6), 1.0)))
+        floored = jko_step(u0, cfg)
+        monkeypatch.setattr(transport, "_axis_kernels", unfloored_axis_kernels)
+        plain = jko_step(u0, cfg)
+        assert floored.sinkhorn_iters == plain.sinkhorn_iters == 694
+        assert np.array_equal(floored.density.values, plain.density.values)
 
 
 class TestSinkhornCache:
@@ -646,6 +710,25 @@ class TestSinkhornCache:
         assert abs(warm.w2_squared - cold.w2_squared) <= 10 * cfg.tol * abs(cold.w2_squared)
         assert np.max(np.abs(gap)) <= 100 * cfg.tol
         assert warm.marginal_error <= cfg.tol
+
+    @pytest.mark.parametrize("case", sorted(SINKHORN_CASES))
+    def test_second_call_leaves_first_results_alone(self, case):
+        # no work array of a call aliases what an earlier call returned or
+        # cached, nor does anything a call returns alias the cache
+        grid, densities, epsilon = SINKHORN_CASES[case]
+        u, v = densities(grid)
+        cfg = TransportConfig(epsilon, 20000, 1e-9)
+        cache = SinkhornCache(v, cfg)
+        first = w2_sinkhorn(u, v, epsilon, 20000, 1e-9, cache=cache)
+        kept = {"potential": first.potential, "g": cache.g, "fa": cache.fa}
+        copies = {name: arr.copy() for name, arr in kept.items()}
+        u2 = GridDensity.normalized(grid, u.values + v.values)
+        second = w2_sinkhorn(u2, v, epsilon, 20000, 1e-9, cache=cache)
+        for name, arr in kept.items():
+            assert np.array_equal(arr, copies[name]), name
+        held = [second.potential, cache.g, cache.fa, cache.fb, cache.kmat, cache.lb, *kept.values()]
+        for i, x in enumerate(held):
+            assert not any(np.shares_memory(x, y) for y in held[i + 1:])
 
     def test_exact_1d_ignores_cache(self):
         g = grid1d()
