@@ -37,11 +37,11 @@ class GridDensity:
             raise GridMismatchError(
                 f"density shape {v.shape} does not match grid {self.grid.shape}"
             )
-        if np.min(v) < 0:
-            raise ValueError(f"density has negative values (min {np.min(v):.3e})")
+        if not (np.min(v) >= 0):  # also catches nan
+            raise ValueError(f"density has negative or nan values (min {np.min(v):.3e})")
         object.__setattr__(self, "values", v)
         m = self.mass()
-        if abs(m - 1.0) > MASS_TOL:
+        if not (abs(m - 1.0) <= MASS_TOL):  # also catches inf
             raise ValueError(f"density mass {m!r} deviates from 1 by more than {MASS_TOL}")
 
     def mass(self) -> float:
@@ -51,11 +51,13 @@ class GridDensity:
     def normalized(cls, grid: PeriodicGrid, values: np.ndarray) -> "GridDensity":
         """Rescale nonnegative values to unit mass."""
         v = np.asarray(values, dtype=float)
-        if np.min(v) < 0:
-            raise ValueError(f"cannot normalize values with negative entries (min {np.min(v):.3e})")
+        if not (np.min(v) >= 0):  # also catches nan
+            raise ValueError(f"cannot normalize values with negative or nan entries (min {np.min(v):.3e})")
         total = grid.cell_volume * np.sum(v)
         if total <= 0:
             raise ValueError("cannot normalize an identically zero density")
+        if not np.isfinite(total):
+            raise ValueError("cannot normalize values with infinite entries")
         return cls(grid, v / total)
 
 

@@ -337,6 +337,8 @@ def _read_density_file(path, grid: PeriodicGrid) -> np.ndarray:
         raise ScenarioError(
             f"density file {path} has {arr.size} rows, grid needs {grid.size}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"density file {path} holds a non-finite value")
     return arr.reshape(grid.shape)
 
 

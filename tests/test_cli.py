@@ -200,6 +200,16 @@ class TestRun:
         assert code == 3
         assert "/nonexistent/u0.txt" in capsys.readouterr().err
 
+    def test_nan_in_initial_file_exits_3(self, tmp_path, capsys):
+        (tmp_path / "u0.txt").write_text("\n".join(["1.0"] * 127 + ["nan"]) + "\n")
+        text = FAST_SCENARIO.replace(
+            "initial.kind = gaussian", f"initial.kind = from_file\ninitial.path = {tmp_path / 'u0.txt'}"
+        )
+        scen = write_scenario(tmp_path, text)
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_scenario_exits_3(self, tmp_path):
         scen = write_scenario(tmp_path, "grid.n = 128\n")  # missing required keys
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 3

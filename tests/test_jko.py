@@ -291,6 +291,54 @@ class TestNewtonDirection:
         assert np.all(du[u == 0] == 0.0)  # no flux through a face that touches the zero set
         assert np.sum(g * du) * grid.spacing < 0.0
 
+    @pytest.mark.parametrize("tau", [1e-3, 1e-2])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("datum", ["gaussian", "bump"])
+    def test_reduced_solve_matches_full_system(self, datum, n, s, tau):
+        grid = PeriodicGrid(1, n, 40.0)
+        u = (gaussian_density(grid) if datum == "gaussian" else compact_bump(grid)).values
+        g = fractional_laplacian(u, grid, s)
+        rhs = g - g.mean()
+        mob = _face_mobility(u, _open_faces(u > 0), grid.spacing)
+        lap_diff = _dense_lap_diff(grid, s)
+        # the whole n x n system: column k is tau (C[:, k-1] m_{k-1} - C[:, k] m_k)
+        scaled = lap_diff * mob[0]
+        system = tau * (np.roll(scaled, 1, axis=1) - scaled) + np.eye(n)
+        full = _apply_mobility(np.linalg.solve(system, rhs), mob)
+        reduced = _apply_mobility(_solve_dense(lap_diff, mob, tau, rhs), mob)
+        assert np.max(np.abs(reduced - full)) <= 1e-11 * np.max(np.abs(full))
+
+    def test_no_kept_column_returns_rhs(self, monkeypatch):
+        grid = PeriodicGrid(1, 64, 40.0)
+        u = gaussian_density(grid).values
+        rhs = fractional_laplacian(u, grid, 1.0)
+        mob = _face_mobility(u, _open_faces(u > 0), grid.spacing)
+
+        def no_solve(*args):
+            raise AssertionError("no system to solve")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        assert np.array_equal(_solve_dense(_dense_lap_diff(grid, 1.0), mob, 1e-300, rhs), rhs)
+
+    def test_bump_solves_for_the_cells_on_open_faces(self, monkeypatch):
+        grid = PeriodicGrid(1, 256, 40.0)
+        u = compact_bump(grid).values
+        faces = _open_faces(u > 0)
+        mob = _face_mobility(u, faces, grid.spacing)
+        sizes = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            sizes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        _solve_dense(_dense_lap_diff(grid, 1.0), mob, 1e-2, fractional_laplacian(u, grid, 1.0))
+        touching = np.count_nonzero(faces[0] | np.roll(faces[0], 1))
+        assert touching == 25
+        assert sizes == [(touching, touching)]
+
     def test_2d_step_does_not_import_sparse_linalg(self):
         code = (
             "import sys\n"
@@ -332,6 +380,13 @@ class TestRun:
         e0 = energy(traj.initial, cfg.s)
         dissipation = sum(rec.w2_sq_to_prev for rec in traj.steps) / (2 * cfg.tau)
         assert traj.steps[-1].energy + dissipation <= e0 * (1 + 1e-8)
+
+    def test_reference_run_solver_work(self, reference_trajectory):
+        # pins the Newton work, so a faster solver cannot trade it for time
+        steps = reference_trajectory.steps
+        assert sum(rec.inner_iterations for rec in steps) == 319
+        assert sum(rec.transport_calls for rec in steps) == 688
+        assert all(rec.stop_reason == "converged" for rec in steps)
 
     def test_indices_contiguous(self, reference_trajectory):
         assert [rec.index for rec in reference_trajectory.steps] == list(range(1, 51))

@@ -40,6 +40,16 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity(g, np.full(g.shape, 2.0 / g.box_length))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        g = grid1d(64)
+        vals = np.full(g.shape, 1.0 / g.box_length)
+        vals[3] = bad
+        with pytest.raises(ValueError):
+            GridDensity(g, vals)
+        with pytest.raises(ValueError):
+            GridDensity.normalized(g, vals)
+
     def test_normalized_constructor(self):
         g = grid1d(64)
         rng = np.random.default_rng(0)
