@@ -18,9 +18,10 @@ entry by more than one ulp of the unit diagonal (`_solve_dense`): LU
 solves that block, O(|B|^3) per iteration for |B| kept columns (113 of
 256 on the reference Gaussian), and one matrix-vector product gives the
 other cells.  In d >= 2 it is solved by
-restarted GMRES with a Fourier preconditioner, stopped at the relative
-residual `_NEWTON_FORCING`: an inexact Newton method with a fixed forcing
-term (Eisenstat & Walker 1996; `_gmres` says why it suffices).
+conjugate gradients on its SPD zero-mean form in Fourier coordinates, with a
+Fourier preconditioner (`_solve_krylov`), stopped at the relative residual
+`_NEWTON_FORCING`: an inexact Newton method with a fixed forcing term
+(Eisenstat & Walker 1996; `_solve_krylov` says why it suffices).
 
 The candidate u + alpha du (u exp(alpha du / u) where du < 0, then
 renormalised) keeps positivity and mass one to rounding; a non-descent
@@ -33,7 +34,7 @@ after an accepted step).  The residual ignores cells below 1e-8 of the peak
 bounded by their total mass.  All transport calls of a step share one
 `SinkhornCache` for u_prev, and the step records how many calls it made and
 how many Sinkhorn passes they took, and in d >= 2 how many operator
-applications its GMRES solves made and how many of them missed
+applications its CG solves made and how many of them missed
 `_NEWTON_FORCING`.
 """
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import FracfilmError, StagnationError
 from .measure import GridDensity, boundary_shell_mass, entropy, second_moment
-from .spectral import PeriodicGrid, apply_multiplier, energy_of_values, fractional_laplacian
+from .spectral import PeriodicGrid, energy_of_values, fractional_laplacian
 from .transport import SinkhornCache, TransportConfig, w2
 
 _EPS = np.finfo(float).eps
@@ -57,10 +58,9 @@ _ARMIJO = 1e-4  # sufficient-decrease constant
 _ALPHA_MIN = 1e-12  # smallest step the line search tries
 _DEGENERATE_SHARE = 1e-8  # residual floor, relative to the peak value
 _STALL_ITERS = 20  # iterations without a new smallest residual before a step stalls
-_GMRES_RESTART = 60
-_GMRES_RTOL = 1e-10  # default tolerance of `_gmres`
+_KRYLOV_RTOL = 1e-10  # default tolerance of `_solve_krylov`
 _NEWTON_FORCING = 1e-5  # relative linear residual of a d >= 2 Newton solve
-_GMRES_CYCLES = 50  # restart cycles before GMRES gives up on its tolerance
+_CG_MAX_ITERS = 3050  # operator applications before CG gives up on its tolerance
 STOP_REASONS = ("converged", "max_iters", "stalled")
 
 
@@ -111,8 +111,8 @@ class StepRecord:
     stop_reason: str  # why the inner loop ended: one of STOP_REASONS
     transport_calls: int  # w2 evaluations the step made
     sinkhorn_iters: int  # Sinkhorn passes of those calls (0 on the exact 1D path)
-    krylov_applications: int  # GMRES operator applications (0 on the dense 1D path)
-    krylov_unmet: int  # GMRES solves that missed their tolerance (0 on the dense 1D path)
+    krylov_applications: int  # CG operator applications (0 on the dense 1D path)
+    krylov_unmet: int  # CG solves that missed their tolerance (0 on the dense 1D path)
 
 
 @dataclass(frozen=True)
@@ -170,11 +170,20 @@ def _face_mobility(u: np.ndarray, open_faces: tuple, h: float) -> tuple:
 
 def _apply_mobility(z: np.ndarray, mob: tuple) -> np.ndarray:
     """A_u z = sum_a D_a^T (m_a D_a z), D_a the periodic forward difference:
-    the discrete -div(u grad z), symmetric positive semidefinite."""
+    the discrete -div(u grad z), symmetric positive semidefinite.  Along
+    each axis, flux_j = m_j (z_{j+1} - z_j) and out_j += flux_{j-1} - flux_j,
+    indexed by slices with the periodic wrap as a one-cell slice."""
     out = np.zeros_like(z)
     for a, m in enumerate(mob):
-        flux = m * (np.roll(z, -1, axis=a) - z)
-        out += np.roll(flux, 1, axis=a) - flux
+        lead = (slice(None),) * a
+        head, tail = lead + (slice(1, None),), lead + (slice(None, -1),)
+        first, last = lead + (slice(None, 1),), lead + (slice(-1, None),)
+        flux = np.empty_like(z)
+        np.subtract(z[head], z[tail], out=flux[tail])
+        np.subtract(z[first], z[last], out=flux[last])
+        flux *= m
+        out[head] += flux[tail] - flux[head]
+        out[first] += flux[last] - flux[first]
     return out
 
 
@@ -220,84 +229,64 @@ def _solve_dense(lap_diff: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray) 
 
 
 def _solve_krylov(u: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray,
-                  grid: PeriodicGrid, s: float, rtol: float = _GMRES_RTOL) -> tuple:
-    """Solve (I + tau L_s A_u) z = rhs by GMRES to the relative residual
-    `rtol`, right-preconditioned with the Fourier multiplier of the same
-    operator at the constant mobility sum(u^2)/sum(u).  Returns `_gmres`'s
-    (z, applications, met), z in the grid's shape."""
-    lap = grid.freq_sq ** s
-    m_bar = float(np.sum(u * u) / np.sum(u))
-    inv_pre = 1.0 / (1.0 + tau * m_bar * lap * grid.freq_sq)
-    shape = rhs.shape
+                  grid: PeriodicGrid, s: float, rtol: float = _KRYLOV_RTOL) -> tuple:
+    """Solve (I + tau L_s A_u) z = rhs by preconditioned CG to the relative
+    residual `rtol`.  Returns (z, applications, met): met is whether
+    |rhs - (I + tau L_s A_u) z| <= rtol |rhs|, and after `_CG_MAX_ITERS`
+    applications of A_u the last iterate is returned (the caller checks descent).
 
-    def apply(x):
-        z = x.reshape(shape)
-        return (z + tau * apply_multiplier(_apply_mobility(z, mob), grid, lap)).ravel()
-
-    def precond(x):
-        return apply_multiplier(x.reshape(shape), grid, inv_pre).ravel()
-
-    x, applications, met = _gmres(apply, rhs.ravel(), precond, rtol)
-    return x.reshape(shape), applications, met
-
-
-def _gmres(apply, b: np.ndarray, precond, rtol: float = _GMRES_RTOL) -> tuple:
-    """Right-preconditioned GMRES for apply(x) = b on flat vectors, restarted
-    every `_GMRES_RESTART` iterations.
-
-    Arnoldi with twice-iterated classical Gram-Schmidt, Givens rotations for
-    the residual estimate.  Returns (x, applications, met): x once
-    |b - apply(x)| <= rtol |b| (met True), or the last iterate after
-    `_GMRES_CYCLES` restart cycles (met as that test finds it; the caller
-    checks descent), with the number of calls of `apply` made.
+    A_u kills constants and maps onto zero-mean functions, where L_s is
+    invertible, so z = z0 + mean(rhs) with z0 the solution of the SPD system
+    (L_s^-1 + tau A_u) z0 = L_s^-1 (rhs - mean(rhs)).  CG runs on the `rfftn`
+    coefficients with the Parseval weights (1 on the first and the Nyquist
+    column of the last axis, 2 elsewhere).  There L_s^-1 and the
+    preconditioner lambda / (1 + tau m lambda |xi|^2), the inverse symbol at
+    the constant mobility m = sum(u^2)/sum(u), are diagonal: an iteration is
+    one `irfftn`, one A_u and one `rfftn`.  The original residual is lambda
+    times the CG residual, so the stopping test costs no application.
 
     `jko_step` asks for `_NEWTON_FORCING` only: its loop tests the step's
     own residual and descent-checks every direction, so the extra digits of
     a 1e-10 solve never change a step's Newton count, and they cost half or
-    more of its operator applications (at s = 2.5 more than the restart
-    cycles allow).  A forcing of 1e-3 is too loose: at s = 2 the sink2d
-    step then takes 8 Newton iterations instead of 2.  A direct call gets
-    `_GMRES_RTOL`, a linear solve that matches a dense one to 1e-10.
+    more of its operator applications.  A forcing of 1e-3 is too loose: at
+    s = 2 the sink2d step then takes 8 Newton iterations instead of 2.  A
+    direct call gets `_KRYLOV_RTOL`, a linear solve that matches a dense
+    one to 1e-10.
     """
-    restart = _GMRES_RESTART
-    x = np.zeros_like(b)
-    target = rtol * np.linalg.norm(b)
+    cols = rhs.shape[-1] // 2 + 1  # n is even, so `irfftn` restores the grid's shape
+    xi_sq = grid.freq_sq[..., :cols]
+    lam = xi_sq ** s
+    inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
+    m_bar = float(np.sum(u * u) / np.sum(u))
+    precond = lam / (1.0 + tau * m_bar * lam * xi_sq)
+    weight = np.full(cols, 2.0)
+    weight[0] = weight[-1] = 1.0
+
+    def dot(x, y):
+        return float(np.vdot(weight * x, y).real)
+
+    coeffs = np.fft.rfftn(rhs)
+    target = rtol * math.sqrt(dot(coeffs, coeffs))
+    res = inv_lam * coeffs
+    sol = np.zeros_like(res)
+    direction = precond * res
+    rz = dot(res, direction)
     applications = 0
-    for cycle in range(_GMRES_CYCLES + 1):
-        res = b - apply(x)
+    while True:
+        lam_res = lam * res
+        met = math.sqrt(dot(lam_res, lam_res)) <= target
+        if met or applications == _CG_MAX_ITERS:
+            break
+        image = inv_lam * direction
+        image += tau * np.fft.rfftn(_apply_mobility(np.fft.irfftn(direction), mob))
         applications += 1
-        beta = np.linalg.norm(res)
-        if beta <= target or cycle == _GMRES_CYCLES:
-            return x, applications, bool(beta <= target)
-        basis = np.zeros((restart + 1, b.size))
-        basis[0] = res / beta
-        tri = np.zeros((restart, restart))
-        cos, sin = np.zeros(restart), np.zeros(restart)
-        gam = np.zeros(restart + 1)
-        gam[0] = beta
-        k = restart
-        for j in range(restart):
-            w = apply(precond(basis[j]))
-            applications += 1
-            h = basis[: j + 1] @ w
-            w -= h @ basis[: j + 1]
-            h2 = basis[: j + 1] @ w
-            w -= h2 @ basis[: j + 1]
-            col = np.append(h + h2, np.linalg.norm(w))
-            for i in range(j):
-                col[i], col[i + 1] = (cos[i] * col[i] + sin[i] * col[i + 1],
-                                      cos[i] * col[i + 1] - sin[i] * col[i])
-            rho = np.hypot(col[j], col[j + 1])
-            cos[j], sin[j] = col[j] / rho, col[j + 1] / rho
-            col[j] = rho
-            tri[: j + 1, j] = col[: j + 1]
-            gam[j + 1], gam[j] = -sin[j] * gam[j], cos[j] * gam[j]
-            if abs(gam[j + 1]) <= target or col[j + 1] == 0:
-                k = j + 1
-                break
-            basis[j + 1] = w / col[j + 1]
-        y = np.linalg.solve(tri[:k, :k], gam[:k])
-        x = x + precond(y @ basis[:k])
+        step = rz / dot(direction, image)
+        sol += step * direction
+        res -= step * image
+        pres = precond * res
+        rz, rz_prev = dot(res, pres), rz
+        direction = pres + (rz / rz_prev) * direction
+    return np.fft.irfftn(sol) + np.mean(rhs), applications, met
 
 
 def _candidate(u: np.ndarray, du: np.ndarray, alpha: float, cell_volume: float) -> np.ndarray:
@@ -316,7 +305,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
     s, tau, inner = cfg.s, cfg.tau, cfg.inner
     hvol = grid.cell_volume
     cache = SinkhornCache(u_prev, cfg.transport)
-    counts = [0, 0, 0, 0]  # transport calls, Sinkhorn passes, GMRES applications, unmet solves
+    counts = [0, 0, 0, 0]  # transport calls, Sinkhorn passes, CG applications, unmet solves
 
     def count(tr):
         counts[0] += 1

@@ -293,6 +293,17 @@ class TestWeakForm:
         with pytest.raises(ValueError, match="below sampled estimate"):
             replace(phi, hessian_sup=worst * (1.0 - 1e-9))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_symmetric_spectral_norm_matches_eigvalsh(self, dim):
+        # the closed forms for d <= 2 agree with the eigenvalue route
+        from fracfilm.fields import _symmetric_spectral_norm
+
+        rng = np.random.default_rng(11 + dim)
+        raw = rng.standard_normal((4096, dim, dim)) * rng.uniform(1e-3, 1e3, (4096, 1, 1))
+        mats = raw + np.swapaxes(raw, 1, 2)
+        expected = np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
+        assert np.allclose(_symmetric_spectral_norm(mats), expected, rtol=1e-14, atol=0.0)
+
 
 class TestTauRefinement:
     def test_uniform_initial_datum_all_zero(self):

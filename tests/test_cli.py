@@ -378,7 +378,7 @@ class TestVerify:
 
     def test_transport_counters_round_trip(self, tmp_path):
         # 1D: the exact path makes no Sinkhorn pass and the dense solve no
-        # GMRES application; d = 2: every transport call and Newton solve does
+        # Krylov application; d = 2: every transport call and Newton solve does
         one_d = FAST_SCENARIO.replace("inner.grad_tol = 1e-7", "inner.grad_tol = 1e-7\ninner.max_iters = 5")
         two_d = one_d.replace("dimension = 1", "dimension = 2").replace(
             "grid.n = 128", "grid.n = 16").replace("grid.box_length = 40.0", "grid.box_length = 12.0").replace(

@@ -28,11 +28,11 @@ from fracfilm.jko import (
     _apply_mobility,
     _dense_lap_diff,
     _face_mobility,
-    _gmres,
     _open_faces,
     _solve_dense,
     _solve_krylov,
 )
+from fracfilm.spectral import apply_multiplier
 
 
 def make_cfg(n=256, L=40.0, s=1.0, tau=1e-3, grad_tol=1e-8, **inner_kw):
@@ -142,32 +142,36 @@ SINK2D_MIXTURE = ((0.6, (-1.0, 0.5), 0.8), (0.4, (1.2, -0.6), 1.0))
 @pytest.fixture(scope="module", params=[0.5, 1.0, 1.5, 2.0, 2.5])
 def sink2d_order_step(request):
     """The mixture step at order s, with one (rtol, relative residual,
-    operator applications) entry per Newton solve handed to GMRES; the
-    applications are counted by wrapping the operator, and each solve's
-    own count and `met` flag are checked against that count and the
-    residual."""
+    operator applications) entry per Newton solve handed to `_solve_krylov`;
+    the applications are counted by wrapping `_apply_mobility` during the
+    solve, the residual is that of the original system (I + tau L_s A_u) z =
+    rhs, and each solve's own count and `met` flag are checked against them."""
     import fracfilm.jko
 
-    gmres = fracfilm.jko._gmres
+    solve = fracfilm.jko._solve_krylov
+    mobility = fracfilm.jko._apply_mobility
     solves = []
+    calls = [0]
 
-    def recorded(apply, b, precond, rtol):
-        calls = [0]
+    def counted(z, mob):
+        calls[0] += 1
+        return mobility(z, mob)
 
-        def counted(x):
-            calls[0] += 1
-            return apply(x)
-
-        x, applications, met = gmres(counted, b, precond, rtol)
-        rel = np.linalg.norm(b - apply(x)) / np.linalg.norm(b)
-        assert applications == calls[0]
+    def recorded(u, mob, tau, rhs, grid, s, rtol):
+        calls[0] = 0
+        z, applications, met = solve(u, mob, tau, rhs, grid, s, rtol)
+        made = calls[0]
+        image = z + tau * apply_multiplier(mobility(z, mob), grid, grid.freq_sq ** s)
+        rel = np.linalg.norm(rhs - image) / np.linalg.norm(rhs)
+        assert applications == made
         assert met == (rel <= rtol)
-        solves.append((rtol, rel, calls[0]))
-        return x, applications, met
+        solves.append((rtol, rel, made))
+        return z, applications, met
 
     cfg = sink2d_step_config(max_iters=10, s=request.param)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fracfilm.jko, "_gmres", recorded)
+        mp.setattr(fracfilm.jko, "_solve_krylov", recorded)
+        mp.setattr(fracfilm.jko, "_apply_mobility", counted)
         rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
     return rec, solves
 
@@ -195,7 +199,7 @@ class TestRegimes:
 
     def test_newton_solves_reach_forcing(self, sink2d_order_step):
         # every Newton solve asks for the forcing tolerance and returns within
-        # it; at s = 2.5 an exact (1e-10) solve ran out of restart cycles
+        # it, on the residual of the original system
         _, solves = sink2d_order_step
         assert solves
         for rtol, rel, _ in solves:
@@ -204,7 +208,7 @@ class TestRegimes:
 
     @pytest.mark.parametrize("sink2d_order_step", [1.0], indirect=True)
     def test_sinkhorn_2d_newton_work(self, sink2d_order_step):
-        # the exact solves took 27 + 51 operator applications
+        # exact (1e-10) solves take 25 + 49 operator applications
         rec, solves = sink2d_order_step
         assert rec.inner_iterations == 2
         assert rec.sinkhorn_iters == 223
@@ -212,10 +216,10 @@ class TestRegimes:
 
     @pytest.mark.parametrize("sink2d_order_step", [1.0], indirect=True)
     def test_sinkhorn_2d_krylov_counts(self, sink2d_order_step):
-        # the seed-0 sink2d benchmark step: two Newton solves, 8 + 26
+        # the seed-0 sink2d benchmark step: two Newton solves, 6 + 24
         # operator applications, both within the forcing tolerance
         rec, _ = sink2d_order_step
-        assert (rec.krylov_applications, rec.krylov_unmet) == (34, 0)
+        assert (rec.krylov_applications, rec.krylov_unmet) == (30, 0)
 
     def test_step_records_krylov_work(self, sink2d_order_step):
         # the record adds up the applications of every Newton solve and
@@ -225,17 +229,31 @@ class TestRegimes:
         assert rec.krylov_unmet == 0
 
     def test_unmet_krylov_solve_is_counted(self, monkeypatch):
-        # one restart cycle of two iterations cannot reach the forcing
-        # tolerance: each solve applies the operator for its residual, its
-        # two Arnoldi steps and the final residual that finds the miss
+        # two CG iterations cannot reach the forcing tolerance: each solve
+        # applies the operator twice, and the residual test after the
+        # second finds the miss at no extra application
         import fracfilm.jko
 
-        monkeypatch.setattr(fracfilm.jko, "_GMRES_RESTART", 2)
-        monkeypatch.setattr(fracfilm.jko, "_GMRES_CYCLES", 1)
+        monkeypatch.setattr(fracfilm.jko, "_CG_MAX_ITERS", 2)
         cfg = sink2d_step_config(max_iters=2)
         rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
         assert rec.krylov_unmet >= 1
-        assert rec.krylov_applications == 4 * rec.krylov_unmet
+        assert rec.krylov_applications == 2 * rec.krylov_unmet
+
+    def test_sinkhorn_2d_multi_step_high_order(self):
+        # three steps at s = 2: each converges inside its Newton solves,
+        # keeps mass one and lowers the energy
+        cfg = sink2d_step_config(max_iters=10, s=2.0)
+        u0 = gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE)
+        traj = run(u0, cfg, 3)
+        assert traj.status == "ok" and traj.num_steps == 3
+        e_prev = energy(u0, cfg.s)
+        for rec in traj.steps:
+            assert rec.stop_reason == "converged"
+            assert abs(rec.density.mass() - 1.0) <= 1e-12
+            assert rec.energy <= e_prev
+            assert rec.krylov_unmet == 0
+            e_prev = rec.energy
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-2])
     def test_compact_support_step(self, tau):
@@ -250,13 +268,45 @@ class TestRegimes:
 
 
 class TestNewtonDirection:
-    def test_gmres_matches_direct_solve(self):
-        rng = np.random.default_rng(7)
-        mat = rng.standard_normal((50, 50)) + 8.0 * np.eye(50)
-        rhs = rng.standard_normal(50)
-        x, applications, met = _gmres(lambda v: mat @ v, rhs, lambda v: v)
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    def test_krylov_matches_direct_solve_2d(self, s):
+        # the 2D system assembled densely, column by column from unit vectors
+        grid = PeriodicGrid(2, 16, 12.0)
+        tau = 1e-2
+        u = gaussian_mixture_density(grid, SINK2D_MIXTURE).values
+        rhs = np.random.default_rng(5).standard_normal(grid.shape)
+        mob = _face_mobility(u, _open_faces(u > 0), grid.spacing)
+        lap = grid.freq_sq ** s
+        eye = np.eye(grid.size)
+        system = np.stack([
+            e + tau * apply_multiplier(_apply_mobility(e.reshape(grid.shape), mob), grid, lap).ravel()
+            for e in eye], axis=1)
+        direct = _apply_mobility(np.linalg.solve(system, rhs.ravel()).reshape(grid.shape), mob)
+        z, applications, met = _solve_krylov(u, mob, tau, rhs, grid, s)
         assert met and applications > 1
-        assert np.max(np.abs(x - np.linalg.solve(mat, rhs))) <= 1e-10
+        krylov = _apply_mobility(z, mob)
+        assert np.max(np.abs(krylov - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_krylov_zero_rhs_returns_zeros(self, dim):
+        grid = PeriodicGrid(dim, 16, 12.0)
+        u = gaussian_density(grid, 0.0, 1.5).values
+        mob = _face_mobility(u, _open_faces(u > 0), grid.spacing)
+        z, applications, met = _solve_krylov(u, mob, 1e-2, np.zeros(grid.shape), grid, 1.0)
+        assert met and applications == 0
+        assert np.array_equal(z, np.zeros(grid.shape))
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 48), (3, 12)])
+    def test_apply_mobility_matches_roll_formula(self, dim, n):
+        # the slice form adds the same terms in the same order as the roll form
+        rng = np.random.default_rng(dim)
+        z = rng.standard_normal((n,) * dim)
+        mob = tuple(rng.uniform(0.0, 2.0, (n,) * dim) for _ in range(dim))
+        rolled = np.zeros_like(z)
+        for a, m in enumerate(mob):
+            flux = m * (np.roll(z, -1, axis=a) - z)
+            rolled += np.roll(flux, 1, axis=a) - flux
+        assert np.array_equal(_apply_mobility(z, mob), rolled)
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
@@ -268,7 +318,7 @@ class TestNewtonDirection:
         assert np.array_equal(_dense_lap_diff(grid, s), col[(idx[:, None] - idx) % n])
 
     def test_dense_and_krylov_directions_agree(self):
-        # d = 1 runs the dense solve; GMRES is the d >= 2 path, checked here on the same system
+        # d = 1 runs the dense solve; CG is the d >= 2 path, checked here on the same system
         grid = PeriodicGrid(1, 64, 20.0)
         s, tau = 1.0, 1e-2
         u = gaussian_density(grid, 0.5, 1.5).values
