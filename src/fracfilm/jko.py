@@ -36,6 +36,15 @@ bounded by their total mass.  All transport calls of a step share one
 how many Sinkhorn passes they took, and in d >= 2 how many operator
 applications its CG solves made and how many of them missed
 `_NEWTON_FORCING`.
+
+In d >= 2 each line-search call starts Sinkhorn from the dual that the
+Newton solve predicts.  The Hessian of W^2/2 is taken as A_u^-1, so the
+step alpha du = -alpha tau A_u z changes the half-potential phi by
+-alpha tau z; with the cost |x - y|^2 and a transport map close to the
+identity, the dual g on u_prev's side then moves by +2 alpha tau z.  The
+call at alpha is handed g_u + 2 alpha tau z (`SinkhornCache.g_next`), g_u
+the converged dual of the gradient call at u.  A fallback direction gets
+no prediction (z does not describe it), nor does the exact 1D path.
 """
 
 from __future__ import annotations
@@ -363,15 +372,20 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
                 break
 
         mob = _face_mobility(u, open_faces, grid.spacing)
-        du = -tau * _apply_mobility(solve(u, mob, g - gbar), mob)
+        z = solve(u, mob, g - gbar)
+        du = -tau * _apply_mobility(z, mob)
         slope = hvol * float(np.sum(g * du))
+        dual = cache.g  # the Sinkhorn dual at u; None on the exact 1D path
         if not slope < 0:
             du = -tau * u * (g - gbar)
             slope = hvol * float(np.sum(g * du))
+            dual = None  # z does not describe this step
 
         alpha = min(1.0, 2 * alpha)
         while alpha >= _ALPHA_MIN:
             cand = _candidate(u, du, alpha, hvol)
+            if dual is not None:
+                cache.g_next = dual + (2 * alpha * tau) * z
             obj_c = objective(cand)
             if obj_c <= obj + _ARMIJO * alpha * slope + _OBJ_NOISE * max(1.0, abs(obj)):
                 break

@@ -317,16 +317,19 @@ def _density_filename(k: int) -> str:
 
 
 def write_density_file(path, u: GridDensity):
-    grid = u.grid
-    table = np.stack([c.ravel() for c in grid.coords] + [u.values.ravel()], axis=1)
-    row = " ".join(["%.17g"] * (grid.dim + 1)) + "\n"  # '%.17g' % x == _fmt(x)
+    """The header `# u`, then one value per cell, row-major, to 17
+    significant digits ('%.17g' % x == _fmt(x)), so values round-trip
+    bit-exactly.  The coordinates follow from the grid and are not written."""
+    values = u.values.ravel().tolist()
     with open(path, "w") as fh:
-        fh.write("# " + " ".join(["x%d" % i for i in range(grid.dim)] + ["u"]) + "\n")
-        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+        fh.write("# u\n")
+        fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def _read_density_file(path, grid: PeriodicGrid) -> np.ndarray:
-    """The last column of a density file: one value per grid cell."""
+    """The last column of a density file: one value per grid cell.  Snapshots
+    hold the value alone; files with coordinate columns before it (the
+    layout of older snapshots) load too."""
     try:
         with warnings.catch_warnings():  # an empty file is reported below
             warnings.simplefilter("ignore", UserWarning)

@@ -344,13 +344,18 @@ class SinkhornCache:
     density and transport settings, the axis kernel, the target's scaled
     log-mass and self-potential (filled by the first call), and the dual
     potential g and u-side self-potential of the last call that converged,
-    from which the next call starts.  Exact 1D transport ignores it."""
+    from which the next call starts.  `g_next`, when set, replaces g as the
+    start of the next call only, which clears it: `jko_step` puts there the
+    dual that its Newton step predicts for a line-search candidate (the
+    `jko` module docstring derives it).  Exact 1D transport ignores the
+    cache."""
 
     def __init__(self, target: GridDensity, config: TransportConfig):
         self.target = target
         self.config = config
         self.kmat = self.lb = self.fb = None  # the target's, filled on first use
         self.g = self.fa = None  # the last converged call's
+        self.g_next = None  # a predicted start for the next call only
 
     def check(self, target: GridDensity, epsilon: float, max_iter: int, tol: float):
         """Raise ValueError unless the cache was made for `target` (the same
@@ -385,8 +390,9 @@ def w2_sinkhorn(
     Without `cache` every call starts from zero potentials.  With a
     `SinkhornCache` made for v and these settings, the kernel, v's log-mass
     and v's self-potential fb are computed once, by the first call (whose
-    ``iterations`` include fb's passes); the main loop starts from the last
-    converged call's g, or from fb, the fixed point for u = v; and u's
+    ``iterations`` include fb's passes); the main loop starts from the
+    cache's `g_next` (which the call clears), else from the last converged
+    call's g, else from fb, the fixed point for u = v; and u's
     self-potential starts from the last converged call's, or from fb.  The
     cached main loop over-relaxes both updates (`_relaxed`), so its stopping
     test bounds the b-marginal defect as well as the a-marginal one, and
@@ -409,7 +415,8 @@ def w2_sinkhorn(
             cache.kmat, cache.lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
             cache.fb, it_b = _sym_potential(cache.lb, cache.kmat, dim, epsilon, max_iter, tol)
         kmat, lb = cache.kmat, cache.lb
-        g0 = cache.fb if cache.g is None else cache.g
+        g0 = next(x for x in (cache.g_next, cache.g, cache.fb) if x is not None)
+        cache.g_next = None
         fa0 = cache.fb if cache.fa is None else cache.fa
 
     # one softmin per half-step: raw = softmin(g + lb) is the check's f_next and

@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracfilm
@@ -266,15 +267,20 @@ class TestRun:
         assert main(["run", "--scenario", str(scen2), "--out", str(tmp_path / "run2")]) == 0
 
     def test_from_file_single_column(self, tmp_path):
-        # a file of values alone, one per line, is the same datum as the
-        # snapshot it was cut from
+        # a snapshot holds the header `# u` and one value per line; a file
+        # with a coordinate column before each value (the older snapshot
+        # layout) is the same datum
         scen = write_scenario(tmp_path, FAST_SCENARIO.replace("time.num_steps = 4", "time.num_steps = 1"))
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "run1")]) == 0
         snapshot = tmp_path / "run1" / "density_000000.txt"
-        values = [line.split()[-1] for line in snapshot.read_text().splitlines()[1:]]
-        (tmp_path / "u0.txt").write_text("\n".join(values) + "\n")
+        lines = snapshot.read_text().splitlines()
+        assert lines[0] == "# u" and len(lines) == 129
+        assert all(len(line.split()) == 1 for line in lines[1:])
+        x = PeriodicGrid(1, 128, 40.0).axis_coords
+        legacy = tmp_path / "legacy.txt"
+        legacy.write_text("# x0 u\n" + "".join(f"{xi:.17g} {v}\n" for xi, v in zip(x, lines[1:])))
         outs = []
-        for name, path in (("two", snapshot), ("one", tmp_path / "u0.txt")):
+        for name, path in (("two", legacy), ("one", snapshot)):
             text = FAST_SCENARIO.replace(
                 "initial.kind = gaussian", f"initial.kind = from_file\ninitial.path = {path}"
             ).replace("time.num_steps = 4", "time.num_steps = 1")
@@ -286,6 +292,18 @@ class TestRun:
             f = f"density_{k:06d}.txt"
             assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
         assert (outs[0] / "diagnostics.csv").read_bytes() == (outs[1] / "diagnostics.csv").read_bytes()
+
+    def test_2d_snapshot_round_trips_bit_exact(self, tmp_path):
+        # one value per cell, row-major, read back to the same floats
+        from fracfilm.scenario import _read_density_file, write_density_file
+
+        grid = PeriodicGrid(2, 12, 6.0)
+        u = gaussian_density(grid, (0.3, -0.7), 0.9)
+        path = tmp_path / "u.txt"
+        write_density_file(path, u)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# u" and len(lines) == grid.size + 1
+        assert np.array_equal(_read_density_file(path, grid), u.values)
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from fracfilm import (
     InnerConfig,
     JkoConfig,
     PeriodicGrid,
+    SinkhornCache,
     TransportConfig,
     energy,
     fractional_laplacian,
@@ -22,6 +23,7 @@ from fracfilm import (
     run,
     uniform_density,
     w2,
+    w2_sinkhorn,
 )
 from fracfilm.jko import (
     _NEWTON_FORCING,
@@ -211,7 +213,8 @@ class TestRegimes:
         # exact (1e-10) solves take 25 + 49 operator applications
         rec, solves = sink2d_order_step
         assert rec.inner_iterations == 2
-        assert rec.sinkhorn_iters == 223
+        # 223 when every line-search call starts from the dual at u
+        assert rec.sinkhorn_iters == 141
         assert sum(apps for *_, apps in solves) <= 40
 
     @pytest.mark.parametrize("sink2d_order_step", [1.0], indirect=True)
@@ -265,6 +268,110 @@ class TestRegimes:
         assert np.count_nonzero(rec.density.values > 0) == 25
         assert abs(rec.density.mass() - 1.0) <= 1e-12
         assert np.min(rec.density.values) >= 0.0
+
+
+@pytest.fixture
+def transport_calls(monkeypatch):
+    """One (u, hint, result, dual) entry per transport call `jko_step`
+    makes: hint is a copy of the predicted start the call was handed (None
+    without), dual a copy of the cache's converged dual after the call."""
+    import fracfilm.jko
+
+    calls = []
+    transport = fracfilm.jko.w2
+
+    def recorded(u, v, config, want_potential=True, cache=None):
+        hint = None if cache.g_next is None else cache.g_next.copy()
+        tr = transport(u, v, config, want_potential, cache)
+        calls.append((u, hint, tr, None if cache.g is None else cache.g.copy()))
+        return tr
+
+    monkeypatch.setattr(fracfilm.jko, "w2", recorded)
+    return calls
+
+
+class _UnhintedCache(SinkhornCache):
+    """Drops every predicted start: each call starts from the last converged dual."""
+
+    g_next = property(lambda self: None, lambda self, value: None)
+
+
+class TestPredictedStart:
+    """Each line-search call of a d >= 2 step starts from cache.g + 2 alpha tau z."""
+
+    @pytest.mark.parametrize("s, extra_applications", [(0.5, 0), (1.0, 0), (2.0, 1)])
+    def test_fewer_passes_same_newton_work(self, s, extra_applications, monkeypatch):
+        # the seed-0 step against the same step with every call started from
+        # the last converged dual; at s = 2 the slightly different potentials
+        # cost the step's CG solves one more application (456 against 455)
+        import fracfilm.jko
+
+        cfg = sink2d_step_config(max_iters=10, s=s)
+        u0 = gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE)
+        hinted = jko_step(u0, cfg)
+        monkeypatch.setattr(fracfilm.jko, "SinkhornCache", _UnhintedCache)
+        plain = jko_step(u0, cfg)
+        assert (hinted.inner_iterations, hinted.stop_reason) == (plain.inner_iterations, plain.stop_reason)
+        assert hinted.krylov_applications == plain.krylov_applications + extra_applications
+        assert hinted.transport_calls == plain.transport_calls
+        assert hinted.sinkhorn_iters < plain.sinkhorn_iters
+
+    def test_hint_is_the_newton_prediction(self, transport_calls, monkeypatch):
+        # calls: gradient, line search, gradient, line search, gradient; both
+        # line searches accept alpha = 1 at once, and each call there starts
+        # from the dual at u moved by 2 tau z, z the Newton solve's solution
+        import fracfilm.jko
+
+        solve = fracfilm.jko._solve_krylov
+        solutions = []
+
+        def recorded(*args):
+            out = solve(*args)
+            solutions.append(out[0])
+            return out
+
+        monkeypatch.setattr(fracfilm.jko, "_solve_krylov", recorded)
+        cfg = sink2d_step_config(max_iters=10)
+        rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
+        hints = [hint for _, hint, _, _ in transport_calls]
+        assert len(hints) == rec.transport_calls == 5
+        assert [h is not None for h in hints] == [False, True, False, True, False]
+        for k, z in zip((1, 3), solutions):
+            dual_at_u = transport_calls[k - 1][3]
+            assert np.array_equal(hints[k], dual_at_u + (2 * 1.0 * cfg.tau) * z)
+
+    def test_hinted_potential_matches_tight_reference(self, transport_calls):
+        # on the cells the step's residual counts (above 1e-8 of the peak),
+        # up to a constant; in the tail the start still shows (CHANGES.md)
+        cfg = sink2d_step_config(max_iters=10)
+        u_prev = gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE)
+        jko_step(u_prev, cfg)
+        hinted = [(u, tr) for u, hint, tr, _ in transport_calls if hint is not None]
+        assert len(hinted) == 2
+        for u, tr in hinted:
+            ref = w2_sinkhorn(u, u_prev, cfg.transport.epsilon, 200000, 1e-12)
+            live = u.values > 1e-8 * u.values.max()
+            gap = tr.potential[live] - ref.potential[live]
+            assert np.max(np.abs(gap - gap.mean())) <= 1e-6
+
+    def test_fallback_direction_sets_no_hint(self, transport_calls, monkeypatch):
+        # z = -rhs makes du = tau A_u (g - gbar), an ascent direction, so
+        # every step falls back to -tau u (g - gbar), which z does not describe
+        import fracfilm.jko
+
+        monkeypatch.setattr(fracfilm.jko, "_solve_krylov", lambda u, mob, tau, rhs, *rest: (-rhs, 0, True))
+        cfg = sink2d_step_config(max_iters=2)
+        rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
+        assert rec.inner_iterations >= 1
+        assert len(transport_calls) > rec.inner_iterations + 1  # line-search calls were made
+        assert all(hint is None for _, hint, *_ in transport_calls)
+
+    def test_1d_sets_no_hint(self, transport_calls):
+        cfg = make_cfg(s=1.0, tau=1e-3, grad_tol=1e-8, max_iters=50)
+        rec = jko_step(gaussian_density(cfg.grid), cfg)
+        assert rec.stop_reason == "converged"
+        assert len(transport_calls) > rec.inner_iterations + 1
+        assert all(hint is None for _, hint, *_ in transport_calls)
 
 
 class TestNewtonDirection:

@@ -543,7 +543,7 @@ class TestKernelFloor:
         floored = jko_step(u0, cfg)
         monkeypatch.setattr(transport, "_axis_kernels", unfloored_axis_kernels)
         plain = jko_step(u0, cfg)
-        assert floored.sinkhorn_iters == plain.sinkhorn_iters == 694
+        assert floored.sinkhorn_iters == plain.sinkhorn_iters == 529
         assert np.array_equal(floored.density.values, plain.density.values)
 
 
@@ -729,6 +729,35 @@ class TestSinkhornCache:
         held = [second.potential, cache.g, cache.fa, cache.fb, cache.kmat, cache.lb, *kept.values()]
         for i, x in enumerate(held):
             assert not any(np.shares_memory(x, y) for y in held[i + 1:])
+
+    def test_predicted_start_serves_one_call(self):
+        # a call handed g_next starts from it (and so ends elsewhere than
+        # from cache.g), clears it and keeps it unchanged; the next call
+        # starts from the converged dual again, as if handed a copy of it
+        v = self.target()
+        u1, u2 = line_search_sequence(self.GRID, v)[2:4]
+        eps, cap, tol = self.CFG.epsilon, self.CFG.max_iter, self.CFG.tol
+        caches = [SinkhornCache(v, self.CFG) for _ in range(3)]
+        for cache in caches:
+            w2_sinkhorn(v, v, eps, cap, tol, cache=cache)
+        hint = caches[0].g + 0.05 * np.cos(self.GRID.coords[0])
+        kept = hint.copy()
+        hinted, twin = caches[:2]
+        hinted.g_next, twin.g_next = hint, hint.copy()
+        first = w2_sinkhorn(u1, v, eps, cap, tol, cache=hinted)
+        assert hinted.g_next is None
+        assert np.array_equal(hint, kept)
+        held = [first.potential, hinted.g, hinted.fa, hinted.fb, hinted.kmat, hinted.lb]
+        assert not any(np.shares_memory(hint, x) for x in held)
+        plain = w2_sinkhorn(u1, v, eps, cap, tol, cache=caches[2])
+        assert not np.array_equal(first.potential, plain.potential)
+        w2_sinkhorn(u1, v, eps, cap, tol, cache=twin)
+        twin.g_next = twin.g.copy()
+        second = w2_sinkhorn(u2, v, eps, cap, tol, cache=hinted)
+        second_twin = w2_sinkhorn(u2, v, eps, cap, tol, cache=twin)
+        assert second.iterations == second_twin.iterations
+        assert np.array_equal(second.potential, second_twin.potential)
+        assert np.array_equal(hinted.g, twin.g)
 
     def test_exact_1d_ignores_cache(self):
         g = grid1d()
