@@ -41,7 +41,6 @@ from .measure import (
     GridDensity,
     VectorField,
     boundary_shell_mass,
-    carleman_bound,
     entropy,
     flow_map,
     gaussian_density,
@@ -57,7 +56,6 @@ from .spectral import (
     energy,
     energy_of_values,
     fractional_laplacian,
-    interpolation_check,
     sobolev_norm_sq,
     spectral_divergence,
     spectral_gradient,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,8 @@ from .measure import (
     spike_density,
 )
 from .spectral import (
+    energy,
+    energy_of_values,
     fractional_laplacian,
     sobolev_norm_sq,
     spectral_divergence,
@@ -141,12 +143,10 @@ def derivative_identity_check(v: GridDensity, eta: VectorField, s: float) -> Che
     estimates the quadratic truncation constant; pass when the relative
     error stays within max(1e-3, C_est * t_fd^2).
     """
-    from .spectral import energy as _energy
-
     t_fd = _FD_STEP
 
     def pushed_energy(t):
-        return _energy(pushforward_with_drift(v, eta, t)[0], s)
+        return energy(pushforward_with_drift(v, eta, t)[0], s)
 
     fp = pushed_energy(t_fd)
     fm = pushed_energy(-t_fd)
@@ -181,8 +181,6 @@ def derivative_identity_check(v: GridDensity, eta: VectorField, s: float) -> Che
 
 
 def _traj_energies(traj: Trajectory):
-    from .spectral import energy_of_values
-
     cfg = traj.config
     e0 = energy_of_values(traj.initial.values, cfg.grid, cfg.s)
     return e0, np.array([rec.energy for rec in traj.steps])
@@ -262,7 +260,8 @@ def check_entropy_dissipation(traj: Trajectory) -> CheckReport:
     lhs = np.array(lhs)
     rhs = np.array(rhs)
     # integrated form: sum tau ||u^k||^2 <= H(u0) + C (1 + T F(u0) + M(u0)),
-    # C reconstructed from the entropy lower bound constants
+    # C from the constants of the entropy lower bound
+    # H(u) >= -1/e - (d/2) log(4 pi) - M(u)/4
     e0, _ = _traj_energies(traj)
     h0 = entropy(traj.initial)
     m0 = second_moment(traj.initial)
@@ -447,11 +446,9 @@ def tau_refinement_study(
     """
     taus = list(tau_list)
     validate_refinement_settings(taus, horizon, r, cfg_base.s)
-    from dataclasses import replace as _replace
-
     trajs = []
     for tau in taus:
-        cfg = _replace(cfg_base, tau=tau)
+        cfg = replace(cfg_base, tau=tau)
         nsteps = math.ceil(horizon / tau)
         traj = run(u0, cfg, nsteps)
         if traj.status != "ok":

@@ -73,12 +73,7 @@ def cmd_run(args) -> int:
     if not out_arg:
         print("config error: no output directory (--out flag or output.dir key)", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    try:
-        u0 = sc.initial_density()
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    traj = jko_run(u0, sc.jko_config(), sc.num_steps)
+    traj = jko_run(sc.initial_density(), sc.jko_config(), sc.num_steps)
     out = Path(out_arg)
     write_run_directory(out, sc, traj)
     if traj.status != "ok":
@@ -133,8 +128,8 @@ def cmd_sweep(args) -> int:
             validate_refinement_settings(taus, horizon, args.r, sc.s)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        out.mkdir(parents=True, exist_ok=True)
         u0 = sc.initial_density()
+        out.mkdir(parents=True, exist_ok=True)
         report = tau_refinement_study(
             u0, sc.jko_config(), tau_list=taus, horizon=horizon, r=args.r
         )

@@ -64,8 +64,10 @@ class GridDensity:
 def gaussian_density(grid: PeriodicGrid, center=0.0, variance=1.0) -> GridDensity:
     """Isotropic Gaussian sampled at the nodes, renormalized to unit mass."""
     center = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"gaussian center must be finite, got {tuple(center.tolist())}")
+    if not (np.isfinite(variance) and variance > 0):
+        raise ValueError(f"gaussian variance must be finite and positive, got {variance}")
     r2 = sum((c - mu) ** 2 for c, mu in zip(grid.coords, center))
     return GridDensity.normalized(grid, np.exp(-r2 / (2.0 * variance)))
 
@@ -74,8 +76,8 @@ def gaussian_mixture_density(grid: PeriodicGrid, components) -> GridDensity:
     """Mixture of isotropic Gaussians; components are (weight, center, variance)."""
     vals = np.zeros(grid.shape)
     for weight, center, variance in components:
-        if weight < 0:
-            raise ValueError("mixture weights must be nonnegative")
+        if not (np.isfinite(weight) and weight >= 0):
+            raise ValueError(f"mixture weights must be finite and nonnegative, got {weight}")
         g = gaussian_density(grid, center, variance)
         vals += weight * g.values
     return GridDensity.normalized(grid, vals)
@@ -102,17 +104,6 @@ def entropy(u: GridDensity) -> float:
     v = u.values
     mask = v > 0
     return float(u.grid.cell_volume * np.sum(v[mask] * np.log(v[mask])))
-
-
-def carleman_bound(u: GridDensity):
-    """Entropy and its moment-based lower bound.
-
-    Returns ``(entropy(u), -1/e - (d/2) log(4 pi) - second_moment(u)/4)``;
-    the first entry always dominates the second up to 1e-9.
-    """
-    d = u.grid.dim
-    lower = -1.0 / np.e - 0.5 * d * np.log(4.0 * np.pi) - 0.25 * second_moment(u)
-    return entropy(u), float(lower)
 
 
 def boundary_shell_mass(u: GridDensity) -> float:

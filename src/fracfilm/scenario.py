@@ -35,36 +35,56 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from .jko import STOP_REASONS, InnerConfig, JkoConfig, StepRecord, Trajectory
 from .measure import (
     GridDensity,
+    boundary_shell_mass,
+    entropy,
     gaussian_density,
     gaussian_mixture_density,
+    second_moment,
     uniform_density,
 )
-from .spectral import PeriodicGrid
+from .spectral import PeriodicGrid, energy_of_values
 from .transport import TransportConfig
 
-CSV_COLUMNS = [
-    "k",
-    "t",
-    "energy",
-    "entropy",
-    "second_moment",
-    "w2_sq_step",
-    "inner_iters",
-    "kkt_residual",
-    "boundary_mass",
-    "stop_reason",
-    "transport_calls",
-    "sinkhorn_iters",
-    "krylov_applications",
-    "krylov_unmet",
-]
+
+def _count(cell: str) -> int:
+    if not re.fullmatch("[0-9]+", cell):
+        raise ValueError(f"not a count: {cell!r}")
+    return int(cell)
+
+
+def _stop_reason(cell: str) -> str:
+    if cell not in STOP_REASONS:
+        raise ValueError(f"unknown stop reason {cell!r}")
+    return cell
+
+
+# diagnostics.csv, one (column, StepRecord field, cell parser) per column.
+# Float cells are written with `_fmt`, the others with `str`; the `t` column
+# is index * tau and has no field.
+DIAGNOSTIC_COLUMNS = (
+    ("k", "index", _count),
+    ("t", None, float),
+    ("energy", "energy", float),
+    ("entropy", "entropy", float),
+    ("second_moment", "second_moment", float),
+    ("w2_sq_step", "w2_sq_to_prev", float),
+    ("inner_iters", "inner_iterations", _count),
+    ("kkt_residual", "kkt_residual", float),
+    ("boundary_mass", "boundary_mass", float),
+    ("stop_reason", "stop_reason", _stop_reason),
+    ("transport_calls", "transport_calls", _count),
+    ("sinkhorn_iters", "sinkhorn_iters", _count),
+    ("krylov_applications", "krylov_applications", _count),
+    ("krylov_unmet", "krylov_unmet", _count),
+)
+CSV_COLUMNS = [column for column, _, _ in DIAGNOSTIC_COLUMNS]
 
 DEFAULT_CHECKS = ["energy_estimate", "moment_bound", "entropy_dissipation", "weak_form"]
 KNOWN_CHECKS = DEFAULT_CHECKS + ["evi_entropy"]
@@ -114,21 +134,25 @@ class Scenario:
         )
 
     def initial_density(self) -> GridDensity:
+        """The initial datum; ScenarioError when its settings or file are bad."""
         grid = self.grid()
         kind = self.initial_kind
-        if kind == "gaussian":
-            return gaussian_density(grid, np.array(self.initial_center), self.initial_variance)
-        if kind == "gaussian_mixture":
-            comps = [(w, np.array(c), v) for (w, c, v) in self.initial_components]
-            return gaussian_mixture_density(grid, comps)
-        if kind == "uniform":
-            return uniform_density(grid)
-        if kind == "from_file":
-            path = Path(self.initial_path or "")
-            if not path.is_file():
-                raise ScenarioError(f"initial datum file not found: {path}")
-            vals = _read_density_file(path, grid)
-            return GridDensity.normalized(grid, vals)
+        try:
+            if kind == "gaussian":
+                return gaussian_density(grid, np.array(self.initial_center), self.initial_variance)
+            if kind == "gaussian_mixture":
+                comps = [(w, np.array(c), v) for (w, c, v) in self.initial_components]
+                return gaussian_mixture_density(grid, comps)
+            if kind == "uniform":
+                return uniform_density(grid)
+            if kind == "from_file":
+                path = Path(self.initial_path or "")
+                if not path.is_file():
+                    raise ScenarioError(f"initial datum file not found: {path}")
+                vals = _read_density_file(path, grid)
+                return GridDensity.normalized(grid, vals)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         raise ScenarioError(f"unknown initial datum kind {kind!r}")
 
 
@@ -345,6 +369,13 @@ def _read_density_file(path, grid: PeriodicGrid) -> np.ndarray:
     return arr.reshape(grid.shape)
 
 
+def _diagnostic_cells(rec: StepRecord, tau: float):
+    """The diagnostics.csv cells of one step, column by column."""
+    for _, attr, parse in DIAGNOSTIC_COLUMNS:
+        x = rec.index * tau if attr is None else getattr(rec, attr)
+        yield _fmt(x) if parse is float else str(x)
+
+
 def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
     """Persist diagnostics CSV, density snapshots, and the manifest."""
     out = Path(out_dir)
@@ -352,28 +383,9 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
     with open(out / "diagnostics.csv", "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rec in traj.steps:
-            row = [
-                str(rec.index),
-                _fmt(rec.index * sc.tau),
-                _fmt(rec.energy),
-                _fmt(rec.entropy),
-                _fmt(rec.second_moment),
-                _fmt(rec.w2_sq_to_prev),
-                str(rec.inner_iterations),
-                _fmt(rec.kkt_residual),
-                _fmt(rec.boundary_mass),
-                rec.stop_reason,
-                str(rec.transport_calls),
-                str(rec.sinkhorn_iters),
-                str(rec.krylov_applications),
-                str(rec.krylov_unmet),
-            ]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(_diagnostic_cells(rec, sc.tau)) + "\n")
     for k in range(traj.num_steps + 1):
         write_density_file(out / _density_filename(k), traj.density_at_step(k))
-    from .measure import boundary_shell_mass, entropy, second_moment
-    from .spectral import energy_of_values
-
     grid = sc.grid()
     manifest = {
         "scenario_text": sc.raw_text or format_scenario(sc),
@@ -398,6 +410,13 @@ def _package_version() -> str:
     return __version__
 
 
+def _read_snapshot(run: Path, k: int, grid: PeriodicGrid) -> GridDensity:
+    snap = run / _density_filename(k)
+    if not snap.is_file():
+        raise ScenarioError(f"density snapshot for step {k} missing ({snap})")
+    return GridDensity(grid, _read_density_file(snap, grid))
+
+
 def load_run_directory(run_dir):
     """Rebuild (Scenario, Trajectory) from a run directory.
 
@@ -408,45 +427,32 @@ def load_run_directory(run_dir):
     manifest_path = run / "manifest.json"
     if not manifest_path.is_file():
         raise ScenarioError(f"not a run directory (no manifest.json): {run}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise ScenarioError(f"manifest {manifest_path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("scenario_text"), str):
+        raise ScenarioError(f"manifest {manifest_path} holds no scenario_text")
     sc = parse_scenario(manifest["scenario_text"])
     grid = sc.grid()
-    initial = GridDensity(grid, _read_density_file(run / _density_filename(0), grid))
+    initial = _read_snapshot(run, 0, grid)
+    csv_path = run / "diagnostics.csv"
+    if not csv_path.is_file():
+        raise ScenarioError(f"not a run directory (no diagnostics.csv): {run}")
     rows = []
-    with open(run / "diagnostics.csv") as fh:
+    with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
         if header != CSV_COLUMNS:
             raise ScenarioError(f"unexpected diagnostics columns {header}")
         for line in fh:
             parts = line.strip().split(",")
-            if (len(parts) != len(CSV_COLUMNS) or parts[9] not in STOP_REASONS
-                    or not all(re.fullmatch("[0-9]+", c) for c in parts[10:])):
-                raise ScenarioError(f"malformed diagnostics row: {line!r}")
-            rows.append(parts)
-    steps: List[StepRecord] = []
-    for parts in rows:
-        k = int(parts[0])
-        snap = run / _density_filename(k)
-        if not snap.is_file():
-            raise ScenarioError(f"density snapshot for step {k} missing ({snap})")
-        dens = GridDensity(grid, _read_density_file(snap, grid))
-        steps.append(
-            StepRecord(
-                index=k,
-                density=dens,
-                w2_sq_to_prev=float(parts[5]),
-                energy=float(parts[2]),
-                entropy=float(parts[3]),
-                second_moment=float(parts[4]),
-                inner_iterations=int(parts[6]),
-                kkt_residual=float(parts[7]),
-                boundary_mass=float(parts[8]),
-                stop_reason=parts[9],
-                transport_calls=int(parts[10]),
-                sinkhorn_iters=int(parts[11]),
-                krylov_applications=int(parts[12]),
-                krylov_unmet=int(parts[13]),
-            )
-        )
+            if len(parts) != len(CSV_COLUMNS):
+                raise ScenarioError(f"malformed diagnostics row {line!r}: {len(parts)} cells")
+            try:
+                cells = [parse(c) for c, (_, _, parse) in zip(parts, DIAGNOSTIC_COLUMNS)]
+            except ValueError as exc:
+                raise ScenarioError(f"malformed diagnostics row {line!r}: {exc}") from None
+            rows.append({attr: x for x, (_, attr, _) in zip(cells, DIAGNOSTIC_COLUMNS) if attr})
+    steps = [StepRecord(density=_read_snapshot(run, row["index"], grid), **row) for row in rows]
     traj = Trajectory(sc.jko_config(), initial, steps, status=manifest.get("status", "ok"))
     return sc, traj

@@ -304,19 +304,3 @@ def energy_of_values(values: np.ndarray, grid: PeriodicGrid, s: float) -> float:
         raise ValueError(f"energy order must satisfy s > 0, got {s}")
     return 0.5 * sobolev_norm_sq(values, grid, s, lattice=True)
 
-
-def interpolation_check(values: np.ndarray, grid: PeriodicGrid, r0: float, r1: float, r2: float):
-    """Evaluate both sides of the Sobolev interpolation inequality.
-
-    Returns ``(lhs, rhs)`` with lhs the middle-order seminorm and rhs the
-    product of the outer seminorms with exponents 1-theta and theta,
-    theta = (r1-r0)/(r2-r0).  The contract lhs <= rhs*(1+1e-12) is an exact
-    Hoelder inequality on the lattice.
-    """
-    if not (r0 < r1 < r2):
-        raise ValueError(f"interpolation orders must satisfy r0 < r1 < r2, got {(r0, r1, r2)}")
-    theta = (r1 - r0) / (r2 - r0)
-    lhs = np.sqrt(sobolev_norm_sq(values, grid, r1, lattice=True))
-    n0 = np.sqrt(sobolev_norm_sq(values, grid, r0, lattice=True))
-    n2 = np.sqrt(sobolev_norm_sq(values, grid, r2, lattice=True))
-    return lhs, n0 ** (1.0 - theta) * n2 ** theta

@@ -12,20 +12,20 @@ log-domain Sinkhorn at one softmin per half-step, each softmin one matrix
 product per axis, and returns the gradient of half the debiased
 divergence, so both backends follow one convention.
 
-A JKO step measures many densities against one fixed target, so `w2`
-takes an optional `SinkhornCache` bound to that target and its settings.
-The first call of the step solves the target's kernel, log-mass and
-self-potential once; every call then warm-starts its main loop from the
-last converged dual g (the first call from the target's self-potential,
-the exact answer for u = target) and its u-side self-potential from the
-last converged one.  `TransportResult.iterations` counts the main passes
-plus the self-potential passes the call itself made, so the first cached
-call carries the target's.  A cached main loop over-relaxes both potential
-updates by a fixed factor, taking a relaxed update only when it raises
-every cell's term of the dual objective, and stops only when both plan
-marginals are within tolerance.  A call without a cache starts from zero,
-does not relax, and is bitwise what it was before the cache existed; the
-exact 1D path ignores the cache.
+Every Sinkhorn call runs through a `SinkhornCache` bound to its target
+density and settings; a JKO step, which measures many densities against
+one target, passes one cache to all its calls, and a call without one
+makes a fresh cache.  The first call on a cache solves the target's
+kernel, log-mass and self-potential once; every call then warm-starts its
+main loop from the last converged dual g (the first call from the target's
+self-potential, the exact answer for u = target) and its u-side
+self-potential from the last converged one.  `TransportResult.iterations`
+counts the main passes plus the self-potential passes the call itself
+made, so the first call on a cache carries the target's.  The main loop
+over-relaxes both potential updates by a fixed factor, taking a relaxed
+update only when it raises every cell's term of the dual objective, and
+stops only when both plan marginals are within tolerance.  The exact 1D
+path ignores the cache.
 
 The axis kernel exp(-|x - y|^2 / eps) is exactly 0 below `_KERNEL_FLOOR`,
 the square root of the smallest normal float (about 1.5e-154), so the
@@ -58,17 +58,12 @@ from .measure import GridDensity
 _MILNE_NODES = np.array([[0.25], [0.5], [0.75]])
 _MILNE_WEIGHTS = np.array([[2.0], [-1.0], [2.0]])
 
-# over-relaxation factor of the cached Sinkhorn main loop (see `_relaxed`)
+# over-relaxation factor of the Sinkhorn main loop (see `_relaxed`)
 _OMEGA = 1.6
 
 # axis-kernel entries below this are exactly 0 (see the module docstring):
 # the product of any two kept entries is at least the smallest normal float
 _KERNEL_FLOOR = np.sqrt(np.finfo(float).tiny)
-
-
-def _check_epsilon(epsilon):
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"sinkhorn epsilon must be finite and positive, got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,8 @@ class TransportConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"sinkhorn epsilon must be finite and positive, got {self.epsilon}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"sinkhorn tolerance must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
@@ -277,7 +273,7 @@ def _softmin(kmat, psi, dim, epsilon):
     return out
 
 
-def _relaxed(mass, pot, pot_soft, epsilon, empty=None, want_defect=True):
+def _relaxed(mass, pot, pot_soft, epsilon, empty, want_defect=True):
     """Over-relaxed update pot + w (pot_soft - pot), w = _OMEGA, on the cells
     with mass, when it raises every cell's term of the dual objective; the
     plain update pot_soft otherwise.  Returns the new potential and the L^1
@@ -297,8 +293,6 @@ def _relaxed(mass, pot, pot_soft, epsilon, empty=None, want_defect=True):
     Sinkhorn-Knopp, 2017).  The new plan marginal is mass_i exp((w - 1) d_i);
     cells without mass take the plain update.
     """
-    if empty is None:
-        empty = np.nonzero(mass == 0)
     step = pot_soft - pot
     d = step / epsilon
     d[empty] = 0.0
@@ -384,57 +378,53 @@ def w2_sinkhorn(
     dual potential (cross potential minus self potential, zero mean): the
     cost is |x-y|^2, so that half is delta(S_eps/2), the convention of
     `w2_exact_1d`.
-    Raises ConvergenceError carrying the marginal error when the plan
-    marginals fail to reach `tol` in L^1.
+    Raises ValueError on settings `TransportConfig` refuses, and
+    ConvergenceError carrying the marginal error when the plan marginals
+    fail to reach `tol` in L^1.
 
-    Without `cache` every call starts from zero potentials.  With a
-    `SinkhornCache` made for v and these settings, the kernel, v's log-mass
-    and v's self-potential fb are computed once, by the first call (whose
+    `cache` is a `SinkhornCache` made for v and these settings; without
+    one the call makes a fresh cache.  The kernel, v's log-mass and v's
+    self-potential fb are computed once per cache, by its first call (whose
     ``iterations`` include fb's passes); the main loop starts from the
     cache's `g_next` (which the call clears), else from the last converged
     call's g, else from fb, the fixed point for u = v; and u's
     self-potential starts from the last converged call's, or from fb.  The
-    cached main loop over-relaxes both updates (`_relaxed`), so its stopping
-    test bounds the b-marginal defect as well as the a-marginal one, and
+    main loop over-relaxes both updates (`_relaxed`), so its stopping test
+    bounds the b-marginal defect as well as the a-marginal one, and
     ``marginal_error`` is the larger of the two.
     """
     _check_same_grid(u, v)
-    _check_epsilon(epsilon)
+    if cache is None:
+        cache = SinkhornCache(v, TransportConfig(epsilon, max_iter, tol))
+    cache.check(v, epsilon, max_iter, tol)
     grid = u.grid
     dim, hpow = grid.dim, grid.cell_volume
     a = u.values * hpow
     b = v.values * hpow
     la = _scaled_log(a, epsilon)
-    g0 = fa0 = None
     it_b = 0
-    if cache is None:
-        kmat, lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
-    else:
-        cache.check(v, epsilon, max_iter, tol)
-        if cache.fb is None:
-            cache.kmat, cache.lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
-            cache.fb, it_b = _sym_potential(cache.lb, cache.kmat, dim, epsilon, max_iter, tol)
-        kmat, lb = cache.kmat, cache.lb
-        g0 = next(x for x in (cache.g_next, cache.g, cache.fb) if x is not None)
-        cache.g_next = None
-        fa0 = cache.fb if cache.fa is None else cache.fa
+    if cache.fb is None:
+        cache.kmat, cache.lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
+        cache.fb, it_b = _sym_potential(cache.lb, cache.kmat, dim, epsilon, max_iter, tol)
+    kmat, lb = cache.kmat, cache.lb
+    g = next(x for x in (cache.g_next, cache.g, cache.fb) if x is not None)
+    cache.g_next = None
+    fa0 = cache.fb if cache.fa is None else cache.fa
 
     # one softmin per half-step: raw = softmin(g + lb) is the check's f_next and
-    # the next f's plain update.  A cached call over-relaxes both updates (the
-    # first f has no previous value), so the b-marginal is no longer exact and
-    # the test bounds both defects of the plan of (f, g):
+    # the next f's plain update.  Both updates are over-relaxed (the first f
+    # has no previous value), so the b-marginal is not exact and the test
+    # bounds both defects of the plan of (f, g):
     # a_i (exp((f_i - f_next_i)/eps) - 1) and b_j (exp((g_j - g_soft_j)/eps) - 1)
-    relax, g = cache is not None, g0
     empty_a, empty_b = np.nonzero(a == 0), np.nonzero(b == 0)
     marginal_error = np.inf
     with np.errstate(divide="ignore", over="ignore"):
-        raw = _softmin(kmat, lb if g0 is None else g0 + lb, dim, epsilon)
+        raw = _softmin(kmat, g + lb, dim, epsilon)
+        f = np.where(np.isfinite(raw), raw, 0.0)
         for it in range(max_iter):
-            f_soft = np.where(np.isfinite(raw), raw, 0.0)
-            f = _relaxed(a, f, f_soft, epsilon, empty_a, False)[0] if relax and it else f_soft
             g_soft = _softmin(kmat, f + la, dim, epsilon)
             g_soft = np.where(np.isfinite(g_soft), g_soft, 0.0)
-            g, b_defect = _relaxed(b, g, g_soft, epsilon, empty_b) if relax else (g_soft, 0.0)
+            g, b_defect = _relaxed(b, g, g_soft, epsilon, empty_b)
             raw = _softmin(kmat, g + lb, dim, epsilon)
             f_next = np.where(np.isfinite(raw), raw, f)
             row = f - f_next  # |a exp((f - f_next)/eps) - a|, in place
@@ -447,6 +437,7 @@ def w2_sinkhorn(
             marginal_error = max(float(row.sum()), b_defect)
             if marginal_error <= tol:
                 break
+            f = _relaxed(a, f, np.where(np.isfinite(raw), raw, 0.0), epsilon, empty_a, False)[0]
         else:
             raise ConvergenceError(
                 f"sinkhorn failed to reach marginal tolerance {tol} in {max_iter} iterations "
@@ -456,13 +447,9 @@ def w2_sinkhorn(
 
     ot_uv = float(np.sum(f * a) + np.sum(g * b))
     fa, it_a = _sym_potential(la, kmat, dim, epsilon, max_iter, tol, fa0)
-    if cache is None:
-        fb, it_b = _sym_potential(lb, kmat, dim, epsilon, max_iter, tol)
-    else:
-        fb = cache.fb
-        cache.g, cache.fa = g, fa
+    cache.g, cache.fa = g, fa
     ot_uu = float(2.0 * np.nansum(np.where(a > 0, fa * a, 0.0)))
-    ot_vv = float(2.0 * np.nansum(np.where(b > 0, fb * b, 0.0)))
+    ot_vv = float(2.0 * np.nansum(np.where(b > 0, cache.fb * b, 0.0)))
     value = ot_uv - 0.5 * ot_uu - 0.5 * ot_vv
     if abs(value) < 1e3 * tol:
         value = max(value, 0.0)

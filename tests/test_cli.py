@@ -233,11 +233,16 @@ class TestRun:
             ("inner.grad_tol = 1e-7", "inner.grad_tl = 1e-7"),
             ("checks =", "time.tau = 1e-2\nchecks ="),
             ("grid.n = 128", "grid.n = inf"),
+            ("initial.variance = 1.0", "initial.variance = inf"),
+            ("initial.variance = 1.0", "initial.variance = nan"),
+            ("initial.kind = gaussian", "initial.kind = gaussian_mixture\n"
+             "initial.components = 0.5 : -1.0 : 1.0 ; 0.5 : 1.0 : inf"),
         ],
         ids=["odd_n", "negative_s", "exact_in_2d", "nan_epsilon", "zero_transport_tol",
              "zero_transport_max_iter", "nan_grad_tol", "infinite_obj_tol", "nonzero_obj_tol",
              "sinkhorn_in_1d", "zero_snapshot_stride", "snapshot_stride_2", "misspelt_key",
-             "repeated_key", "infinite_grid_n"],
+             "repeated_key", "infinite_grid_n", "infinite_variance", "nan_variance",
+             "infinite_component_variance"],
     )
     def test_invalid_setting_exits_3(self, tmp_path, capsys, old, new):
         scen = write_scenario(tmp_path, FAST_SCENARIO.replace(old, new))
@@ -306,6 +311,23 @@ class TestRun:
         assert np.array_equal(_read_density_file(path, grid), u.values)
 
 
+def set_diagnostics_cell(column, cell):
+    """An edit of diagnostics.csv that puts `cell` in `column` of the second step."""
+    def edit(text):
+        lines = text.splitlines()
+        parts = lines[2].split(",")
+        parts[lines[0].split(",").index(column)] = cell
+        lines[2] = ",".join(parts)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def drop_scenario_text(text):
+    manifest = json.loads(text)
+    del manifest["scenario_text"]
+    return json.dumps(manifest)
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("verify")
@@ -346,6 +368,24 @@ class TestVerify:
         snap.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(bad)]) == 3
         assert "density_000002.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [("diagnostics.csv", set_diagnostics_cell("energy", "abc"), "malformed diagnostics row"),
+         ("diagnostics.csv", set_diagnostics_cell("k", "x"), "malformed diagnostics row"),
+         ("manifest.json", lambda text: text[: len(text) // 2], "not JSON"),
+         ("manifest.json", drop_scenario_text, "scenario_text")],
+        ids=["energy_abc", "k_x", "manifest_not_json", "manifest_without_scenario_text"],
+    )
+    def test_malformed_run_directory_exits_3(self, run_dir, tmp_path, capsys, name, edit, message):
+        # each of these used to end `verify` in a traceback and exit 1
+        import shutil
+
+        bad = tmp_path / "bad_run"
+        shutil.copytree(run_dir, bad)
+        (bad / name).write_text(edit((bad / name).read_text()))
+        assert main(["verify", str(bad)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_unknown_check_exits_3(self, run_dir):
         assert main(["verify", str(run_dir), "--checks", "bogus"]) == 3
@@ -507,6 +547,15 @@ class TestSweep:
         assert main(["sweep", "--scenario", str(scen), "--out", str(out)] + extra) == 3
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--tau-list", "2e-3,1e-3"], ["--s-list", "1,2"]],
+                             ids=["tau_list", "s_list"])
+    def test_bad_initial_datum_exits_3(self, tmp_path, capsys, extra):
+        # an infinite variance used to end the sweep in a traceback (exit 1)
+        text = FAST_SCENARIO.replace("initial.variance = 1.0", "initial.variance = inf")
+        scen = write_scenario(tmp_path, text)
+        assert main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "x")] + extra) == 3
+        assert "variance must be finite" in capsys.readouterr().err
 
     def test_failed_tau_sweep_run_exits_2(self, tmp_path, capsys):
         # a starved Sinkhorn solver fails the first step: the same solver

@@ -6,7 +6,6 @@ from fracfilm import (
     GridDensity,
     PeriodicGrid,
     boundary_shell_mass,
-    carleman_bound,
     contraction_field,
     entropy,
     flow_map,
@@ -117,33 +116,6 @@ class TestEntropy:
         vals[: g.n // 2] = 2.0 / g.box_length
         u = GridDensity(g, vals)
         assert np.isfinite(entropy(u))
-
-
-class TestCarleman:
-    def test_standard_gaussian_frozen_values(self):
-        g = grid1d()
-        ent, bound = carleman_bound(gaussian_density(g))
-        assert ent == pytest.approx(-1.4189385332046727, abs=1e-6)
-        # closed form: -1/e - log(4 pi)/2 - 1/4
-        assert bound == pytest.approx(-1.0 / np.e - 0.5 * np.log(4 * np.pi) - 0.25, abs=1e-6)
-        assert ent >= bound - 1e-9
-        assert ent - bound == pytest.approx(0.464, abs=5e-3)
-
-    def test_uniform_unit_box(self):
-        g = PeriodicGrid(1, 256, 1.0)
-        ent, bound = carleman_bound(uniform_density(g))
-        assert ent == pytest.approx(0.0, abs=1e-12)
-        expected = -1.0 / np.e - 0.5 * np.log(4 * np.pi) - 0.25 * second_moment(uniform_density(g))
-        assert bound == pytest.approx(expected, rel=1e-12)
-        assert ent >= bound - 1e-9
-
-    def test_random_densities_satisfy_bound(self):
-        rng = np.random.default_rng(1)
-        g = grid1d(128)
-        for _ in range(50):
-            u = GridDensity.normalized(g, rng.uniform(size=g.shape) ** 2)
-            ent, bound = carleman_bound(u)
-            assert ent >= bound - 1e-9
 
 
 class TestHeatSemigroup:

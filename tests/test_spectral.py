@@ -12,7 +12,6 @@ from fracfilm import (
     energy_of_values,
     fractional_laplacian,
     gaussian_density,
-    interpolation_check,
     sobolev_norm_sq,
     spike_density,
     uniform_density,
@@ -271,36 +270,3 @@ class TestEnergy:
             energy(u, 0.0)
         with pytest.raises(ValueError):
             energy_of_values(u.values, g, -1.0)
-
-
-class TestInterpolation:
-    def test_single_mode_equality(self):
-        g = PeriodicGrid(1, 64, 1.0)
-        f = np.sin(2 * np.pi * g.axis_coords)
-        lhs, rhs = interpolation_check(f, g, 0.0, 1.0, 2.0)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_gaussian_strict_inequality(self):
-        g = grid1d()
-        u = gaussian_density(g)
-        lhs, rhs = interpolation_check(u.values, g, 0.0, 1.0, 2.0)
-        assert lhs <= rhs * (1 + 1e-12)
-        assert lhs < rhs * (1 - 1e-6)
-
-    def test_zero_function(self):
-        g = grid1d(64)
-        lhs, rhs = interpolation_check(np.zeros(g.shape), g, 0.0, 0.5, 1.0)
-        assert lhs == 0.0 and rhs == 0.0
-
-    def test_random_fields_hold(self):
-        g = grid1d(128)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            f = rng.normal(size=g.shape)
-            lhs, rhs = interpolation_check(f, g, 0.0, 0.7, 1.9)
-            assert lhs <= rhs * (1 + 1e-12)
-
-    def test_bad_ordering_rejected(self):
-        g = grid1d(64)
-        with pytest.raises(ValueError):
-            interpolation_check(np.ones(g.shape), g, 1.0, 1.0, 2.0)
