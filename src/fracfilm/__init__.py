@@ -61,10 +61,12 @@ from .spectral import (
     spectral_gradient,
 )
 from .transport import (
-    SinkhornCache,
+    ExactTransport,
+    Sinkhorn,
     TransportConfig,
     TransportResult,
     optimal_map_1d,
+    prepare,
     w2,
     w2_exact_1d,
     w2_sinkhorn,

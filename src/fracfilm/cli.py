@@ -119,6 +119,8 @@ def _float_list(text: str, what: str) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise ScenarioError(f"--threads must be at least 1, got {args.threads}")
     sc = load_scenario(args.scenario)
     out = Path(args.out)
     if args.tau_list:
@@ -157,10 +159,12 @@ def cmd_sweep(args) -> int:
                 raise ScenarioError(str(exc)) from exc
             subs.append(sub)
         payloads = [(sub, out / f"s_{sub.s:g}") for sub in subs]
-        if args.threads > 1:
+        # the pool starts all its workers at the first submit: no more than runs
+        workers = min(args.threads, len(payloads))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 statuses = list(pool.map(_sweep_one, payloads))
         else:
             statuses = [_sweep_one(p) for p in payloads]
@@ -173,6 +177,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_print_config(args) -> int:
     sc = load_scenario(args.scenario)
+    sc.initial_density()  # refuse what `run` refuses before echoing it
     sys.stdout.write(format_scenario(sc))
     return EXIT_OK
 
@@ -202,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--s-list", default="", help="comma list of equation orders")
     p_sw.add_argument("--horizon", type=float, default=0.0, help="time horizon for tau sweeps")
     p_sw.add_argument("--r", type=float, default=0.5, help="comparison order r < s")
-    p_sw.add_argument("--threads", type=int, default=1, help="parallel scenario workers")
+    p_sw.add_argument("--threads", type=int, default=1,
+                      help="parallel scenario workers (at least 1; at most one per --s-list entry)")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_pc = sub.add_parser("print-config", help="parse and echo a normalized scenario")

@@ -31,20 +31,21 @@ starts at alpha = min(1, 2 alpha_prev).  A step ends `converged`
 iterations without a new smallest residual, or an exhausted line search
 after an accepted step).  The residual ignores cells below 1e-8 of the peak
 (`_DEGENERATE_SHARE`), whose influence on any functional of the iterate is
-bounded by their total mass.  All transport calls of a step share one
-`SinkhornCache` for u_prev, and the step records how many calls it made and
-how many Sinkhorn passes they took, and in d >= 2 how many operator
-applications its CG solves made and how many of them missed
-`_NEWTON_FORCING`.
+bounded by their total mass.  All transport calls of a step go through
+one transport object prepared for u_prev (`transport.prepare`), and the
+step records how many calls it made and how many Sinkhorn passes they
+took, and in d >= 2 how many operator applications its CG solves made
+and how many of them missed `_NEWTON_FORCING`.
 
 In d >= 2 each line-search call starts Sinkhorn from the dual that the
 Newton solve predicts.  The Hessian of W^2/2 is taken as A_u^-1, so the
 step alpha du = -alpha tau A_u z changes the half-potential phi by
 -alpha tau z; with the cost |x - y|^2 and a transport map close to the
 identity, the dual g on u_prev's side then moves by +2 alpha tau z.  The
-call at alpha is handed g_u + 2 alpha tau z (`SinkhornCache.g_next`), g_u
-the converged dual of the gradient call at u.  A fallback direction gets
-no prediction (z does not describe it), nor does the exact 1D path.
+call at alpha is handed g_u + 2 alpha tau z as its `start`, g_u the
+converged dual of the gradient call at u (the prepared object's `dual`).
+A fallback direction gets no prediction (z does not describe it), nor
+does the exact 1D path, whose `dual` is None.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 from .errors import FracfilmError, StagnationError
 from .measure import GridDensity, boundary_shell_mass, entropy, second_moment
 from .spectral import PeriodicGrid, energy_of_values, fractional_laplacian
-from .transport import SinkhornCache, TransportConfig, w2
+from .transport import TransportConfig, prepare, w2
 
 _EPS = np.finfo(float).eps
 _OBJ_NOISE = 32 * _EPS
@@ -313,7 +314,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         raise ValueError("density grid does not match the configured grid")
     s, tau, inner = cfg.s, cfg.tau, cfg.inner
     hvol = grid.cell_volume
-    cache = SinkhornCache(u_prev, cfg.transport)
+    transport = prepare(u_prev, cfg.transport)
     counts = [0, 0, 0, 0]  # transport calls, Sinkhorn passes, CG applications, unmet solves
 
     def count(tr):
@@ -321,14 +322,14 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         counts[1] += tr.iterations
         return tr
 
-    def objective(values: np.ndarray) -> float:
+    def objective(values: np.ndarray, start) -> float:
         dens = GridDensity(grid, values)
-        tr = count(w2(dens, u_prev, cfg.transport, want_potential=False, cache=cache))
+        tr = count(w2(dens, transport, want_potential=False, start=start))
         return energy_of_values(values, grid, s) + tr.w2_squared / (2 * tau)
 
     def gradient(values: np.ndarray):
         dens = GridDensity(grid, values)
-        tr = count(w2(dens, u_prev, cfg.transport, want_potential=True, cache=cache))
+        tr = count(w2(dens, transport, want_potential=True))
         return fractional_laplacian(values, grid, s) + tr.potential / tau, tr
 
     def residual(values: np.ndarray, g: np.ndarray):
@@ -375,7 +376,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         z = solve(u, mob, g - gbar)
         du = -tau * _apply_mobility(z, mob)
         slope = hvol * float(np.sum(g * du))
-        dual = cache.g  # the Sinkhorn dual at u; None on the exact 1D path
+        dual = transport.dual  # the Sinkhorn dual at u; None on the exact 1D path
         if not slope < 0:
             du = -tau * u * (g - gbar)
             slope = hvol * float(np.sum(g * du))
@@ -384,9 +385,8 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         alpha = min(1.0, 2 * alpha)
         while alpha >= _ALPHA_MIN:
             cand = _candidate(u, du, alpha, hvol)
-            if dual is not None:
-                cache.g_next = dual + (2 * alpha * tau) * z
-            obj_c = objective(cand)
+            start = None if dual is None else dual + (2 * alpha * tau) * z
+            obj_c = objective(cand, start)
             if obj_c <= obj + _ARMIJO * alpha * slope + _OBJ_NOISE * max(1.0, abs(obj)):
                 break
             alpha *= _SHRINK

@@ -12,20 +12,21 @@ log-domain Sinkhorn at one softmin per half-step, each softmin one matrix
 product per axis, and returns the gradient of half the debiased
 divergence, so both backends follow one convention.
 
-Every Sinkhorn call runs through a `SinkhornCache` bound to its target
-density and settings; a JKO step, which measures many densities against
-one target, passes one cache to all its calls, and a call without one
-makes a fresh cache.  The first call on a cache solves the target's
-kernel, log-mass and self-potential once; every call then warm-starts its
-main loop from the last converged dual g (the first call from the target's
-self-potential, the exact answer for u = target) and its u-side
-self-potential from the last converged one.  `TransportResult.iterations`
-counts the main passes plus the self-potential passes the call itself
-made, so the first call on a cache carries the target's.  The main loop
-over-relaxes both potential updates by a fixed factor, taking a relaxed
-update only when it raises every cell's term of the dual objective, and
-stops only when both plan marginals are within tolerance.  The exact 1D
-path ignores the cache.
+A JKO step measures many densities against one target, so it evaluates
+transport through an object prepared for that target (`prepare`):
+`ExactTransport` in 1D, `Sinkhorn` otherwise.  A `Sinkhorn` owns its
+target, its settings and its warm-start state.  Its first call solves the
+target's kernel, log-mass and self-potential once; every call then starts
+its main loop from the dual it is handed (`start`), else from the last
+converged dual (`dual`; the first call from the target's self-potential,
+the exact answer for u = target), and its u-side self-potential from the
+last converged one.  `TransportResult.iterations` counts the main passes
+plus the self-potential passes the call itself made, so the first call
+carries the target's.  The main loop over-relaxes both potential updates
+by a fixed factor, taking a relaxed update only when it raises every
+cell's term of the dual objective, and stops only when both plan
+marginals are within tolerance.  `w2_sinkhorn` is one call on a fresh
+`Sinkhorn`, in any dimension.
 
 The axis kernel exp(-|x - y|^2 / eps) is exactly 0 below `_KERNEL_FLOOR`,
 the square root of the smallest normal float (about 1.5e-154), so the
@@ -333,143 +334,134 @@ def _sym_potential(a_log_mass, kmat, dim, epsilon, max_iter, tol, f0=None):
     )
 
 
-class SinkhornCache:
-    """What every Sinkhorn call of one JKO step shares: the step's target
-    density and transport settings, the axis kernel, the target's scaled
-    log-mass and self-potential (filled by the first call), and the dual
-    potential g and u-side self-potential of the last call that converged,
-    from which the next call starts.  `g_next`, when set, replaces g as the
-    start of the next call only, which clears it: `jko_step` puts there the
-    dual that its Newton step predicts for a line-search candidate (the
-    `jko` module docstring derives it).  Exact 1D transport ignores the
-    cache."""
+class Sinkhorn:
+    """Debiased entropic transport to one fixed target, warm-started across
+    calls (see the module docstring).
+
+    A call on u returns S_eps(u, target) as ``w2_squared`` and half the
+    debiased dual potential (cross potential minus self potential, zero
+    mean): the cost is |x-y|^2, so that half is delta(S_eps/2), the
+    convention of `w2_exact_1d`.  The potential comes out of the passes
+    that give the value, so it is returned whatever `want_potential` says.
+    The main loop starts from `start`, else from `dual`, else from the
+    target's self-potential; a call that raises leaves `dual` and u's
+    cached self-potential as they were.  The main loop over-relaxes both
+    updates (`_relaxed`), so ``marginal_error`` is the larger of the two
+    marginal defects; ConvergenceError, carrying it, is raised when the
+    configured tolerance is not reached in L^1.
+    """
 
     def __init__(self, target: GridDensity, config: TransportConfig):
-        self.target = target
-        self.config = config
-        self.kmat = self.lb = self.fb = None  # the target's, filled on first use
-        self.g = self.fa = None  # the last converged call's
-        self.g_next = None  # a predicted start for the next call only
+        self._target = target
+        self._config = config
+        self._kmat = self._lb = self._fb = None  # the target's, filled by the first call
+        self._fa = None  # u's self-potential in the last converged call
+        self.dual = None  # g of the last converged call
 
-    def check(self, target: GridDensity, epsilon: float, max_iter: int, tol: float):
-        """Raise ValueError unless the cache was made for `target` (the same
-        object) and these Sinkhorn settings."""
-        if target is not self.target:
-            raise ValueError("sinkhorn cache was made for another target density")
-        cfg = self.config
-        if (cfg.epsilon, cfg.max_iter, cfg.tol) != (epsilon, max_iter, tol):
-            raise ValueError("sinkhorn cache was made for other transport settings")
+    def __call__(self, u: GridDensity, want_potential: bool = True,
+                 start: Optional[np.ndarray] = None) -> TransportResult:
+        v = self._target
+        _check_same_grid(u, v)
+        epsilon, max_iter, tol = self._config.epsilon, self._config.max_iter, self._config.tol
+        grid = u.grid
+        dim, hpow = grid.dim, grid.cell_volume
+        a = u.values * hpow
+        b = v.values * hpow
+        la = _scaled_log(a, epsilon)
+        it_b = 0
+        if self._fb is None:
+            self._kmat, self._lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
+            self._fb, it_b = _sym_potential(self._lb, self._kmat, dim, epsilon, max_iter, tol)
+        kmat, lb, fb = self._kmat, self._lb, self._fb
+        g = next(x for x in (start, self.dual, fb) if x is not None)
+        fa0 = fb if self._fa is None else self._fa
 
-
-def w2_sinkhorn(
-    u: GridDensity,
-    v: GridDensity,
-    epsilon: float,
-    max_iter: int = 20000,
-    tol: float = 1e-9,
-    cache: Optional[SinkhornCache] = None,
-) -> TransportResult:
-    """Debiased entropic divergence S_eps(u, v) with log-domain iterations.
-
-    The quadratic-cost Gibbs kernel factorizes across axes, so every softmin
-    is a sequence of one-dimensional kernel contractions; iterations run in
-    the log domain with a global shift.  Returns the debiased value
-    OT(u,v) - (OT(u,u) + OT(v,v))/2 as ``w2_squared`` and half the debiased
-    dual potential (cross potential minus self potential, zero mean): the
-    cost is |x-y|^2, so that half is delta(S_eps/2), the convention of
-    `w2_exact_1d`.
-    Raises ValueError on settings `TransportConfig` refuses, and
-    ConvergenceError carrying the marginal error when the plan marginals
-    fail to reach `tol` in L^1.
-
-    `cache` is a `SinkhornCache` made for v and these settings; without
-    one the call makes a fresh cache.  The kernel, v's log-mass and v's
-    self-potential fb are computed once per cache, by its first call (whose
-    ``iterations`` include fb's passes); the main loop starts from the
-    cache's `g_next` (which the call clears), else from the last converged
-    call's g, else from fb, the fixed point for u = v; and u's
-    self-potential starts from the last converged call's, or from fb.  The
-    main loop over-relaxes both updates (`_relaxed`), so its stopping test
-    bounds the b-marginal defect as well as the a-marginal one, and
-    ``marginal_error`` is the larger of the two.
-    """
-    _check_same_grid(u, v)
-    if cache is None:
-        cache = SinkhornCache(v, TransportConfig(epsilon, max_iter, tol))
-    cache.check(v, epsilon, max_iter, tol)
-    grid = u.grid
-    dim, hpow = grid.dim, grid.cell_volume
-    a = u.values * hpow
-    b = v.values * hpow
-    la = _scaled_log(a, epsilon)
-    it_b = 0
-    if cache.fb is None:
-        cache.kmat, cache.lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
-        cache.fb, it_b = _sym_potential(cache.lb, cache.kmat, dim, epsilon, max_iter, tol)
-    kmat, lb = cache.kmat, cache.lb
-    g = next(x for x in (cache.g_next, cache.g, cache.fb) if x is not None)
-    cache.g_next = None
-    fa0 = cache.fb if cache.fa is None else cache.fa
-
-    # one softmin per half-step: raw = softmin(g + lb) is the check's f_next and
-    # the next f's plain update.  Both updates are over-relaxed (the first f
-    # has no previous value), so the b-marginal is not exact and the test
-    # bounds both defects of the plan of (f, g):
-    # a_i (exp((f_i - f_next_i)/eps) - 1) and b_j (exp((g_j - g_soft_j)/eps) - 1)
-    empty_a, empty_b = np.nonzero(a == 0), np.nonzero(b == 0)
-    marginal_error = np.inf
-    with np.errstate(divide="ignore", over="ignore"):
-        raw = _softmin(kmat, g + lb, dim, epsilon)
-        f = np.where(np.isfinite(raw), raw, 0.0)
-        for it in range(max_iter):
-            g_soft = _softmin(kmat, f + la, dim, epsilon)
-            g_soft = np.where(np.isfinite(g_soft), g_soft, 0.0)
-            g, b_defect = _relaxed(b, g, g_soft, epsilon, empty_b)
+        # one softmin per half-step: raw = softmin(g + lb) is the check's f_next and
+        # the next f's plain update.  Both updates are over-relaxed (the first f
+        # has no previous value), so the b-marginal is not exact and the test
+        # bounds both defects of the plan of (f, g):
+        # a_i (exp((f_i - f_next_i)/eps) - 1) and b_j (exp((g_j - g_soft_j)/eps) - 1)
+        empty_a, empty_b = np.nonzero(a == 0), np.nonzero(b == 0)
+        marginal_error = np.inf
+        with np.errstate(divide="ignore", over="ignore"):
             raw = _softmin(kmat, g + lb, dim, epsilon)
-            f_next = np.where(np.isfinite(raw), raw, f)
-            row = f - f_next  # |a exp((f - f_next)/eps) - a|, in place
-            row /= epsilon
-            np.clip(row, -700, 700, out=row)
-            np.exp(row, out=row)
-            row *= a
-            row -= a
-            np.abs(row, out=row)
-            marginal_error = max(float(row.sum()), b_defect)
-            if marginal_error <= tol:
-                break
-            f = _relaxed(a, f, np.where(np.isfinite(raw), raw, 0.0), epsilon, empty_a, False)[0]
-        else:
-            raise ConvergenceError(
-                f"sinkhorn failed to reach marginal tolerance {tol} in {max_iter} iterations "
-                f"(marginal error {marginal_error:.3e})",
-                marginal_error=marginal_error,
-            )
+            f = np.where(np.isfinite(raw), raw, 0.0)
+            for it in range(max_iter):
+                g_soft = _softmin(kmat, f + la, dim, epsilon)
+                g_soft = np.where(np.isfinite(g_soft), g_soft, 0.0)
+                g, b_defect = _relaxed(b, g, g_soft, epsilon, empty_b)
+                raw = _softmin(kmat, g + lb, dim, epsilon)
+                f_next = np.where(np.isfinite(raw), raw, f)
+                row = f - f_next  # |a exp((f - f_next)/eps) - a|, in place
+                row /= epsilon
+                np.clip(row, -700, 700, out=row)
+                np.exp(row, out=row)
+                row *= a
+                row -= a
+                np.abs(row, out=row)
+                marginal_error = max(float(row.sum()), b_defect)
+                if marginal_error <= tol:
+                    break
+                f = _relaxed(a, f, np.where(np.isfinite(raw), raw, 0.0), epsilon, empty_a, False)[0]
+            else:
+                raise ConvergenceError(
+                    f"sinkhorn failed to reach marginal tolerance {tol} in {max_iter} iterations "
+                    f"(marginal error {marginal_error:.3e})",
+                    marginal_error=marginal_error,
+                )
 
-    ot_uv = float(np.sum(f * a) + np.sum(g * b))
-    fa, it_a = _sym_potential(la, kmat, dim, epsilon, max_iter, tol, fa0)
-    cache.g, cache.fa = g, fa
-    ot_uu = float(2.0 * np.nansum(np.where(a > 0, fa * a, 0.0)))
-    ot_vv = float(2.0 * np.nansum(np.where(b > 0, cache.fb * b, 0.0)))
-    value = ot_uv - 0.5 * ot_uu - 0.5 * ot_vv
-    if abs(value) < 1e3 * tol:
-        value = max(value, 0.0)
+        ot_uv = float(np.sum(f * a) + np.sum(g * b))
+        fa, it_a = _sym_potential(la, kmat, dim, epsilon, max_iter, tol, fa0)
+        self.dual, self._fa = g, fa
+        ot_uu = float(2.0 * np.nansum(np.where(a > 0, fa * a, 0.0)))
+        ot_vv = float(2.0 * np.nansum(np.where(b > 0, fb * b, 0.0)))
+        value = ot_uv - 0.5 * ot_uu - 0.5 * ot_vv
+        if abs(value) < 1e3 * tol:
+            value = max(value, 0.0)
 
-    debiased = 0.5 * (f - np.where(np.isfinite(fa), fa, 0.0))
-    debiased = debiased - debiased.mean()
-    return TransportResult(
-        w2_squared=float(value),
-        potential=debiased,
-        method="sinkhorn",
-        iterations=it + 1 + it_a + it_b,
-        marginal_error=marginal_error,
-    )
+        debiased = 0.5 * (f - np.where(np.isfinite(fa), fa, 0.0))
+        debiased = debiased - debiased.mean()
+        return TransportResult(
+            w2_squared=float(value),
+            potential=debiased,
+            method="sinkhorn",
+            iterations=it + 1 + it_a + it_b,
+            marginal_error=marginal_error,
+        )
 
 
-def w2(u: GridDensity, v: GridDensity, config: TransportConfig = TransportConfig(),
-       want_potential: bool = True, cache: Optional[SinkhornCache] = None) -> TransportResult:
-    """Dispatch: exact quantile transport in 1D, Sinkhorn otherwise.  `cache`
-    (made for v and `config`) warm-starts Sinkhorn; the exact path ignores it."""
-    _check_same_grid(u, v)
-    if u.grid.dim == 1:
-        return w2_exact_1d(u, v, want_potential=want_potential)
-    return w2_sinkhorn(u, v, config.epsilon, config.max_iter, config.tol, cache)
+class ExactTransport:
+    """Exact quantile transport to one fixed 1D target (`w2_exact_1d`); it
+    keeps no dual, so `dual` is None and `start` is ignored."""
+
+    dual = None
+
+    def __init__(self, target: GridDensity):
+        self._target = target
+
+    def __call__(self, u: GridDensity, want_potential: bool = True,
+                 start: Optional[np.ndarray] = None) -> TransportResult:
+        return w2_exact_1d(u, self._target, want_potential)
+
+
+def prepare(target: GridDensity, config: TransportConfig):
+    """The transport to `target` that a JKO step evaluates: exact quantile
+    transport in 1D, Sinkhorn with `config`'s settings otherwise."""
+    if target.grid.dim == 1:
+        return ExactTransport(target)
+    return Sinkhorn(target, config)
+
+
+def w2(u: GridDensity, transport, want_potential: bool = True,
+       start: Optional[np.ndarray] = None) -> TransportResult:
+    """Evaluate a prepared transport (`prepare`) at u; `start` is the dual
+    a Sinkhorn call starts from in place of the last converged one."""
+    return transport(u, want_potential=want_potential, start=start)
+
+
+def w2_sinkhorn(u: GridDensity, v: GridDensity, epsilon: float,
+                max_iter: int = 20000, tol: float = 1e-9) -> TransportResult:
+    """One cold `Sinkhorn` call: S_eps(u, v) and delta(S_eps/2), in any
+    dimension.  Raises ValueError on settings `TransportConfig` refuses,
+    before any pass."""
+    return Sinkhorn(v, TransportConfig(epsilon, max_iter, tol))(u)

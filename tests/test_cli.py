@@ -590,6 +590,53 @@ class TestSweep:
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         assert main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "y")]) == 3
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_3(self, tmp_path, capsys, monkeypatch, threads):
+        # such a sweep used to run every order serially and exit 0
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(fracfilm.cli, "_sweep_one", None)
+        scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
+        out = tmp_path / "t"
+        code = main(["sweep", "--scenario", str(scen), "--out", str(out),
+                     "--s-list", "0.5,1.0", "--threads", threads])
+        assert code == 3
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("s_list, threads, pools", [("0.5,1.0", "3", [2]), ("0.5,1.0", "2", [2]),
+                                                        ("1.0", "3", [])],
+                             ids=["capped", "equal", "one_run_serial"])
+    def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch, s_list, threads, pools):
+        # the pool forks all its workers at the first submit, so a larger
+        # pool only starts idle processes; the fake runs the sweep in-process
+        import concurrent.futures
+
+        made = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
+        out = tmp_path / "p"
+        code = main(["sweep", "--scenario", str(scen), "--out", str(out),
+                     "--s-list", s_list, "--threads", threads])
+        assert code == 0
+        assert made == pools
+        assert len(list(out.iterdir())) == len(s_list.split(","))
+
 
 class TestPrintConfig:
     def test_echo_normalized(self, tmp_path, capsys):
@@ -598,6 +645,21 @@ class TestPrintConfig:
         out = capsys.readouterr().out
         assert "grid.n = 128" in out
         assert parse_scenario(out).name == "smoke"
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("initial.variance = 1.0", "initial.variance = inf", "variance must be finite"),
+         ("initial.kind = gaussian", "initial.kind = from_file\ninitial.path = /nonexistent/u0.txt",
+          "/nonexistent/u0.txt")],
+        ids=["infinite_variance", "missing_file"],
+    )
+    def test_initial_datum_run_refuses_exits_3(self, tmp_path, capsys, old, new, message):
+        # such a scenario used to be echoed with exit 0
+        scen = write_scenario(tmp_path, FAST_SCENARIO.replace(old, new))
+        assert main(["print-config", "--scenario", str(scen)]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 STARTUP_PROBE = """\

@@ -12,7 +12,6 @@ from fracfilm import (
     InnerConfig,
     JkoConfig,
     PeriodicGrid,
-    SinkhornCache,
     TransportConfig,
     energy,
     fractional_laplacian,
@@ -273,31 +272,30 @@ class TestRegimes:
 @pytest.fixture
 def transport_calls(monkeypatch):
     """One (u, hint, result, dual) entry per transport call `jko_step`
-    makes: hint is a copy of the predicted start the call was handed (None
-    without), dual a copy of the cache's converged dual after the call."""
+    makes: hint is a copy of the `start` the call was handed (None
+    without), dual a copy of the transport's converged dual after the call."""
     import fracfilm.jko
 
     calls = []
-    transport = fracfilm.jko.w2
+    evaluate = fracfilm.jko.w2
 
-    def recorded(u, v, config, want_potential=True, cache=None):
-        hint = None if cache.g_next is None else cache.g_next.copy()
-        tr = transport(u, v, config, want_potential, cache)
-        calls.append((u, hint, tr, None if cache.g is None else cache.g.copy()))
+    def recorded(u, transport, want_potential=True, start=None):
+        hint = None if start is None else start.copy()
+        tr = evaluate(u, transport, want_potential=want_potential, start=start)
+        calls.append((u, hint, tr, None if transport.dual is None else transport.dual.copy()))
         return tr
 
     monkeypatch.setattr(fracfilm.jko, "w2", recorded)
     return calls
 
 
-class _UnhintedCache(SinkhornCache):
+def _unhinted_w2(u, transport, want_potential=True, start=None):
     """Drops every predicted start: each call starts from the last converged dual."""
-
-    g_next = property(lambda self: None, lambda self, value: None)
+    return w2(u, transport, want_potential=want_potential)
 
 
 class TestPredictedStart:
-    """Each line-search call of a d >= 2 step starts from cache.g + 2 alpha tau z."""
+    """Each line-search call of a d >= 2 step starts from dual + 2 alpha tau z."""
 
     @pytest.mark.parametrize("s, extra_applications", [(0.5, 0), (1.0, 0), (2.0, 1)])
     def test_fewer_passes_same_newton_work(self, s, extra_applications, monkeypatch):
@@ -309,7 +307,7 @@ class TestPredictedStart:
         cfg = sink2d_step_config(max_iters=10, s=s)
         u0 = gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE)
         hinted = jko_step(u0, cfg)
-        monkeypatch.setattr(fracfilm.jko, "SinkhornCache", _UnhintedCache)
+        monkeypatch.setattr(fracfilm.jko, "w2", _unhinted_w2)
         plain = jko_step(u0, cfg)
         assert (hinted.inner_iterations, hinted.stop_reason) == (plain.inner_iterations, plain.stop_reason)
         assert hinted.krylov_applications == plain.krylov_applications + extra_applications

@@ -7,14 +7,16 @@ from fracfilm import (
     GridMismatchError,
     InnerConfig,
     JkoConfig,
+    ExactTransport,
     PeriodicGrid,
-    SinkhornCache,
+    Sinkhorn,
     TransportConfig,
     gaussian_density,
     gaussian_mixture_density,
     heat_semigroup,
     jko_step,
     optimal_map_1d,
+    prepare,
     uniform_density,
     w2,
     w2_exact_1d,
@@ -563,7 +565,7 @@ class TestKernelFloor:
         assert np.array_equal(floored.density.values, plain.density.values)
 
 
-class TestSinkhornCache:
+class TestSinkhornWarmStart:
     GRID = PeriodicGrid(2, 48, 16.0)
     CFG = TransportConfig(epsilon=0.1, max_iter=20000, tol=1e-7)
 
@@ -572,11 +574,11 @@ class TestSinkhornCache:
 
     def test_warm_matches_cold_with_fewer_passes(self):
         v, tol = self.target(), self.CFG.tol
-        cache = SinkhornCache(v, self.CFG)
+        sink = Sinkhorn(v, self.CFG)
         warm_passes = cold_passes = 0
         for u in line_search_sequence(self.GRID, v):
-            cold = w2(u, v, self.CFG)
-            warm = w2(u, v, self.CFG, cache=cache)
+            cold = Sinkhorn(v, self.CFG)(u)
+            warm = sink(u)
             assert abs(warm.w2_squared - cold.w2_squared) <= 10 * tol * abs(cold.w2_squared)
             assert np.max(np.abs(warm.potential - cold.potential)) <= 100 * tol
             assert warm.marginal_error <= tol
@@ -584,7 +586,7 @@ class TestSinkhornCache:
             cold_passes += cold.iterations
         assert warm_passes < cold_passes
 
-    def test_fresh_cache_on_its_target_takes_one_main_pass(self, monkeypatch):
+    def test_first_call_on_its_target_takes_one_main_pass(self, monkeypatch):
         sym_passes = [0]
         sym_potential = transport._sym_potential
 
@@ -595,33 +597,20 @@ class TestSinkhornCache:
 
         monkeypatch.setattr(transport, "_sym_potential", counted_sym_potential)
         v = self.target()
-        res = w2(v, v, self.CFG, cache=SinkhornCache(v, self.CFG))
+        res = Sinkhorn(v, self.CFG)(v)
         assert res.iterations - sym_passes[0] == 1
-
-    def test_other_target_or_settings_rejected(self):
-        v = self.target()
-        cache = SinkhornCache(v, self.CFG)
-        twin = GridDensity(self.GRID, v.values.copy())
-        with pytest.raises(ValueError, match="target"):
-            w2(v, twin, self.CFG, cache=cache)
-        for other in (TransportConfig(0.2, 20000, 1e-7),
-                      TransportConfig(0.1, 19999, 1e-7),
-                      TransportConfig(0.1, 20000, 1e-8)):
-            with pytest.raises(ValueError, match="settings"):
-                w2(v, v, other, cache=cache)
-        assert cache.fb is None
 
     def test_failed_call_keeps_last_converged_state(self):
         cfg = TransportConfig(epsilon=0.1, max_iter=40, tol=1e-7)
         v = self.target()
-        cache = SinkhornCache(v, cfg)
-        w2(v, v, cfg, cache=cache)
-        g, fa = cache.g.copy(), cache.fa.copy()
+        sink = Sinkhorn(v, cfg)
+        sink(v)
+        g, fa = sink.dual.copy(), sink._fa.copy()
         far = gaussian_density(self.GRID, (-1.5, 1.0), 1.4)
         with pytest.raises(ConvergenceError):
-            w2(far, v, cfg, cache=cache)
-        assert np.array_equal(cache.g, g)
-        assert np.array_equal(cache.fa, fa)
+            sink(far)
+        assert np.array_equal(sink.dual, g)
+        assert np.array_equal(sink._fa, fa)
 
     def test_relaxed_update_defect_and_dual_ascent(self):
         # the returned defect is the L1 distance of the dense plan's column
@@ -666,7 +655,7 @@ class TestSinkhornCache:
         grid, densities, epsilon = SINKHORN_CASES[case]
         u, v = densities(grid)
         tol = 1e-11
-        res = w2_sinkhorn(u, v, epsilon, 20000, tol, cache=SinkhornCache(v, TransportConfig(epsilon, 20000, tol)))
+        res = w2_sinkhorn(u, v, epsilon, 20000, tol)
         f, g = potentials[-2].ravel(), potentials[-1].ravel()
         a, b = (w.values.ravel() * grid.cell_volume for w in (u, v))
         x = np.stack([c.ravel() for c in grid.coords], axis=1)
@@ -678,7 +667,7 @@ class TestSinkhornCache:
         assert b_defect > 0  # the final g-update was relaxed
         assert res.marginal_error == pytest.approx(max(a_defect, b_defect), rel=1e-3)
 
-    def test_cached_call_waits_for_the_b_marginal(self, monkeypatch):
+    def test_call_waits_for_the_b_marginal(self, monkeypatch):
         # on its target the a-marginal is met at once; a b-defect above tol
         # still keeps the loop going to its cap
         relaxed = transport._relaxed
@@ -686,7 +675,7 @@ class TestSinkhornCache:
         cfg = TransportConfig(epsilon=0.1, max_iter=50, tol=1e-7)
         v = self.target()
         with pytest.raises(ConvergenceError) as exc_info:
-            w2(v, v, cfg, cache=SinkhornCache(v, cfg))
+            Sinkhorn(v, cfg)(v)
         assert exc_info.value.marginal_error == 1.0
 
     def test_warm_start_from_far_dual_matches_cold(self):
@@ -696,12 +685,12 @@ class TestSinkhornCache:
         # its peak (the cells the inner solver's residual counts), up to a
         # constant
         v, tol = self.target(), self.CFG.tol
-        cache = SinkhornCache(v, self.CFG)
+        sink = Sinkhorn(v, self.CFG)
         far = gaussian_density(self.GRID, (-1.5, 1.0), 1.4)
         near = line_search_sequence(self.GRID, v)[3]
         for u in (far, near, far):  # each call starts from the other's dual
-            cold = w2(u, v, self.CFG)
-            warm = w2(u, v, self.CFG, cache=cache)
+            cold = Sinkhorn(v, self.CFG)(u)
+            warm = sink(u)
             live = u.values >= 1e-8 * u.values.max()
             warm_live, cold_live = warm.potential[live], cold.potential[live]
             gap = (warm_live - warm_live.mean()) - (cold_live - cold_live.mean())
@@ -711,7 +700,7 @@ class TestSinkhornCache:
 
     @pytest.mark.parametrize("case", sorted(SINKHORN_CASES))
     def test_warm_call_matches_fresh_on_reference_cases(self, case):
-        # a cache that has served v and a midpoint first starts u's call from
+        # a Sinkhorn that has served v and a midpoint first starts u's call from
         # the midpoint's dual.  "wide" has zero-mass cells and non-finite
         # softmins.  Off u's support the potential is an extension that
         # depends on the start (zero where the kernel underflows), so it is
@@ -721,9 +710,9 @@ class TestSinkhornCache:
         u, v = densities(grid)
         cfg = TransportConfig(epsilon, 20000, 1e-9)
         fresh = w2_sinkhorn(u, v, epsilon, 20000, 1e-9)
-        cache = SinkhornCache(v, cfg)
+        sink = Sinkhorn(v, cfg)
         for w in (v, GridDensity.normalized(grid, u.values + v.values), u):
-            warm = w2_sinkhorn(w, v, epsilon, 20000, 1e-9, cache=cache)
+            warm = sink(w)
         live = u.values > 0
         warm_live, fresh_live = warm.potential[live], fresh.potential[live]
         gap = (warm_live - warm_live.mean()) - (fresh_live - fresh_live.mean())
@@ -735,65 +724,60 @@ class TestSinkhornCache:
     @pytest.mark.parametrize("case", sorted(SINKHORN_CASES))
     def test_second_call_leaves_first_results_alone(self, case):
         # no work array of a call aliases what an earlier call returned or
-        # cached, nor does anything a call returns alias the cache
+        # kept, nor does anything a call returns alias the object's state
         grid, densities, epsilon = SINKHORN_CASES[case]
         u, v = densities(grid)
         cfg = TransportConfig(epsilon, 20000, 1e-9)
-        cache = SinkhornCache(v, cfg)
-        first = w2_sinkhorn(u, v, epsilon, 20000, 1e-9, cache=cache)
-        kept = {"potential": first.potential, "g": cache.g, "fa": cache.fa}
+        sink = Sinkhorn(v, cfg)
+        first = sink(u)
+        kept = {"potential": first.potential, "dual": sink.dual, "fa": sink._fa}
         copies = {name: arr.copy() for name, arr in kept.items()}
         u2 = GridDensity.normalized(grid, u.values + v.values)
-        second = w2_sinkhorn(u2, v, epsilon, 20000, 1e-9, cache=cache)
+        second = sink(u2)
         for name, arr in kept.items():
             assert np.array_equal(arr, copies[name]), name
-        held = [second.potential, cache.g, cache.fa, cache.fb, cache.kmat, cache.lb, *kept.values()]
+        held = [second.potential, sink.dual, sink._fa, sink._fb, sink._kmat, sink._lb, *kept.values()]
         for i, x in enumerate(held):
             assert not any(np.shares_memory(x, y) for y in held[i + 1:])
 
     def test_predicted_start_serves_one_call(self):
-        # a call handed g_next starts from it (and so ends elsewhere than
-        # from cache.g), clears it and keeps it unchanged; the next call
-        # starts from the converged dual again, as if handed a copy of it
+        # a call handed a start begins from it (and so ends elsewhere than
+        # from dual) and keeps it unchanged; the next call starts from the
+        # converged dual again, as if handed a copy of it
         v = self.target()
         u1, u2 = line_search_sequence(self.GRID, v)[2:4]
-        eps, cap, tol = self.CFG.epsilon, self.CFG.max_iter, self.CFG.tol
-        caches = [SinkhornCache(v, self.CFG) for _ in range(3)]
-        for cache in caches:
-            w2_sinkhorn(v, v, eps, cap, tol, cache=cache)
-        hint = caches[0].g + 0.05 * np.cos(self.GRID.coords[0])
+        hinted, twin, unhinted = sinks = [Sinkhorn(v, self.CFG) for _ in range(3)]
+        for sink in sinks:
+            sink(v)
+        hint = hinted.dual + 0.05 * np.cos(self.GRID.coords[0])
         kept = hint.copy()
-        hinted, twin = caches[:2]
-        hinted.g_next, twin.g_next = hint, hint.copy()
-        first = w2_sinkhorn(u1, v, eps, cap, tol, cache=hinted)
-        assert hinted.g_next is None
+        first = hinted(u1, start=hint)
         assert np.array_equal(hint, kept)
-        held = [first.potential, hinted.g, hinted.fa, hinted.fb, hinted.kmat, hinted.lb]
+        held = [first.potential, hinted.dual, hinted._fa, hinted._fb, hinted._kmat, hinted._lb]
         assert not any(np.shares_memory(hint, x) for x in held)
-        plain = w2_sinkhorn(u1, v, eps, cap, tol, cache=caches[2])
+        plain = unhinted(u1)
         assert not np.array_equal(first.potential, plain.potential)
-        w2_sinkhorn(u1, v, eps, cap, tol, cache=twin)
-        twin.g_next = twin.g.copy()
-        second = w2_sinkhorn(u2, v, eps, cap, tol, cache=hinted)
-        second_twin = w2_sinkhorn(u2, v, eps, cap, tol, cache=twin)
+        twin(u1, start=hint.copy())
+        second = hinted(u2)
+        second_twin = twin(u2, start=twin.dual.copy())
         assert second.iterations == second_twin.iterations
         assert np.array_equal(second.potential, second_twin.potential)
-        assert np.array_equal(hinted.g, twin.g)
+        assert np.array_equal(hinted.dual, twin.dual)
 
-    def test_exact_1d_ignores_cache(self):
+    def test_exact_1d_keeps_no_dual(self):
         g = grid1d()
         u = gaussian_density(g, 0.0, 1.0)
         v = gaussian_density(g, 0.5, 1.2)
-        cfg = TransportConfig()
-        cache = SinkhornCache(v, cfg)
+        transport = prepare(v, TransportConfig())
+        assert isinstance(transport, ExactTransport)
         for want in (True, False):
-            plain = w2(u, v, cfg, want_potential=want)
-            cached = w2(u, v, cfg, want_potential=want, cache=cache)
-            assert cached.w2_squared == plain.w2_squared
-            assert cached.iterations == plain.iterations == 0
+            plain = w2_exact_1d(u, v, want_potential=want)
+            prepared = w2(u, transport, want_potential=want, start=np.ones(g.shape))
+            assert prepared.w2_squared == plain.w2_squared
+            assert prepared.iterations == plain.iterations == 0
             if want:
-                assert np.array_equal(cached.potential, plain.potential)
-        assert cache.fb is None and cache.g is None
+                assert np.array_equal(prepared.potential, plain.potential)
+        assert transport.dual is None
 
 
 class TestDispatch:
@@ -801,7 +785,7 @@ class TestDispatch:
         g = grid1d()
         u = gaussian_density(g, 0.0, 1.0)
         v = gaussian_density(g, 0.5, 1.2)
-        auto = w2(u, v, TransportConfig())
+        auto = w2(u, prepare(v, TransportConfig()))
         exact = w2_exact_1d(u, v)
         assert auto.w2_squared == exact.w2_squared
         assert np.array_equal(auto.potential, exact.potential)
@@ -812,6 +796,8 @@ class TestDispatch:
         u = gaussian_density(g, (0.0, 0.0), 1.0)
         v = gaussian_density(g, (0.5, 0.0), 1.0)
         cfg = TransportConfig(epsilon=0.1, max_iter=20000, tol=1e-7)
-        res = w2(u, v, cfg)
+        transport = prepare(v, cfg)
+        assert isinstance(transport, Sinkhorn)
+        res = w2(u, transport)
         assert res.method == "sinkhorn"
         assert res.w2_squared > 0
