@@ -3,7 +3,9 @@
 Everything here is built from the standard exp(-1/t) transition, so the
 fields are genuinely C-infinity with analytic first and second derivatives;
 the push-forward Jacobians and the weak-form Hessian bounds never fall back
-to finite differencing.
+to finite differencing.  The weak-form test function is stored in its
+separable form a(t) psi(x), and its Hessian bound is closed-form in the
+cutoff's radii.
 """
 
 from __future__ import annotations
@@ -29,13 +31,26 @@ def _f_parts(t):
     return f, fp, fpp
 
 
+# Extremes on [0, 1] of the transition F(t) = f(1-t) / (f(1-t) + f(t)) that
+# `plateau` stretches over its annulus: max|F'| = 2 exactly, at t = 1/2, and
+# max|F''| as a 20 001-point probe reads it.  The true max|F''| lies 2.4e-8
+# (2.5e-9 relative) above the literal, inside the 1e-7 safety factor of the
+# Hessian bound.
+_TRANSITION_SLOPE_MAX = 2.0
+_TRANSITION_CURVATURE_MAX = 9.841042277489374
+
+
+def _check_radii(r_inner: float, r_outer: float) -> None:
+    if not (0 <= r_inner < r_outer):
+        raise ValueError(f"need 0 <= r_inner < r_outer, got {(r_inner, r_outer)}")
+
+
 def plateau(r, r_inner: float, r_outer: float):
     """C-infinity cutoff chi(r): 1 for r <= r_inner, 0 for r >= r_outer.
 
     Returns ``(chi, dchi_dr, d2chi_dr2)`` evaluated elementwise.
     """
-    if not (0 <= r_inner < r_outer):
-        raise ValueError(f"need 0 <= r_inner < r_outer, got {(r_inner, r_outer)}")
+    _check_radii(r_inner, r_outer)
     r = np.asarray(r, dtype=float)
     w = r_outer - r_inner
     t = np.clip((r - r_inner) / w, 0.0, 1.0)
@@ -145,25 +160,41 @@ def _symmetric_spectral_norm(mats: np.ndarray) -> np.ndarray:
 class SpaceTimeTestFunction:
     """Separable smooth test function phi(t, x) = a(t) psi(x), compact in x.
 
-    Carries the analytic gradient and Hessian plus a certified
-    bound ``hessian_sup`` >= sup ||D^2 phi||; the bound is validated against
-    a sampled estimate on construction.
+    ``time_factor(t)`` is a(t).  ``spatial(points, hessian=False)`` returns
+    psi, grad psi and, when asked, D^2 psi (else None) at an (npts, dim)
+    array of points; `value`, `grad` and `hessian` scale these by a(t).
+    ``hessian_sup`` is a certified bound >= sup ||D^2 phi||, validated
+    against a sampled estimate on construction.
     """
 
     dim: int
-    value: Callable
-    grad: Callable
-    hessian: Callable
+    time_factor: Callable
+    spatial: Callable
     hessian_sup: float
     support_radius: float
 
+    def value(self, t, points):
+        psi, _, _ = self.spatial(np.atleast_2d(points))
+        return self.time_factor(t) * psi
+
+    def grad(self, t, points):
+        _, dpsi, _ = self.spatial(np.atleast_2d(points))
+        return self.time_factor(t) * dpsi
+
+    def hessian(self, t, points):
+        _, _, d2psi = self.spatial(np.atleast_2d(points), hessian=True)
+        return self.time_factor(t) * d2psi
+
     def sampled_hessian_norm(self) -> float:
         """Largest spectral norm of D^2 phi at 2048 seeded points of the
-        support's bounding box and four times."""
+        support's bounding box and four times.  ||D^2 phi(t, x)|| =
+        |a(t)| ||D^2 psi(x)||, so D^2 psi is evaluated once and its largest
+        norm is scaled by the largest |a| over the times."""
         rng = np.random.default_rng(3)
         pts = rng.uniform(-self.support_radius, self.support_radius, size=(2048, self.dim))
-        return max(float(_symmetric_spectral_norm(self.hessian(t, pts)).max())
-                   for t in (0.0, 0.3, 0.7, 1.3))
+        _, _, d2psi = self.spatial(pts, hessian=True)
+        a_max = max(abs(self.time_factor(t)) for t in (0.0, 0.3, 0.7, 1.3))
+        return float(_symmetric_spectral_norm(d2psi).max()) * a_max
 
     def __post_init__(self):
         worst = self.sampled_hessian_norm()
@@ -181,37 +212,27 @@ def cosine_bump_test_function(
     r_outer: float = 16.0,
     time_scale: float = 1.0,
 ) -> SpaceTimeTestFunction:
-    """phi(t, x) = a(t) A cos(k x_1) chi(|x|) with a(t) = 1/(1 + t/ts).
+    """phi(t, x) = a(t) cos(k x_1) chi(|x|) with a(t) = A/(1 + t/ts).
 
     The time factor is smooth and order-one on the horizons used by the
     checks; spatial compact support comes from the plateau cutoff.
     """
+    _check_radii(r_inner, r_outer)
 
-    def a(t):
-        return 1.0 / (1.0 + t / time_scale)
+    def time_factor(t):
+        return 1.0 / (1.0 + t / time_scale) * amplitude
 
-    def psi_parts(points):
+    def spatial(points, hessian=False):
         r, rhat = _radial_parts(points)
         chi, dchi, ddchi = plateau(r, r_inner, r_outer)
         x1 = points[:, 0]
-        return r, rhat, chi, dchi, ddchi, np.cos(freq * x1), np.sin(freq * x1)
-
-    def value(t, points):
-        points = np.atleast_2d(points)
-        _, _, chi, _, _, c, _ = psi_parts(points)
-        return a(t) * amplitude * c * chi
-
-    def grad(t, points):
-        points = np.atleast_2d(points)
-        _, rhat, chi, dchi, _, c, s = psi_parts(points)
-        out = c[:, None] * dchi[:, None] * rhat
-        out[:, 0] -= freq * s * chi
-        return a(t) * amplitude * out
-
-    def hessian(t, points):
-        points = np.atleast_2d(points)
+        c, s = np.cos(freq * x1), np.sin(freq * x1)
+        psi = c * chi
+        dpsi = c[:, None] * dchi[:, None] * rhat
+        dpsi[:, 0] -= freq * s * chi
+        if not hessian:
+            return psi, dpsi, None
         npts, d = points.shape
-        r, rhat, chi, dchi, ddchi, c, s = psi_parts(points)
         e1 = np.zeros((npts, d))
         e1[:, 0] = 1.0
         H = np.zeros((npts, d, d))
@@ -226,22 +247,23 @@ def cosine_bump_test_function(
         radial = (dchi / safe_r)
         radial = np.where(r > 0, radial, 0.0)  # dchi = 0 near 0: exact zero
         H += c[:, None, None] * (ddchi[:, None, None] * rr + radial[:, None, None] * (eye - rr))
-        return a(t) * amplitude * H
+        return psi, dpsi, H
 
-    # sup||D^2 phi|| <= A (k^2 + 2 k max|chi'| + max(|chi''|, |chi'|/r_inner))
-    rprobe = np.linspace(r_inner, r_outer, 20001)
-    _, dchi, ddchi = plateau(rprobe, r_inner, r_outer)
+    # sup||D^2 phi|| <= A (k^2 + 2 k max|chi'| + max(|chi''|, |chi'|/r_inner)),
+    # with max|chi'| = max|F'|/w and max|chi''| = max|F''|/w^2
+    w = r_outer - r_inner
+    dchi_max = _TRANSITION_SLOPE_MAX / w
+    ddchi_max = _TRANSITION_CURVATURE_MAX / w ** 2
     bound = amplitude * (
         freq ** 2
-        + 2.0 * freq * np.max(np.abs(dchi))
-        + np.max(np.abs(ddchi))
-        + np.max(np.abs(dchi)) / max(r_inner, 1e-9)
+        + 2.0 * freq * dchi_max
+        + ddchi_max
+        + dchi_max / max(r_inner, 1e-9)
     )
     return SpaceTimeTestFunction(
         dim=dim,
-        value=value,
-        grad=grad,
-        hessian=hessian,
+        time_factor=time_factor,
+        spatial=spatial,
         hessian_sup=float(bound) * 1.0000001,
         support_radius=r_outer,
     )

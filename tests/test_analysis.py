@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from fracfilm import (
     CheckReport,
+    GridDensity,
     InnerConfig,
     JkoConfig,
     PeriodicGrid,
@@ -16,11 +17,14 @@ from fracfilm import (
     contraction_field,
     cosine_bump_test_function,
     derivative_identity_check,
+    entropy,
     gaussian_density,
     operator_N,
     operator_N_density,
+    plateau,
     run,
     sine_field,
+    sobolev_norm_sq,
     tau_refinement_study,
     translation_field,
     uniform_density,
@@ -200,6 +204,29 @@ class TestEntropyDissipation:
         rep = check_entropy_dissipation(bad)
         assert not rep.passed
 
+    def test_integrated_bound_row_fails_alone(self, short_trajectory):
+        # every step gets a Nyquist-rough density, so sum tau ||u^k||^2 far
+        # exceeds the integrated bound; entropies fall just fast enough that
+        # every per-step row holds, so only the row k = N + 1 can fail
+        traj = short_trajectory
+        grid, tau = traj.config.grid, traj.config.tau
+        wiggle = 1.0 + 0.5 * (-1.0) ** np.arange(grid.n)
+        steps, ent_prev = [], entropy(traj.initial)
+        for rec in traj.steps:
+            rough = GridDensity.normalized(grid, rec.density.values * wiggle)
+            norm = sobolev_norm_sq(rough.values, grid, 1.0 + traj.config.s, lattice=True)
+            ent_prev = ent_prev - tau * norm
+            steps.append(replace(rec, density=rough, entropy=ent_prev))
+        rep = check_entropy_dissipation(Trajectory(traj.config, traj.initial, steps))
+        nsteps = len(steps)
+        assert list(rep.ks) == list(range(1, nsteps + 2))
+        assert np.all(rep.lhs[:nsteps] <= rep.rhs[:nsteps])
+        assert rep.lhs[-1] == rep.extra["integrated_lhs"]
+        assert rep.rhs[-1] == rep.extra["integrated_rhs"]
+        assert rep.lhs[-1] > rep.rhs[-1] + rep.tolerance
+        assert not rep.extra["integrated_ok"]
+        assert not rep.passed
+
 
 class TestEviEntropy:
     def test_equal_inputs(self):
@@ -303,6 +330,120 @@ class TestWeakForm:
         mats = raw + np.swapaxes(raw, 1, 2)
         expected = np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
         assert np.allclose(_symmetric_spectral_norm(mats), expected, rtol=1e-14, atol=0.0)
+
+
+def _reference_cosine_bump(dim, amplitude, freq, r_inner, r_outer, time_scale=1.0):
+    """The test function as closures over a(t) = 1/(1 + t/ts), with its
+    Hessian bound probed on 20 001 radii: the reference for the separable
+    form and the closed-form bound.  Returns (value, grad, hessian, bound)."""
+
+    def a(t):
+        return 1.0 / (1.0 + t / time_scale)
+
+    def parts(points):
+        r = np.linalg.norm(points, axis=1)
+        safe = np.where(r > 0, r, 1.0)
+        rhat = points / safe[:, None]
+        rhat[r == 0] = 0.0
+        chi, dchi, ddchi = plateau(r, r_inner, r_outer)
+        x1 = points[:, 0]
+        return r, rhat, chi, dchi, ddchi, np.cos(freq * x1), np.sin(freq * x1)
+
+    def value(t, points):
+        _, _, chi, _, _, c, _ = parts(points)
+        return a(t) * amplitude * c * chi
+
+    def grad(t, points):
+        _, rhat, chi, dchi, _, c, s = parts(points)
+        out = c[:, None] * dchi[:, None] * rhat
+        out[:, 0] -= freq * s * chi
+        return a(t) * amplitude * out
+
+    def hessian(t, points):
+        npts, d = points.shape
+        r, rhat, chi, dchi, ddchi, c, s = parts(points)
+        e1 = np.zeros((npts, d))
+        e1[:, 0] = 1.0
+        H = -(freq ** 2) * (c * chi)[:, None, None] * (e1[:, :, None] * e1[:, None, :])
+        cross = e1[:, :, None] * rhat[:, None, :] + rhat[:, :, None] * e1[:, None, :]
+        H += -freq * (s * dchi)[:, None, None] * cross
+        rr = rhat[:, :, None] * rhat[:, None, :]
+        radial = np.where(r > 0, dchi / np.where(r > 0, r, 1.0), 0.0)
+        H += c[:, None, None] * (ddchi[:, None, None] * rr
+                                 + radial[:, None, None] * (np.eye(d) - rr))
+        return a(t) * amplitude * H
+
+    rprobe = np.linspace(r_inner, r_outer, 20001)
+    _, dchi, ddchi = plateau(rprobe, r_inner, r_outer)
+    bound = amplitude * (freq ** 2 + 2.0 * freq * np.max(np.abs(dchi)) + np.max(np.abs(ddchi))
+                         + np.max(np.abs(dchi)) / max(r_inner, 1e-9))
+    return value, grad, hessian, float(bound) * 1.0000001
+
+
+# the radii `fracfilm verify` uses, (0.3 L, 0.45 L) at L = 16 and 40, and
+# the radii of the unit tests
+_RADII = [(0.3 * 16.0, 0.45 * 16.0), (0.3 * 40.0, 0.45 * 40.0), (10.0, 16.0), (12.0, 16.0)]
+
+
+class TestCosineBumpTestFunction:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("radii", _RADII)
+    def test_closed_form_bound_matches_probe(self, dim, radii):
+        phi = cosine_bump_test_function(dim, amplitude=0.1, freq=2.0,
+                                        r_inner=radii[0], r_outer=radii[1])
+        *_, bound = _reference_cosine_bump(dim, 0.1, 2.0, *radii)
+        assert phi.hessian_sup == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_separable_form_matches_closures(self, dim):
+        radii = (10.0, 16.0)
+        phi = cosine_bump_test_function(dim, amplitude=0.5, freq=3.0,
+                                        r_inner=radii[0], r_outer=radii[1])
+        value, grad, hessian, _ = _reference_cosine_bump(dim, 0.5, 3.0, *radii)
+        rng = np.random.default_rng(7 + dim)
+        # the box around the support, the transition annulus and the origin
+        pts = rng.uniform(-17.0, 17.0, size=(1500, dim))
+        shell = rng.standard_normal((1500, dim))
+        shell *= rng.uniform(*radii, size=(1500, 1)) / np.linalg.norm(shell, axis=1)[:, None]
+        pts = np.vstack([pts, shell, np.zeros((1, dim))])
+        for t in (0.0, 1e-3, 0.37, 2.0):
+            np.testing.assert_allclose(phi.value(t, pts), value(t, pts), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(phi.grad(t, pts), grad(t, pts), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(phi.hessian(t, pts), hessian(t, pts),
+                                       rtol=1e-15, atol=0.0)
+
+    def test_transition_constants_against_fine_probe(self):
+        # F is the plateau profile on [0, 1]: chi on (r_inner, r_outer) =
+        # (0, 1) gives F' and F'' directly; 2 000 001 points in chunks
+        from fracfilm.fields import _TRANSITION_CURVATURE_MAX, _TRANSITION_SLOPE_MAX
+
+        slope, curvature = 0.0, 0.0
+        for chunk in np.array_split(np.linspace(0.0, 1.0, 2_000_001), 8):
+            _, d1, d2 = plateau(chunk, 0.0, 1.0)
+            slope = max(slope, float(np.max(np.abs(d1))))
+            curvature = max(curvature, float(np.max(np.abs(d2))))
+        assert abs(plateau(np.array([0.5]), 0.0, 1.0)[1][0]) == _TRANSITION_SLOPE_MAX
+        assert slope == pytest.approx(_TRANSITION_SLOPE_MAX, rel=1e-12)
+        # the literal sits 2.4e-8 (2.5e-9 relative) below the true maximum,
+        # inside the bound's 1e-7 safety factor
+        assert _TRANSITION_CURVATURE_MAX <= curvature
+        assert curvature - _TRANSITION_CURVATURE_MAX == pytest.approx(2.4e-8, rel=0.05)
+        assert curvature <= _TRANSITION_CURVATURE_MAX * (1.0 + 1e-7)
+
+    def test_weak_form_evaluates_spatial_part_once(self, short_trajectory):
+        phi = cosine_bump_test_function(1, amplitude=0.1, freq=2.0, r_inner=12.0, r_outer=16.0)
+        calls = []
+
+        def counting(points, hessian=False):
+            calls.append((points.shape, hessian))
+            return phi.spatial(points, hessian)
+
+        counted = replace(phi, spatial=counting)
+        calls.clear()  # the construction's self-check made one call
+        rep = check_weak_form_step(short_trajectory, counted)
+        assert len(short_trajectory.steps) > 1
+        assert calls == [((short_trajectory.config.grid.n, 1), False)]
+        assert rep.to_json() == check_weak_form_step(short_trajectory, phi).to_json()
 
 
 class TestTauRefinement:
