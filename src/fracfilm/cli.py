@@ -24,7 +24,6 @@ from .errors import FracfilmError
 from .fields import cosine_bump_test_function
 from .jko import run as jko_run
 from .scenario import (
-    Scenario,
     ScenarioError,
     format_scenario,
     load_run_directory,
@@ -39,18 +38,19 @@ EXIT_SOLVER_FAILED = 2
 EXIT_CONFIG_ERROR = 3
 
 
-def _default_test_function(sc: Scenario):
+def _default_test_function(grid):
     # gentle space-time bump: curvature small enough that the weak-form
     # discretization floor stays under the absolute slack at fine tau
-    r_outer = 0.45 * sc.box_length
-    r_inner = 0.3 * sc.box_length
+    r_outer = 0.45 * grid.box_length
+    r_inner = 0.3 * grid.box_length
     return cosine_bump_test_function(
-        dim=sc.dimension, amplitude=0.1, freq=2.0, r_inner=r_inner, r_outer=r_outer
+        dim=grid.dim, amplitude=0.1, freq=2.0, r_inner=r_inner, r_outer=r_outer
     )
 
 
-def run_checks(sc: Scenario, traj, checks):
-    validate_checks(checks, sc.dimension)
+def run_checks(traj, checks):
+    grid = traj.config.grid
+    validate_checks(checks, grid.dim)
     reports = []
     for name in checks:
         if name == "energy_estimate":
@@ -60,11 +60,21 @@ def run_checks(sc: Scenario, traj, checks):
         elif name == "entropy_dissipation":
             reports.append(check_entropy_dissipation(traj))
         elif name == "weak_form":
-            reports.append(check_weak_form_step(traj, _default_test_function(sc)))
+            reports.append(check_weak_form_step(traj, _default_test_function(grid)))
         elif name == "evi_entropy":
             final = traj.steps[-1].density if traj.steps else traj.initial
             reports.append(check_evi_entropy(traj.initial, final))
     return reports
+
+
+def _make_output_dirs(*dirs):
+    """Create the output directories before any solve, so that a path that
+    cannot be one is a config error found before the compute."""
+    for d in dirs:
+        try:
+            d.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError(f"cannot create output directory {d}: {exc.strerror}") from None
 
 
 def cmd_run(args) -> int:
@@ -73,8 +83,10 @@ def cmd_run(args) -> int:
     if not out_arg:
         print("config error: no output directory (--out flag or output.dir key)", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    traj = jko_run(sc.initial_density(), sc.jko_config(), sc.num_steps)
+    u0 = sc.initial_density()
     out = Path(out_arg)
+    _make_output_dirs(out)
+    traj = jko_run(u0, sc.config, sc.num_steps)
     write_run_directory(out, sc, traj)
     if traj.status != "ok":
         print(f"solver failure: {traj.status}", file=sys.stderr)
@@ -90,7 +102,7 @@ def cmd_verify(args) -> int:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not checks:
             raise ScenarioError(f"--checks {args.checks!r} names no check")
-    reports = run_checks(sc, traj, checks)
+    reports = run_checks(traj, checks)
     run_dir = Path(args.run_dir)
     all_passed = True
     for rep in reports:
@@ -104,9 +116,8 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_one(payload):
-    sc, out_dir = payload
-    u0 = sc.initial_density()
-    traj = jko_run(u0, sc.jko_config(), sc.num_steps)
+    sc, u0, out_dir = payload
+    traj = jko_run(u0, sc.config, sc.num_steps)
     write_run_directory(out_dir, sc, traj)
     return traj.status
 
@@ -125,16 +136,14 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     if args.tau_list:
         taus = _float_list(args.tau_list, "tau")
-        horizon = args.horizon if args.horizon else sc.num_steps * sc.tau
+        horizon = args.horizon if args.horizon else sc.num_steps * sc.config.tau
         try:
-            validate_refinement_settings(taus, horizon, args.r, sc.s)
+            validate_refinement_settings(taus, horizon, args.r, sc.config.s)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         u0 = sc.initial_density()
-        out.mkdir(parents=True, exist_ok=True)
-        report = tau_refinement_study(
-            u0, sc.jko_config(), tau_list=taus, horizon=horizon, r=args.r
-        )
+        _make_output_dirs(out)
+        report = tau_refinement_study(u0, sc.config, tau_list=taus, horizon=horizon, r=args.r)
         with open(out / "tau_refinement.json", "w") as fh:
             json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -149,16 +158,21 @@ def cmd_sweep(args) -> int:
         print(f"tau sweep: gaps {report.l2h_gaps} cauchy_monotone={report.cauchy_monotone}")
         return EXIT_OK
     if args.s_list:
-        # every order is checked before the first run starts
-        subs = []
+        # every order is checked before the first run starts or directory is made
+        runs = {}
         for sv in _float_list(args.s_list, "s"):
-            sub = replace(sc, s=sv, name=f"{sc.name}_s{sv:g}", raw_text="")
             try:
-                sub.jko_config()
+                config = replace(sc.config, s=sv)
             except ValueError as exc:
                 raise ScenarioError(str(exc)) from exc
-            subs.append(sub)
-        payloads = [(sub, out / f"s_{sub.s:g}") for sub in subs]
+            run_dir = out / f"s_{sv:g}"
+            if run_dir in runs:
+                raise ScenarioError(f"--s-list orders {runs[run_dir].config.s!r} and {sv!r} "
+                                    f"would share the run directory {run_dir.name}")
+            runs[run_dir] = replace(sc, config=config, name=f"{sc.name}_s{sv:g}", raw_text="")
+        u0 = sc.initial_density()
+        _make_output_dirs(*runs)
+        payloads = [(sub, u0, run_dir) for run_dir, sub in runs.items()]
         # the pool starts all its workers at the first submit: no more than runs
         workers = min(args.threads, len(payloads))
         if workers > 1:
@@ -169,8 +183,8 @@ def cmd_sweep(args) -> int:
         else:
             statuses = [_sweep_one(p) for p in payloads]
         bad = [s for s in statuses if s != "ok"]
-        for sub, status in zip(subs, statuses):
-            print(f"s = {sub.s:g}: {status}")
+        for (sub, _, _), status in zip(payloads, statuses):
+            print(f"s = {sub.config.s:g}: {status}")
         return EXIT_OK if not bad else EXIT_SOLVER_FAILED
     raise ScenarioError("sweep needs --tau-list or --s-list")
 

@@ -210,9 +210,8 @@ def cosine_bump_test_function(
     freq: float = 2.0,
     r_inner: float = 10.0,
     r_outer: float = 16.0,
-    time_scale: float = 1.0,
 ) -> SpaceTimeTestFunction:
-    """phi(t, x) = a(t) cos(k x_1) chi(|x|) with a(t) = A/(1 + t/ts).
+    """phi(t, x) = a(t) cos(k x_1) chi(|x|) with a(t) = A/(1 + t).
 
     The time factor is smooth and order-one on the horizons used by the
     checks; spatial compact support comes from the plateau cutoff.
@@ -220,7 +219,7 @@ def cosine_bump_test_function(
     _check_radii(r_inner, r_outer)
 
     def time_factor(t):
-        return 1.0 / (1.0 + t / time_scale) * amplitude
+        return 1.0 / (1.0 + t) * amplitude
 
     def spatial(points, hessian=False):
         r, rhat = _radial_parts(points)

@@ -310,7 +310,7 @@ def _candidate(u: np.ndarray, du: np.ndarray, alpha: float, cell_volume: float) 
 def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
     """One proximal step from u_prev; see the module docstring for the solver."""
     grid = u_prev.grid
-    if not grid.same_as(cfg.grid):
+    if grid != cfg.grid:
         raise ValueError("density grid does not match the configured grid")
     s, tau, inner = cfg.s, cfg.tau, cfg.inner
     hvol = grid.cell_volume

@@ -23,6 +23,9 @@ dimension: exact quantile transport in 1D, Sinkhorn otherwise.  So that old
 texts and manifests still load, the `RETIRED_KEYS` are accepted at the
 value that selects today's behaviour, and refused at any other.
 
+A parsed `Scenario` carries the run's `JkoConfig` (grid, order, step and
+solver settings), built once; building it validates those settings.
+
 A run directory contains diagnostics.csv (17 significant digits, one row
 per step), one density_??????.txt snapshot per step (k = 0 included), and
 manifest.json echoing the scenario text verbatim.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -107,35 +110,24 @@ def validate_checks(checks, dimension: int) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run: carries the `JkoConfig` it runs, plus its step count, initial
+    datum, checks and output directory."""
+
     name: str
-    dimension: int
-    n: int
-    box_length: float
-    s: float
-    tau: float
+    config: JkoConfig
     num_steps: int
     initial_kind: str
     initial_center: tuple = (0.0,)
     initial_variance: float = 1.0
     initial_components: tuple = ()
     initial_path: Optional[str] = None
-    transport: TransportConfig = field(default_factory=TransportConfig)
-    inner: InnerConfig = field(default_factory=InnerConfig)
     checks: tuple = tuple(DEFAULT_CHECKS)
     output_dir: Optional[str] = None
     raw_text: str = ""
 
-    def grid(self) -> PeriodicGrid:
-        return PeriodicGrid(dim=self.dimension, n=self.n, box_length=self.box_length)
-
-    def jko_config(self) -> JkoConfig:
-        return JkoConfig(
-            grid=self.grid(), s=self.s, tau=self.tau, inner=self.inner, transport=self.transport
-        )
-
     def initial_density(self) -> GridDensity:
         """The initial datum; ScenarioError when its settings or file are bad."""
-        grid = self.grid()
+        grid = self.config.grid
         kind = self.initial_kind
         try:
             if kind == "gaussian":
@@ -198,8 +190,6 @@ def parse_scenario(text: str) -> Scenario:
     kv = _parse_kv(text)
     try:
         scenario = _scenario_from_keys(kv, text)
-        # validate eagerly so config errors surface before any compute
-        scenario.jko_config()
     except ScenarioError:
         raise
     except ValueError as exc:
@@ -257,13 +247,23 @@ def _scenario_from_keys(kv: dict, text: str) -> Scenario:
     dimension = _as_int(kv, "dimension", 1)
     _check_retired(kv, dimension)
     validate_checks(checks, dimension)
-    return Scenario(
-        name=kv.get("name", "unnamed"),
-        dimension=dimension,
-        n=_as_int(kv, "grid.n"),
-        box_length=_as_float(kv, "grid.box_length"),
+    config = JkoConfig(
+        grid=PeriodicGrid(dimension, _as_int(kv, "grid.n"), _as_float(kv, "grid.box_length")),
         s=_as_float(kv, "equation.s"),
         tau=_as_float(kv, "time.tau"),
+        inner=InnerConfig(
+            max_iters=_as_int(kv, "inner.max_iters", InnerConfig.max_iters),
+            grad_tol=_as_float(kv, "inner.grad_tol", InnerConfig.grad_tol),
+        ),
+        transport=TransportConfig(
+            epsilon=_as_float(kv, "transport.epsilon", TransportConfig.epsilon),
+            max_iter=_as_int(kv, "transport.max_iter", TransportConfig.max_iter),
+            tol=_as_float(kv, "transport.tol", TransportConfig.tol),
+        ),
+    )
+    return Scenario(
+        name=kv.get("name", "unnamed"),
+        config=config,
         num_steps=_as_int(kv, "time.num_steps"),
         initial_kind=kind,
         initial_center=(_as_vector(kv["initial.center"]) if "initial.center" in kv
@@ -271,15 +271,6 @@ def _scenario_from_keys(kv: dict, text: str) -> Scenario:
         initial_variance=_as_float(kv, "initial.variance", Scenario.initial_variance),
         initial_components=components,
         initial_path=kv.get("initial.path"),
-        transport=TransportConfig(
-            epsilon=_as_float(kv, "transport.epsilon", TransportConfig.epsilon),
-            max_iter=_as_int(kv, "transport.max_iter", TransportConfig.max_iter),
-            tol=_as_float(kv, "transport.tol", TransportConfig.tol),
-        ),
-        inner=InnerConfig(
-            max_iters=_as_int(kv, "inner.max_iters", InnerConfig.max_iters),
-            grad_tol=_as_float(kv, "inner.grad_tol", InnerConfig.grad_tol),
-        ),
         checks=checks,
         output_dir=kv.get("output.dir"),
         raw_text=text,
@@ -295,13 +286,14 @@ def load_scenario(path) -> Scenario:
 
 def format_scenario(sc: Scenario) -> str:
     """Normalized flat key-value rendering (reparses to an equal Scenario)."""
+    cfg = sc.config
     lines = [
         f"name = {sc.name}",
-        f"dimension = {sc.dimension}",
-        f"grid.n = {sc.n}",
-        f"grid.box_length = {sc.box_length!r}",
-        f"equation.s = {sc.s!r}",
-        f"time.tau = {sc.tau!r}",
+        f"dimension = {cfg.grid.dim}",
+        f"grid.n = {cfg.grid.n}",
+        f"grid.box_length = {cfg.grid.box_length!r}",
+        f"equation.s = {cfg.s!r}",
+        f"time.tau = {cfg.tau!r}",
         f"time.num_steps = {sc.num_steps}",
         f"initial.kind = {sc.initial_kind}",
     ]
@@ -316,11 +308,11 @@ def format_scenario(sc: Scenario) -> str:
     elif sc.initial_kind == "from_file":
         lines.append(f"initial.path = {sc.initial_path}")
     lines += [
-        f"transport.epsilon = {sc.transport.epsilon!r}",
-        f"transport.max_iter = {sc.transport.max_iter}",
-        f"transport.tol = {sc.transport.tol!r}",
-        f"inner.max_iters = {sc.inner.max_iters}",
-        f"inner.grad_tol = {sc.inner.grad_tol!r}",
+        f"transport.epsilon = {cfg.transport.epsilon!r}",
+        f"transport.max_iter = {cfg.transport.max_iter}",
+        f"transport.tol = {cfg.transport.tol!r}",
+        f"inner.max_iters = {cfg.inner.max_iters}",
+        f"inner.grad_tol = {cfg.inner.grad_tol!r}",
         "checks = " + ", ".join(sc.checks),
     ]
     if sc.output_dir:
@@ -383,17 +375,16 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
     with open(out / "diagnostics.csv", "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rec in traj.steps:
-            fh.write(",".join(_diagnostic_cells(rec, sc.tau)) + "\n")
+            fh.write(",".join(_diagnostic_cells(rec, sc.config.tau)) + "\n")
     for k in range(traj.num_steps + 1):
         write_density_file(out / _density_filename(k), traj.density_at_step(k))
-    grid = sc.grid()
     manifest = {
         "scenario_text": sc.raw_text or format_scenario(sc),
         "code_version": _package_version(),
         "status": traj.status,
         "num_steps": traj.num_steps,
         "initial": {
-            "energy": energy_of_values(traj.initial.values, grid, sc.s),
+            "energy": energy_of_values(traj.initial.values, sc.config.grid, sc.config.s),
             "entropy": entropy(traj.initial),
             "second_moment": second_moment(traj.initial),
             "boundary_mass": boundary_shell_mass(traj.initial),
@@ -414,7 +405,11 @@ def _read_snapshot(run: Path, k: int, grid: PeriodicGrid) -> GridDensity:
     snap = run / _density_filename(k)
     if not snap.is_file():
         raise ScenarioError(f"density snapshot for step {k} missing ({snap})")
-    return GridDensity(grid, _read_density_file(snap, grid))
+    values = _read_density_file(snap, grid)
+    try:
+        return GridDensity(grid, values)
+    except ValueError as exc:  # a negative value, or a mass other than 1
+        raise ScenarioError(f"density snapshot {snap}: {exc}") from None
 
 
 def load_run_directory(run_dir):
@@ -434,7 +429,7 @@ def load_run_directory(run_dir):
     if not isinstance(manifest, dict) or not isinstance(manifest.get("scenario_text"), str):
         raise ScenarioError(f"manifest {manifest_path} holds no scenario_text")
     sc = parse_scenario(manifest["scenario_text"])
-    grid = sc.grid()
+    grid = sc.config.grid
     initial = _read_snapshot(run, 0, grid)
     csv_path = run / "diagnostics.csv"
     if not csv_path.is_file():
@@ -454,5 +449,8 @@ def load_run_directory(run_dir):
                 raise ScenarioError(f"malformed diagnostics row {line!r}: {exc}") from None
             rows.append({attr: x for x, (_, attr, _) in zip(cells, DIAGNOSTIC_COLUMNS) if attr})
     steps = [StepRecord(density=_read_snapshot(run, row["index"], grid), **row) for row in rows]
-    traj = Trajectory(sc.jko_config(), initial, steps, status=manifest.get("status", "ok"))
+    try:
+        traj = Trajectory(sc.config, initial, steps, status=manifest.get("status", "ok"))
+    except ValueError as exc:  # rows that skip or repeat a step
+        raise ScenarioError(f"diagnostics {csv_path}: {exc}") from None
     return sc, traj

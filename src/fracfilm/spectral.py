@@ -132,13 +132,6 @@ class PeriodicGrid:
         cut = 0.9 * (self.box_length / 2.0)
         return reduce(np.logical_or, [np.abs(c) > cut for c in self.coords])
 
-    def same_as(self, other: "PeriodicGrid") -> bool:
-        return (
-            self.dim == other.dim
-            and self.n == other.n
-            and self.box_length == other.box_length
-        )
-
 
 def apply_multiplier(values: np.ndarray, grid: PeriodicGrid, multiplier: np.ndarray) -> np.ndarray:
     """Apply a Fourier multiplier m(xi) to a real grid function.

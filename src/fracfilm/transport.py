@@ -100,7 +100,7 @@ class TransportResult:
 
 
 def _check_same_grid(u: GridDensity, v: GridDensity):
-    if not u.grid.same_as(v.grid):
+    if u.grid != v.grid:
         raise GridMismatchError("transport requires both densities on the same grid")
 
 

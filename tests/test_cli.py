@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 import fracfilm
 from fracfilm import (
     InnerConfig,
+    JkoConfig,
     PeriodicGrid,
     TransportConfig,
     contraction_field,
@@ -20,12 +22,14 @@ from fracfilm import (
 )
 from fracfilm.cli import main
 from fracfilm.scenario import (
+    KNOWN_CHECKS,
     KNOWN_KEYS,
     Scenario,
     ScenarioError,
     format_scenario,
     load_run_directory,
     parse_scenario,
+    validate_checks,
 )
 
 FAST_SCENARIO = """\
@@ -68,12 +72,18 @@ def write_scenario(tmp_path, text, name="scenario.cfg"):
     return path
 
 
-def readme_key_table():
-    """The keys listed in the README's scenario-key table."""
+def readme_key_rows():
+    """The README's scenario-key table: each key and the text of its row."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("Supported keys:", 1)[1].split("\n\n", 2)[1]
-    return {line.split()[0] for line in table.splitlines()
-            if line.startswith("    ") and not line.startswith("     ")}
+    rows = {}
+    for line in table.splitlines():
+        if line.startswith("     "):  # continues the row above
+            rows[key] += " " + line.strip()
+        else:
+            key, _, text = line.strip().partition(" ")
+            rows[key] = text.strip()
+    return rows
 
 
 def written_keys(text):
@@ -84,13 +94,29 @@ class TestParsing:
     def test_round_trip_normalized_form(self):
         # doc-drift guard: the README documents exactly the keys the parser
         # knows, and the normalized form writes only those and reparses equal
-        assert readme_key_table() == set(KNOWN_KEYS)
+        assert set(readme_key_rows()) == set(KNOWN_KEYS)
         sc = parse_scenario(FAST_SCENARIO)
         text = format_scenario(sc)
         assert written_keys(text) <= set(KNOWN_KEYS)
         again = parse_scenario(text)
         assert replace(again, raw_text="") == replace(sc, raw_text="")
         assert format_scenario(again) == format_scenario(sc)
+
+    def test_readme_checks_row_matches_the_registry(self):
+        # doc-drift guard: the README's `checks` row lists exactly the known
+        # checks, and marks "dimension 1 only" exactly those refused at d = 2
+        row = readme_key_rows()["checks"]
+        match = re.fullmatch(r"comma list: ([^(]*?)(?: \((.*): dimension 1 only\))?", row)
+        assert match, row
+        assert [c.strip() for c in match[1].split(",")] == KNOWN_CHECKS
+        one_d_only = {c.strip() for c in (match[2] or "").split(",") if c.strip()}
+        refused = set()
+        for name in KNOWN_CHECKS:
+            try:
+                validate_checks([name], 2)
+            except ScenarioError:
+                refused.add(name)
+        assert one_d_only == refused
 
     @pytest.mark.parametrize(
         "line, key",
@@ -127,10 +153,15 @@ class TestParsing:
         text = ("grid.n = 64\ngrid.box_length = 40.0\nequation.s = 1.0\n"
                 "time.tau = 1e-3\ntime.num_steps = 1\n")
         sc = parse_scenario(text)
-        assert sc.transport == TransportConfig()
-        assert sc.inner == InnerConfig()
-        assert sc == Scenario(name="unnamed", dimension=1, n=64, box_length=40.0, s=1.0,
-                              tau=1e-3, num_steps=1, initial_kind="gaussian", raw_text=text)
+        assert sc.config.transport == TransportConfig()
+        assert sc.config.inner == InnerConfig()
+        config = JkoConfig(grid=PeriodicGrid(1, 64, 40.0), s=1.0, tau=1e-3)
+        assert sc == Scenario(name="unnamed", config=config, num_steps=1,
+                              initial_kind="gaussian", raw_text=text)
+
+    def test_initial_datum_lives_on_the_configured_grid(self):
+        sc = parse_scenario(FAST_SCENARIO)
+        assert sc.initial_density().grid is sc.config.grid
 
     def test_comments_and_blanks_ignored(self):
         sc = parse_scenario("# header\n\n" + FAST_SCENARIO + "\n# tail\n")
@@ -179,7 +210,7 @@ class TestParsing:
     def test_readme_key_table_lists_every_written_key(self, kind_lines):
         sc = parse_scenario(FAST_SCENARIO.replace("initial.kind = gaussian", kind_lines))
         text = format_scenario(replace(sc, output_dir="runs/smoke"))
-        assert written_keys(text) - readme_key_table() == set()
+        assert written_keys(text) - set(readme_key_rows()) == set()
 
 
 class TestRun:
@@ -256,6 +287,29 @@ class TestRun:
         assert main(["run", "--scenario", str(scen)]) == 0
         assert (out / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--tau-list", "2e-2,1e-2"], ["--s-list", "0.5,1.5"]],
+        ids=["run", "tau_sweep", "s_sweep"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["out_is_a_file", "out_below_a_file"])
+    def test_unusable_out_exits_3_before_any_solve(self, tmp_path, capsys, monkeypatch, extra,
+                                                   below):
+        # such an --out used to end the command in a traceback after the compute
+        def solver(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(fracfilm.cli, "jko_run", solver)
+        monkeypatch.setattr(fracfilm.cli, "tau_refinement_study", solver)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        out = blocker / "run" if below else blocker
+        scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
+        command = ["sweep"] if extra else ["run"]
+        assert main(command + ["--scenario", str(scen), "--out", str(out)] + extra) == 3
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert blocker.read_text() == "a file\n"
+
     def test_no_output_dir_anywhere_exits_3(self, tmp_path):
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         assert main(["run", "--scenario", str(scen)]) == 3
@@ -328,6 +382,21 @@ def drop_scenario_text(text):
     return json.dumps(manifest)
 
 
+def scale_middle_value(factor):
+    """An edit of a density snapshot that multiplies its middle value by `factor`."""
+    def edit(text):
+        lines = text.splitlines()
+        mid = len(lines) // 2
+        lines[mid] = repr(factor * float(lines[mid]))
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def drop_first_diagnostics_row(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:1] + lines[2:])
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("verify")
@@ -374,18 +443,27 @@ class TestVerify:
         [("diagnostics.csv", set_diagnostics_cell("energy", "abc"), "malformed diagnostics row"),
          ("diagnostics.csv", set_diagnostics_cell("k", "x"), "malformed diagnostics row"),
          ("manifest.json", lambda text: text[: len(text) // 2], "not JSON"),
-         ("manifest.json", drop_scenario_text, "scenario_text")],
-        ids=["energy_abc", "k_x", "manifest_not_json", "manifest_without_scenario_text"],
+         ("manifest.json", drop_scenario_text, "scenario_text"),
+         ("density_000002.txt", scale_middle_value(-1.0), "density_000002.txt"),
+         ("density_000002.txt", scale_middle_value(1.5), "density_000002.txt"),
+         ("diagnostics.csv", drop_first_diagnostics_row, "diagnostics.csv")],
+        ids=["energy_abc", "k_x", "manifest_not_json", "manifest_without_scenario_text",
+             "negated_snapshot_value", "snapshot_value_times_1.5", "first_row_deleted"],
     )
     def test_malformed_run_directory_exits_3(self, run_dir, tmp_path, capsys, name, edit, message):
         # each of these used to end `verify` in a traceback and exit 1
         import shutil
 
         bad = tmp_path / "bad_run"
-        shutil.copytree(run_dir, bad)
+        shutil.copytree(run_dir, bad, ignore=shutil.ignore_patterns("check_*.json"))
         (bad / name).write_text(edit((bad / name).read_text()))
         assert main(["verify", str(bad)]) == 3
         assert message in capsys.readouterr().err
+        assert not list(bad.glob("check_*.json"))
+
+    def test_one_grid_per_run_directory(self, run_dir):
+        _, traj = load_run_directory(run_dir)
+        assert traj.config.grid is traj.initial.grid is traj.steps[-1].density.grid
 
     def test_unknown_check_exits_3(self, run_dir):
         assert main(["verify", str(run_dir), "--checks", "bogus"]) == 3
@@ -416,9 +494,8 @@ class TestVerify:
         from fracfilm import energy_of_values, entropy, second_moment
 
         sc, traj = load_run_directory(run_dir)
-        grid = sc.grid()
         for rec in traj.steps:
-            assert energy_of_values(rec.density.values, grid, sc.s) == pytest.approx(
+            assert energy_of_values(rec.density.values, sc.config.grid, sc.config.s) == pytest.approx(
                 rec.energy, abs=1e-12
             )
             assert entropy(rec.density) == pytest.approx(rec.entropy, abs=1e-12)
@@ -607,6 +684,22 @@ class TestSweep:
     def test_sweep_without_lists_exits_3(self, tmp_path):
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         assert main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "y")]) == 3
+
+    @pytest.mark.parametrize("s_list", ["1,1", "1,1.0000001"], ids=["equal", "same_name"])
+    def test_orders_sharing_a_run_directory_exit_3(self, tmp_path, capsys, monkeypatch, s_list):
+        # both orders used to be run into s_1, the second over the first
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(fracfilm.cli, "_sweep_one", None)
+        scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
+        out = tmp_path / "clash"
+        code = main(["sweep", "--scenario", str(scen), "--out", str(out),
+                     "--s-list", s_list, "--threads", "2"])
+        assert code == 3
+        second = s_list.split(",")[1]
+        assert f"orders 1.0 and {float(second)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_3(self, tmp_path, capsys, monkeypatch, threads):
