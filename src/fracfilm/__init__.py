@@ -33,8 +33,6 @@ from .fields import (
     contraction_field,
     cosine_bump_test_function,
     plateau,
-    sine_field,
-    translation_field,
 )
 from .jko import InnerConfig, JkoConfig, StepRecord, Trajectory, interpolant, jko_step, run
 from .measure import (
@@ -42,7 +40,6 @@ from .measure import (
     VectorField,
     boundary_shell_mass,
     entropy,
-    flow_map,
     gaussian_density,
     gaussian_mixture_density,
     heat_semigroup,

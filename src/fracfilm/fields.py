@@ -98,51 +98,6 @@ def contraction_field(dim: int, r_inner: float, r_outer: float, rate: float = 1.
     return VectorField(dim=dim, func=func, jacobian=jac, support_radius=r_outer)
 
 
-def translation_field(direction, r_inner: float, r_outer: float) -> VectorField:
-    """eta(x) = a * chi(|x|): rigid translation by `direction` on the plateau."""
-    a = np.atleast_1d(np.asarray(direction, dtype=float))
-
-    def func(points):
-        points = np.atleast_2d(points)
-        r, _ = _radial_parts(points)
-        chi, _, _ = plateau(r, r_inner, r_outer)
-        return a[None, :] * chi[:, None]
-
-    def jac(points):
-        points = np.atleast_2d(points)
-        r, rhat = _radial_parts(points)
-        _, dchi, _ = plateau(r, r_inner, r_outer)
-        return a[None, :, None] * (dchi[:, None] * rhat)[:, None, :]
-
-    return VectorField(dim=len(a), func=func, jacobian=jac, support_radius=r_outer)
-
-
-def sine_field(dim: int, r_inner: float, r_outer: float, freq: float = 0.5, axis: int = 0) -> VectorField:
-    """eta(x) = e_axis * sin(freq * x_axis) * chi(|x|): a deforming field."""
-
-    def func(points):
-        points = np.atleast_2d(points)
-        r, _ = _radial_parts(points)
-        chi, _, _ = plateau(r, r_inner, r_outer)
-        out = np.zeros_like(points)
-        out[:, axis] = np.sin(freq * points[:, axis]) * chi
-        return out
-
-    def jac(points):
-        points = np.atleast_2d(points)
-        npts, d = points.shape
-        r, rhat = _radial_parts(points)
-        chi, dchi, _ = plateau(r, r_inner, r_outer)
-        s = np.sin(freq * points[:, axis])
-        c = np.cos(freq * points[:, axis])
-        out = np.zeros((npts, d, d))
-        out[:, axis, :] = s[:, None] * dchi[:, None] * rhat
-        out[:, axis, axis] += freq * c * chi
-        return out
-
-    return VectorField(dim=dim, func=func, jacobian=jac, support_radius=r_outer)
-
-
 def _symmetric_spectral_norm(mats: np.ndarray) -> np.ndarray:
     """Spectral norm, the largest |eigenvalue|, of each symmetric matrix in a
     stack of shape (..., d, d).  Closed form for d <= 2: |h| in 1D, and

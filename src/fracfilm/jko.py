@@ -12,24 +12,29 @@ one linearised implicit step of the equation; it has zero mass.  A_u uses
 face-averaged mobility, zero on every face that touches a cell where
 u_prev = 0: outside u_prev's support the exact 1D potential is flat, so
 the slope there would be wrong.  Cells inside it that underflow to zero
-can refill.  In d = 1 the system is assembled densely from the step's
-circulant L_s, but only on the columns whose face mobility can move an
-entry by more than one ulp of the unit diagonal (`_solve_dense`): LU
-solves that block, O(|B|^3) per iteration for |B| kept columns (113 of
-256 on the reference Gaussian), and one matrix-vector product gives the
-other cells.  In d >= 2 it is solved by
-conjugate gradients on its SPD zero-mean form in Fourier coordinates, with a
-Fourier preconditioner (`_solve_krylov`), stopped at the relative residual
-`_NEWTON_FORCING`: an inexact Newton method with a fixed forcing term
-(Eisenstat & Walker 1996; `_solve_krylov` says why it suffices).
+can refill.  In d = 1 the system is assembled densely from the circulant
+L_s D^T, built once per step with its columns stored as rows, but only on
+the columns whose face mobility can move an entry by more than one ulp of
+the unit diagonal (`_solve_dense`): LU solves that block, O(|B|^3) per
+iteration for |B| kept columns (113 of 256 on the reference Gaussian),
+and one matrix-vector product gives the other cells.  In d >= 2 it is
+solved by conjugate gradients on its SPD zero-mean form in Fourier
+coordinates, with a Fourier preconditioner (`_solve_krylov`), stopped at
+the relative residual `_NEWTON_FORCING`: an inexact Newton method with a
+fixed forcing term (Eisenstat & Walker 1996; `_solve_krylov` says why it
+suffices).
 
 The candidate u + alpha du (u exp(alpha du / u) where du < 0, then
 renormalised) keeps positivity and mass one to rounding; a non-descent
 direction falls back to du = -tau u (G - mean(G)).  Armijo backtracking
-starts at alpha = min(1, 2 alpha_prev).  A step ends `converged`
-(residual at most `grad_tol`), `max_iters`, or `stalled` (`_STALL_ITERS`
-iterations without a new smallest residual, or an exhausted line search
-after an accepted step).  The residual ignores cells below 1e-8 of the peak
+starts at alpha = min(1, 2 alpha_prev).  Each trial point is evaluated
+once: one transport call gives its objective for the Armijo test and, if
+it is accepted, its gradient and transport result for the next Newton
+iteration, so a step makes one call at u_prev and one per trial (Nocedal
+& Wright 2006, section 3.5).  A step ends `converged` (residual at most
+`grad_tol`), `max_iters`, or `stalled` (`_STALL_ITERS` iterations without
+a new smallest residual, or an exhausted line search after an accepted
+step).  The residual ignores cells below 1e-8 of the peak
 (`_DEGENERATE_SHARE`), whose influence on any functional of the iterate is
 bounded by their total mass.  All transport calls of a step go through
 one transport object prepared for u_prev (`transport.prepare`), and the
@@ -43,9 +48,11 @@ step alpha du = -alpha tau A_u z changes the half-potential phi by
 -alpha tau z; with the cost |x - y|^2 and a transport map close to the
 identity, the dual g on u_prev's side then moves by +2 alpha tau z.  The
 call at alpha is handed g_u + 2 alpha tau z as its `start`, g_u the
-converged dual of the gradient call at u (the prepared object's `dual`).
-A fallback direction gets no prediction (z does not describe it), nor
-does the exact 1D path, whose `dual` is None.
+converged dual of the accepted call at u (the prepared object's `dual`).
+That call's dual and potential are used as they are, with no second call
+at u: they were converged from its predicted start.  A fallback direction
+gets no prediction (z does not describe it), nor does the exact 1D path,
+whose `dual` is None.
 """
 
 from __future__ import annotations
@@ -197,43 +204,44 @@ def _apply_mobility(z: np.ndarray, mob: tuple) -> np.ndarray:
     return out
 
 
-def _dense_lap_diff(grid: PeriodicGrid, s: float) -> np.ndarray:
-    """L_s D^T as a dense matrix (d = 1).  L_s is the circulant of the
-    multiplier |xi|^(2s), so L_s D^T is the circulant of L_s (e_1 - e_0).
-    Its entry (i, j) is col[(i - j) % n]: row i is the window of length n
-    that starts at n - 1 - i in the reversed column laid twice end to end."""
+def _lap_diff_columns(grid: PeriodicGrid, s: float) -> np.ndarray:
+    """The columns of C = L_s D^T (d = 1) as the rows of a matrix.  L_s is
+    the circulant of the multiplier |xi|^(2s), so C is the circulant of
+    c = L_s (e_1 - e_0): its column k is c rolled by k, the window of length
+    n that starts at n - 1 - k in c[1:] followed by c."""
     col = np.fft.ifft(grid.freq_sq ** s).real
     col = np.roll(col, 1) - col
-    doubled = np.tile(col[::-1], 2)[:-1]
+    doubled = np.tile(col, 2)[1:]
     return np.lib.stride_tricks.sliding_window_view(doubled, grid.n)[::-1].copy()
 
 
-def _solve_dense(lap_diff: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + E) z = rhs in d = 1, E = tau L_s A_u = tau (L_s D^T) diag(m) D.
+def _solve_dense(cols: np.ndarray, bound: float, mob: tuple, tau: float,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Solve (I + E) z = rhs in d = 1, E = tau L_s A_u = tau C diag(m) D, C = L_s D^T.
 
     Right-multiplying by D makes column k of E the difference
-    tau (C[:, k-1] m_{k-1} - C[:, k] m_k), C = `lap_diff`, so every entry of
-    it is at most tau max|C| (m_{k-1} + m_k); C is circulant, so max|C| is
-    the largest entry of its first column.  Only the columns B where that
-    bound exceeds machine epsilon are kept: each dropped entry is at most
-    one ulp of the unit diagonal, inside LU's own backward error, and on
-    cells whose two faces are closed the dropped column is exactly zero.
-    With every other column that of I, the system splits into an LU solve
-    of (I + E)[B, B] z_B = rhs_B and z_T = rhs_T - E[T, B] z_B on the other
-    cells T; with no column kept, z = rhs.
+    tau (C[:, k-1] m_{k-1} - C[:, k] m_k), built from two contiguous rows of
+    `cols` (`_lap_diff_columns`).  Every entry of it is at most
+    bound (m_{k-1} + m_k), with `bound` = tau max|C| (the step computes it
+    once; C is circulant, so max|C| is the largest entry of any column).
+    Only the columns B where that bound exceeds machine epsilon are kept:
+    each dropped entry is at most one ulp of the unit diagonal, inside LU's
+    own backward error, and on cells whose two faces are closed the dropped
+    column is exactly zero.  With every other column that of I, the system
+    splits into an LU solve of (I + E)[B, B] z_B = rhs_B and
+    z_T = rhs_T - E[T, B] z_B on the other cells T; with no column kept, z = rhs.
     """
     m = mob[0]
-    bound = tau * np.max(np.abs(lap_diff[:, 0]))
     keep = np.flatnonzero(bound * (np.roll(m, 1) + m) > _EPS)
     if keep.size == 0:
         return rhs.copy()
-    block = lap_diff[:, keep - 1] * m[keep - 1]
-    block -= lap_diff[:, keep] * m[keep]
+    block = cols[keep - 1] * m[keep - 1, None]  # E[:, B], transposed
+    block -= cols[keep] * m[keep, None]
     block *= tau
-    system = block[keep]
+    system = block[:, keep].T
     system[np.diag_indices_from(system)] += 1.0
     kept = np.linalg.solve(system, rhs[keep])
-    z = rhs - block @ kept
+    z = rhs - block.T @ kept
     z[keep] = kept
     return z
 
@@ -317,20 +325,13 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
     transport = prepare(u_prev, cfg.transport)
     counts = [0, 0, 0, 0]  # transport calls, Sinkhorn passes, CG applications, unmet solves
 
-    def count(tr):
+    def evaluate(values: np.ndarray, start=None):
+        """The objective at `values`, its gradient and the transport result."""
+        tr = w2(GridDensity(grid, values), transport, start=start)
         counts[0] += 1
         counts[1] += tr.iterations
-        return tr
-
-    def objective(values: np.ndarray, start) -> float:
-        dens = GridDensity(grid, values)
-        tr = count(w2(dens, transport, want_potential=False, start=start))
-        return energy_of_values(values, grid, s) + tr.w2_squared / (2 * tau)
-
-    def gradient(values: np.ndarray):
-        dens = GridDensity(grid, values)
-        tr = count(w2(dens, transport, want_potential=True))
-        return fractional_laplacian(values, grid, s) + tr.potential / tau, tr
+        obj = energy_of_values(values, grid, s) + tr.w2_squared / (2 * tau)
+        return obj, fractional_laplacian(values, grid, s) + tr.potential / tau, tr
 
     def residual(values: np.ndarray, g: np.ndarray):
         mask = values > _DEGENERATE_SHARE * np.max(values)
@@ -341,10 +342,11 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
 
     open_faces = _open_faces(u_prev.values > 0)
     if grid.dim == 1:
-        lap_diff = _dense_lap_diff(grid, s)
+        cols = _lap_diff_columns(grid, s)
+        bound = tau * np.max(np.abs(cols[0]))
 
         def solve(u, mob, rhs):
-            return _solve_dense(lap_diff, mob, tau, rhs)
+            return _solve_dense(cols, bound, mob, tau, rhs)
     else:
         def solve(u, mob, rhs):
             z, applications, met = _solve_krylov(u, mob, tau, rhs, grid, s, _NEWTON_FORCING)
@@ -353,14 +355,15 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
             return z
 
     u = u_prev.values.copy()
-    obj = energy_of_values(u, grid, s)
+    obj, g, tr = evaluate(u)
     alpha = 0.5  # the first trial step is min(1, 2 alpha) = 1
     accepted_total = since_best = 0
     best_kkt = np.inf
-    stop_reason = "max_iters"
-    for _ in range(inner.max_iters):
-        g, tr = gradient(u)
+    while True:
         kkt, gbar = residual(u, g)
+        if accepted_total == inner.max_iters:  # ends `max_iters` whatever the residual
+            stop_reason = "max_iters"
+            break
         if kkt <= inner.grad_tol:
             stop_reason = "converged"
             break
@@ -386,7 +389,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         while alpha >= _ALPHA_MIN:
             cand = _candidate(u, du, alpha, hvol)
             start = None if dual is None else dual + (2 * alpha * tau) * z
-            obj_c = objective(cand, start)
+            obj_c, g_c, tr_c = evaluate(cand, start)
             if obj_c <= obj + _ARMIJO * alpha * slope + _OBJ_NOISE * max(1.0, abs(obj)):
                 break
             alpha *= _SHRINK
@@ -399,12 +402,9 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
                 )
             stop_reason = "stalled"
             break
-        u, obj = cand, obj_c
+        u, obj, g, tr = cand, obj_c, g_c, tr_c
         accepted_total += 1
 
-    if stop_reason == "max_iters":  # u moved after the last gradient
-        g, tr = gradient(u)
-        kkt, _ = residual(u, g)
     final = GridDensity(grid, u)
     return StepRecord(
         index=0,  # caller assigns

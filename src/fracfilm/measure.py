@@ -184,12 +184,6 @@ def _flow_steps(fld: VectorField, t: float) -> int:
     return max(1, int(np.ceil(abs(t) * max(1.0, fld.sup_norm) / 1e-3)))
 
 
-def flow_map(eta: VectorField, t: float, points: np.ndarray) -> np.ndarray:
-    """Integrate dX/dt = eta(X) from the given points over time t (|t| <= 1)."""
-    y, _ = _integrate_flow(eta, t, np.atleast_2d(np.asarray(points, dtype=float)), with_jacobian=False)
-    return y
-
-
 def _integrate_flow(eta: VectorField, t: float, points: np.ndarray, with_jacobian: bool):
     if abs(t) > 1.0 + 1e-12:
         raise ValueError(f"flow time must satisfy |t| <= 1, got {t}")

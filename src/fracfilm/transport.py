@@ -14,10 +14,12 @@ divergence, so both backends follow one convention.
 
 A JKO step measures many densities against one target, so it evaluates
 transport through an object prepared for that target (`prepare`):
-`ExactTransport` in 1D, `Sinkhorn` otherwise.  A `Sinkhorn` owns its
-target, its settings and its warm-start state.  Its first call solves the
-target's kernel, log-mass and self-potential once; every call then starts
-its main loop from the dual it is handed (`start`), else from the last
+`ExactTransport` in 1D, `Sinkhorn` otherwise.  An `ExactTransport` holds
+its target's CDF and the grid's per-cell integrals, computed once, so a
+call builds only u's side.  A `Sinkhorn` owns its target, its settings
+and its warm-start state.  Its first call solves the target's kernel,
+log-mass and self-potential once; every call then starts its main loop
+from the dual it is handed (`start`), else from the last
 converged dual (`dual`; the first call from the target's self-potential,
 the exact answer for u = target), and its u-side self-potential from the
 last converged one.  `TransportResult.iterations` counts the main passes
@@ -133,6 +135,14 @@ def _linear_quantile(q, cell, cum, edges):
     return edges[cell] + (q - cum[cell]) / (cum[cell + 1] - cum[cell]) * (edges[cell + 1] - edges[cell])
 
 
+def _cell_integrals(edges):
+    """Per cell, the integrals of x and of (e_right - x) x."""
+    el, e2 = edges[:-1], edges[1:]
+    int_x = (e2 ** 2 - el ** 2) / 2.0
+    int_ex_x = e2 * (e2 ** 2 - el ** 2) / 2.0 - (e2 ** 3 - el ** 3) / 3.0
+    return int_x, int_ex_x
+
+
 def w2_exact_1d(u: GridDensity, v: GridDensity, want_potential: bool = True) -> TransportResult:
     """Exact 1D squared Wasserstein distance and Kantorovich potential.
 
@@ -152,10 +162,17 @@ def w2_exact_1d(u: GridDensity, v: GridDensity, want_potential: bool = True) -> 
     grid = u.grid
     if grid.dim != 1:
         raise ValueError(f"exact transport requires dimension 1, got {grid.dim}")
+    cells = _cell_integrals(grid.axis_edges) if want_potential else None
+    return _quantile_transport(u, _cdf(v.values, grid), cells)
+
+
+def _quantile_transport(u: GridDensity, cv: np.ndarray, cells) -> TransportResult:
+    """`w2_exact_1d` of u against the target whose CDF is `cv`; the potential
+    only when `cells` holds the grid's `_cell_integrals`."""
+    grid = u.grid
     n, h = grid.n, grid.spacing
     edges = grid.axis_edges
     cu = _cdf(u.values, grid)
-    cv = _cdf(v.values, grid)
 
     qs = np.union1d(cu, cv)
     a, b = qs[:-1], qs[1:]
@@ -172,7 +189,7 @@ def w2_exact_1d(u: GridDensity, v: GridDensity, want_potential: bool = True) -> 
     parts = _MILNE_WEIGHTS[:, 0] * np.sum(w / 3.0 * d * d, axis=1)
     w2 = float(max(parts[0] + parts[1] + parts[2], 0.0))
 
-    if not want_potential:
+    if cells is None:
         return TransportResult(w2_squared=w2, potential=None, method="exact_1d")
 
     # exact per-cell integrals of (x - T) and (e_right - x)(x - T): the
@@ -193,10 +210,7 @@ def w2_exact_1d(u: GridDensity, v: GridDensity, want_potential: bool = True) -> 
     int_t = np.bincount(own, np.sum(wk * tv, axis=0) * to_x, minlength=n)
     int_ext = np.bincount(own, np.sum(wk * (er - tu) * tv, axis=0) * to_x, minlength=n)
 
-    el, e2 = edges[:-1], edges[1:]
-    int_x = (e2 ** 2 - el ** 2) / 2.0
-    int_ex_x = e2 * (e2 ** 2 - el ** 2) / 2.0 - (e2 ** 3 - el ** 3) / 3.0
-
+    int_x, int_ex_x = cells
     dphi_cell = int_x - int_t                    # integral of (x - T) over each cell
     p_cell = int_ex_x - int_ext                  # integral of (e_right - x)(x - T)
     dphi_cell[flat] = 0.0
@@ -342,13 +356,12 @@ class Sinkhorn:
     debiased dual potential (cross potential minus self potential, zero
     mean): the cost is |x-y|^2, so that half is delta(S_eps/2), the
     convention of `w2_exact_1d`.  The potential comes out of the passes
-    that give the value, so it is returned whatever `want_potential` says.
-    The main loop starts from `start`, else from `dual`, else from the
-    target's self-potential; a call that raises leaves `dual` and u's
-    cached self-potential as they were.  The main loop over-relaxes both
-    updates (`_relaxed`), so ``marginal_error`` is the larger of the two
-    marginal defects; ConvergenceError, carrying it, is raised when the
-    configured tolerance is not reached in L^1.
+    that give the value.  The main loop starts from `start`, else from
+    `dual`, else from the target's self-potential; a call that raises
+    leaves `dual` and u's cached self-potential as they were.  The main
+    loop over-relaxes both updates (`_relaxed`), so ``marginal_error`` is
+    the larger of the two marginal defects; ConvergenceError, carrying it,
+    is raised when the configured tolerance is not reached in L^1.
     """
 
     def __init__(self, target: GridDensity, config: TransportConfig):
@@ -358,8 +371,7 @@ class Sinkhorn:
         self._fa = None  # u's self-potential in the last converged call
         self.dual = None  # g of the last converged call
 
-    def __call__(self, u: GridDensity, want_potential: bool = True,
-                 start: Optional[np.ndarray] = None) -> TransportResult:
+    def __call__(self, u: GridDensity, start: Optional[np.ndarray] = None) -> TransportResult:
         v = self._target
         _check_same_grid(u, v)
         epsilon, max_iter, tol = self._config.epsilon, self._config.max_iter, self._config.tol
@@ -431,17 +443,23 @@ class Sinkhorn:
 
 
 class ExactTransport:
-    """Exact quantile transport to one fixed 1D target (`w2_exact_1d`); it
-    keeps no dual, so `dual` is None and `start` is ignored."""
+    """Exact quantile transport to one fixed 1D target (`w2_exact_1d`).  It
+    holds the target's CDF and the grid's cell integrals, computed once;
+    it keeps no dual, so `dual` is None and `start` is ignored."""
 
     dual = None
 
     def __init__(self, target: GridDensity):
+        grid = target.grid
+        if grid.dim != 1:
+            raise ValueError(f"exact transport requires dimension 1, got {grid.dim}")
         self._target = target
+        self._cdf = _cdf(target.values, grid)
+        self._cells = _cell_integrals(grid.axis_edges)
 
-    def __call__(self, u: GridDensity, want_potential: bool = True,
-                 start: Optional[np.ndarray] = None) -> TransportResult:
-        return w2_exact_1d(u, self._target, want_potential)
+    def __call__(self, u: GridDensity, start: Optional[np.ndarray] = None) -> TransportResult:
+        _check_same_grid(u, self._target)
+        return _quantile_transport(u, self._cdf, self._cells)
 
 
 def prepare(target: GridDensity, config: TransportConfig):
@@ -452,11 +470,11 @@ def prepare(target: GridDensity, config: TransportConfig):
     return Sinkhorn(target, config)
 
 
-def w2(u: GridDensity, transport, want_potential: bool = True,
-       start: Optional[np.ndarray] = None) -> TransportResult:
-    """Evaluate a prepared transport (`prepare`) at u; `start` is the dual
-    a Sinkhorn call starts from in place of the last converged one."""
-    return transport(u, want_potential=want_potential, start=start)
+def w2(u: GridDensity, transport, start: Optional[np.ndarray] = None) -> TransportResult:
+    """Evaluate a prepared transport (`prepare`) at u: the value and the
+    potential; `start` is the dual a Sinkhorn call starts from in place of
+    the last converged one."""
+    return transport(u, start=start)
 
 
 def w2_sinkhorn(u: GridDensity, v: GridDensity, epsilon: float,

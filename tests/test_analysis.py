@@ -23,12 +23,12 @@ from fracfilm import (
     operator_N_density,
     plateau,
     run,
-    sine_field,
     sobolev_norm_sq,
     tau_refinement_study,
-    translation_field,
     uniform_density,
 )
+
+from flow_fields import sine_field, translation_field
 
 
 def grid1d(n=256, L=40.0):

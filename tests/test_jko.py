@@ -25,15 +25,17 @@ from fracfilm import (
     w2_sinkhorn,
 )
 from fracfilm.jko import (
+    _DEGENERATE_SHARE,
     _NEWTON_FORCING,
     _apply_mobility,
-    _dense_lap_diff,
     _face_mobility,
+    _lap_diff_columns,
     _open_faces,
     _solve_dense,
     _solve_krylov,
 )
 from fracfilm.spectral import apply_multiplier
+from fracfilm.transport import w2_exact_1d
 
 
 def make_cfg(n=256, L=40.0, s=1.0, tau=1e-3, grad_tol=1e-8, **inner_kw):
@@ -107,21 +109,69 @@ class TestJkoStep:
         ids=["converged", "max_iters"],
     )
     def test_one_potential_call_per_iterate(self, inner, monkeypatch):
-        # the record of a converged step reuses the gradient its last loop
-        # top measured; a capped step's final iterate is measured once more
+        # every iterate is measured once, by the call that accepted it; the
+        # record of a converged or capped step reuses the last such call
         import fracfilm.jko
 
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["want_potential"])
-            return w2(*args, **kwargs)
+        def counted(u, transport, start=None):
+            calls.append(u.values)
+            return w2(u, transport, start=start)
 
         monkeypatch.setattr(fracfilm.jko, "w2", counted)
         cfg = JkoConfig(grid=PeriodicGrid(1, 256, 40.0), s=1.0, tau=1e-3, inner=inner)
         rec = jko_step(gaussian_density(cfg.grid), cfg)
         assert rec.transport_calls == len(calls)
-        assert calls.count(True) == rec.inner_iterations + 1
+        assert np.array_equal(calls[-1], rec.density.values)
+        assert not any(np.array_equal(a, b) for i, a in enumerate(calls) for b in calls[i + 1:])
+
+    @pytest.mark.parametrize(
+        "inner", [InnerConfig(), InnerConfig(max_iters=5)],
+        ids=["converged", "max_iters"],
+    )
+    def test_one_evaluation_per_trial_point(self, inner, candidates):
+        # the start u_prev, then one transport call per line-search candidate
+        cfg = JkoConfig(grid=PeriodicGrid(1, 256, 40.0), s=1.0, tau=1e-3, inner=inner)
+        rec = jko_step(gaussian_density(cfg.grid), cfg)
+        assert rec.inner_iterations >= 1
+        assert rec.transport_calls == 1 + len(candidates)
+
+    @pytest.mark.parametrize(
+        "inner, reason", [(InnerConfig(), "converged"), (InnerConfig(max_iters=5), "max_iters")],
+        ids=["converged", "max_iters"],
+    )
+    def test_record_measures_the_final_density(self, inner, reason):
+        # W^2 and the kkt residual of the record are those of its density,
+        # recomputed here from scratch: a capped step needs no extra call
+        cfg = JkoConfig(grid=PeriodicGrid(1, 256, 40.0), s=1.0, tau=1e-3, inner=inner)
+        u_prev = gaussian_density(cfg.grid)
+        rec = jko_step(u_prev, cfg)
+        assert rec.stop_reason == reason
+        fresh = w2_exact_1d(rec.density, u_prev)
+        assert rec.w2_sq_to_prev == fresh.w2_squared
+        u = rec.density.values
+        g = fractional_laplacian(u, cfg.grid, cfg.s) + fresh.potential / cfg.tau
+        mask = u > _DEGENERATE_SHARE * np.max(u)
+        p = u[mask] * cfg.grid.cell_volume
+        gbar = float(np.sum(p * g[mask]) / np.sum(p))
+        assert rec.kkt_residual == float(np.sqrt(np.sum(p * (g[mask] - gbar) ** 2)))
+
+
+@pytest.fixture
+def candidates(monkeypatch):
+    """One alpha per `_candidate` call `jko_step` makes: its line-search trials."""
+    import fracfilm.jko
+
+    alphas = []
+    make = fracfilm.jko._candidate
+
+    def recorded(u, du, alpha, cell_volume):
+        alphas.append(alpha)
+        return make(u, du, alpha, cell_volume)
+
+    monkeypatch.setattr(fracfilm.jko, "_candidate", recorded)
+    return alphas
 
 
 def compact_bump(grid):
@@ -212,9 +262,16 @@ class TestRegimes:
         # exact (1e-10) solves take 25 + 49 operator applications
         rec, solves = sink2d_order_step
         assert rec.inner_iterations == 2
-        # 223 when every line-search call starts from the dual at u
-        assert rec.sinkhorn_iters == 141
+        # 219 when every line-search call starts from the dual at u
+        assert rec.sinkhorn_iters == 137
         assert sum(apps for *_, apps in solves) <= 40
+
+    def test_sinkhorn_2d_one_evaluation_per_trial_point(self, candidates):
+        # u_prev and the two accepted alpha = 1 candidates, one call each
+        cfg = sink2d_step_config(max_iters=10)
+        rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
+        assert rec.transport_calls == 1 + len(candidates) == 3
+        assert candidates == [1.0, 1.0]
 
     @pytest.mark.parametrize("sink2d_order_step", [1.0], indirect=True)
     def test_sinkhorn_2d_krylov_counts(self, sink2d_order_step):
@@ -279,9 +336,9 @@ def transport_calls(monkeypatch):
     calls = []
     evaluate = fracfilm.jko.w2
 
-    def recorded(u, transport, want_potential=True, start=None):
+    def recorded(u, transport, start=None):
         hint = None if start is None else start.copy()
-        tr = evaluate(u, transport, want_potential=want_potential, start=start)
+        tr = evaluate(u, transport, start=start)
         calls.append((u, hint, tr, None if transport.dual is None else transport.dual.copy()))
         return tr
 
@@ -289,19 +346,19 @@ def transport_calls(monkeypatch):
     return calls
 
 
-def _unhinted_w2(u, transport, want_potential=True, start=None):
+def _unhinted_w2(u, transport, start=None):
     """Drops every predicted start: each call starts from the last converged dual."""
-    return w2(u, transport, want_potential=want_potential)
+    return w2(u, transport)
 
 
 class TestPredictedStart:
     """Each line-search call of a d >= 2 step starts from dual + 2 alpha tau z."""
 
-    @pytest.mark.parametrize("s, extra_applications", [(0.5, 0), (1.0, 0), (2.0, 1)])
-    def test_fewer_passes_same_newton_work(self, s, extra_applications, monkeypatch):
+    @pytest.mark.parametrize("s, saved_applications", [(0.5, 0), (1.0, 0), (2.0, 1)])
+    def test_fewer_passes_same_newton_work(self, s, saved_applications, monkeypatch):
         # the seed-0 step against the same step with every call started from
         # the last converged dual; at s = 2 the slightly different potentials
-        # cost the step's CG solves one more application (456 against 455)
+        # save the step's CG solves one application (455 against 456)
         import fracfilm.jko
 
         cfg = sink2d_step_config(max_iters=10, s=s)
@@ -310,14 +367,15 @@ class TestPredictedStart:
         monkeypatch.setattr(fracfilm.jko, "w2", _unhinted_w2)
         plain = jko_step(u0, cfg)
         assert (hinted.inner_iterations, hinted.stop_reason) == (plain.inner_iterations, plain.stop_reason)
-        assert hinted.krylov_applications == plain.krylov_applications + extra_applications
+        assert hinted.krylov_applications == plain.krylov_applications - saved_applications
         assert hinted.transport_calls == plain.transport_calls
         assert hinted.sinkhorn_iters < plain.sinkhorn_iters
 
     def test_hint_is_the_newton_prediction(self, transport_calls, monkeypatch):
-        # calls: gradient, line search, gradient, line search, gradient; both
+        # calls: u_prev, then one line-search call per Newton iteration; both
         # line searches accept alpha = 1 at once, and each call there starts
-        # from the dual at u moved by 2 tau z, z the Newton solve's solution
+        # from the dual of the call before it (the dual at u) moved by 2 tau z,
+        # z the Newton solve's solution
         import fracfilm.jko
 
         solve = fracfilm.jko._solve_krylov
@@ -332,9 +390,9 @@ class TestPredictedStart:
         cfg = sink2d_step_config(max_iters=10)
         rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
         hints = [hint for _, hint, _, _ in transport_calls]
-        assert len(hints) == rec.transport_calls == 5
-        assert [h is not None for h in hints] == [False, True, False, True, False]
-        for k, z in zip((1, 3), solutions):
+        assert len(hints) == rec.transport_calls == 3
+        assert [h is not None for h in hints] == [False, True, True]
+        for k, z in zip((1, 2), solutions):
             dual_at_u = transport_calls[k - 1][3]
             assert np.array_equal(hints[k], dual_at_u + (2 * 1.0 * cfg.tau) * z)
 
@@ -352,7 +410,7 @@ class TestPredictedStart:
             gap = tr.potential[live] - ref.potential[live]
             assert np.max(np.abs(gap - gap.mean())) <= 1e-6
 
-    def test_fallback_direction_sets_no_hint(self, transport_calls, monkeypatch):
+    def test_fallback_direction_sets_no_hint(self, transport_calls, candidates, monkeypatch):
         # z = -rhs makes du = tau A_u (g - gbar), an ascent direction, so
         # every step falls back to -tau u (g - gbar), which z does not describe
         import fracfilm.jko
@@ -361,15 +419,21 @@ class TestPredictedStart:
         cfg = sink2d_step_config(max_iters=2)
         rec = jko_step(gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE), cfg)
         assert rec.inner_iterations >= 1
-        assert len(transport_calls) > rec.inner_iterations + 1  # line-search calls were made
+        assert len(transport_calls) == 1 + len(candidates)
         assert all(hint is None for _, hint, *_ in transport_calls)
 
-    def test_1d_sets_no_hint(self, transport_calls):
+    def test_1d_sets_no_hint(self, transport_calls, candidates):
         cfg = make_cfg(s=1.0, tau=1e-3, grad_tol=1e-8, max_iters=50)
         rec = jko_step(gaussian_density(cfg.grid), cfg)
         assert rec.stop_reason == "converged"
-        assert len(transport_calls) > rec.inner_iterations + 1
+        assert len(transport_calls) == 1 + len(candidates)
         assert all(hint is None for _, hint, *_ in transport_calls)
+
+
+def dense_solve(grid, s, mob, tau, rhs):
+    """`_solve_dense` with the circulant and the bound `jko_step` builds."""
+    cols = _lap_diff_columns(grid, s)
+    return _solve_dense(cols, tau * np.max(np.abs(cols[0])), mob, tau, rhs)
 
 
 class TestNewtonDirection:
@@ -415,12 +479,13 @@ class TestNewtonDirection:
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
-    def test_dense_lap_diff_is_the_circulant(self, n, s):
+    def test_lap_diff_columns_are_the_circulant(self, n, s):
+        # C = L_s D^T has entry (i, j) = c[(i - j) % n]; row k holds column k
         grid = PeriodicGrid(1, n, 40.0)
         col = np.fft.ifft(grid.freq_sq ** s).real
         col = np.roll(col, 1) - col
         idx = np.arange(n)
-        assert np.array_equal(_dense_lap_diff(grid, s), col[(idx[:, None] - idx) % n])
+        assert np.array_equal(_lap_diff_columns(grid, s), col[(idx[:, None] - idx) % n].T)
 
     def test_dense_and_krylov_directions_agree(self):
         # d = 1 runs the dense solve; CG is the d >= 2 path, checked here on the same system
@@ -429,7 +494,7 @@ class TestNewtonDirection:
         u = gaussian_density(grid, 0.5, 1.5).values
         rhs = fractional_laplacian(u, grid, s)
         mob = _face_mobility(u, _open_faces(u > 0), grid.spacing)
-        dense = _apply_mobility(_solve_dense(_dense_lap_diff(grid, s), mob, tau, rhs), mob)
+        dense = _apply_mobility(dense_solve(grid, s, mob, tau, rhs), mob)
         z, _, met = _solve_krylov(u, mob, tau, rhs, grid, s)
         assert met
         krylov = _apply_mobility(z, mob)
@@ -441,7 +506,7 @@ class TestNewtonDirection:
         u = compact_bump(grid).values
         g = fractional_laplacian(u, grid, s)
         mob = _face_mobility(u, _open_faces(u > 0), grid.spacing)
-        du = -tau * _apply_mobility(_solve_dense(_dense_lap_diff(grid, s), mob, tau, g - g.mean()), mob)
+        du = -tau * _apply_mobility(dense_solve(grid, s, mob, tau, g - g.mean()), mob)
         assert abs(np.sum(du)) <= 1e-12 * np.sum(np.abs(du))
         assert np.all(du[u == 0] == 0.0)  # no flux through a face that touches the zero set
         assert np.sum(g * du) * grid.spacing < 0.0
@@ -456,12 +521,11 @@ class TestNewtonDirection:
         g = fractional_laplacian(u, grid, s)
         rhs = g - g.mean()
         mob = _face_mobility(u, _open_faces(u > 0), grid.spacing)
-        lap_diff = _dense_lap_diff(grid, s)
         # the whole n x n system: column k is tau (C[:, k-1] m_{k-1} - C[:, k] m_k)
-        scaled = lap_diff * mob[0]
+        scaled = _lap_diff_columns(grid, s).T * mob[0]
         system = tau * (np.roll(scaled, 1, axis=1) - scaled) + np.eye(n)
         full = _apply_mobility(np.linalg.solve(system, rhs), mob)
-        reduced = _apply_mobility(_solve_dense(lap_diff, mob, tau, rhs), mob)
+        reduced = _apply_mobility(dense_solve(grid, s, mob, tau, rhs), mob)
         assert np.max(np.abs(reduced - full)) <= 1e-11 * np.max(np.abs(full))
 
     def test_no_kept_column_returns_rhs(self, monkeypatch):
@@ -474,7 +538,7 @@ class TestNewtonDirection:
             raise AssertionError("no system to solve")
 
         monkeypatch.setattr(np.linalg, "solve", no_solve)
-        assert np.array_equal(_solve_dense(_dense_lap_diff(grid, 1.0), mob, 1e-300, rhs), rhs)
+        assert np.array_equal(dense_solve(grid, 1.0, mob, 1e-300, rhs), rhs)
 
     def test_bump_solves_for_the_cells_on_open_faces(self, monkeypatch):
         grid = PeriodicGrid(1, 256, 40.0)
@@ -489,7 +553,7 @@ class TestNewtonDirection:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        _solve_dense(_dense_lap_diff(grid, 1.0), mob, 1e-2, fractional_laplacian(u, grid, 1.0))
+        dense_solve(grid, 1.0, mob, 1e-2, fractional_laplacian(u, grid, 1.0))
         touching = np.count_nonzero(faces[0] | np.roll(faces[0], 1))
         assert touching == 25
         assert sizes == [(touching, touching)]
@@ -540,7 +604,7 @@ class TestRun:
         # pins the Newton work, so a faster solver cannot trade it for time
         steps = reference_trajectory.steps
         assert sum(rec.inner_iterations for rec in steps) == 319
-        assert sum(rec.transport_calls for rec in steps) == 688
+        assert sum(rec.transport_calls for rec in steps) == 369
         assert all(rec.stop_reason == "converged" for rec in steps)
 
     def test_indices_contiguous(self, reference_trajectory):

@@ -8,7 +8,6 @@ from fracfilm import (
     boundary_shell_mass,
     contraction_field,
     entropy,
-    flow_map,
     gaussian_density,
     gaussian_mixture_density,
     heat_semigroup,
@@ -16,10 +15,11 @@ from fracfilm import (
     second_moment,
     sobolev_norm_sq,
     spike_density,
-    translation_field,
     uniform_density,
     w2_exact_1d,
 )
+
+from flow_fields import flow_map, translation_field
 
 
 def grid1d(n=512, L=40.0):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from fracfilm.cli import main
+from fracfilm.scenario import load_run_directory
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -78,14 +79,16 @@ def test_every_binding_is_a_plain_function(tracing):
         assert inspect.isfunction(getattr(importlib.import_module(modname), attr)), (modname, attr)
 
 
-def test_1d_run_records_potential_and_value_calls(tracing, tmp_path):
+def test_1d_run_records_one_potential_call_per_evaluation(tracing, tmp_path):
+    # every call of a step returns the potential; the spans are the record's calls
     scen, out = run_dir(tmp_path, ONE_STEP_1D)
     code, spans = traced(tracing, ["run", "--scenario", str(scen), "--out", str(out)])
     assert code == 0
     calls = [sp for sp in spans if sp["name"] == "transport.w2"]
-    assert {sp["potential"] for sp in calls} == {True, False}
-    assert {sp["method"] for sp in calls} == {"exact_1d"}
+    assert all(sp["potential"] is True and sp["method"] == "exact_1d" for sp in calls)
     assert tracing.counts(spans)["jko.jko_step"] == 1
+    (rec,) = load_run_directory(out)[1].steps
+    assert len(calls) == rec.transport_calls > 1
 
 
 def test_2d_run_records_sinkhorn_passes(tracing, tmp_path):

@@ -561,7 +561,7 @@ class TestKernelFloor:
         floored = jko_step(u0, cfg)
         monkeypatch.setattr(transport, "_axis_kernels", unfloored_axis_kernels)
         plain = jko_step(u0, cfg)
-        assert floored.sinkhorn_iters == plain.sinkhorn_iters == 529
+        assert floored.sinkhorn_iters == plain.sinkhorn_iters == 523
         assert np.array_equal(floored.density.values, plain.density.values)
 
 
@@ -770,13 +770,12 @@ class TestSinkhornWarmStart:
         v = gaussian_density(g, 0.5, 1.2)
         transport = prepare(v, TransportConfig())
         assert isinstance(transport, ExactTransport)
-        for want in (True, False):
-            plain = w2_exact_1d(u, v, want_potential=want)
-            prepared = w2(u, transport, want_potential=want, start=np.ones(g.shape))
-            assert prepared.w2_squared == plain.w2_squared
-            assert prepared.iterations == plain.iterations == 0
-            if want:
-                assert np.array_equal(prepared.potential, plain.potential)
+        plain = w2_exact_1d(u, v)
+        prepared = w2(u, transport, start=np.ones(g.shape))
+        assert prepared.w2_squared == plain.w2_squared
+        assert w2_exact_1d(u, v, want_potential=False).w2_squared == plain.w2_squared
+        assert prepared.iterations == plain.iterations == 0
+        assert np.array_equal(prepared.potential, plain.potential)
         assert transport.dual is None
 
 
@@ -801,3 +800,20 @@ class TestDispatch:
         res = w2(u, transport)
         assert res.method == "sinkhorn"
         assert res.w2_squared > 0
+
+    @pytest.mark.parametrize("target", ["gaussian", "bump", "mixture"])
+    def test_prepared_exact_matches_plain_on_repeated_calls(self, target):
+        # the target's CDF and the cell integrals are computed once, when the
+        # transport is prepared, and no call changes them
+        g = grid1d(n=256)
+        v = {"gaussian": gaussian_density(g, 0.5, 1.2),
+             "bump": compact_bump(g, (0.3,), 2.0),
+             "mixture": gaussian_mixture_density(g, ((0.6, (-1.5,), 0.8), (0.4, (2.0,), 1.2)))}[target]
+        transport = ExactTransport(v)
+        densities = [gaussian_density(g, 0.0, 1.0), compact_bump(g, (-0.4,), 2.5), v,
+                     gaussian_density(g, 0.0, 1.0)]
+        for u in densities:
+            plain = w2_exact_1d(u, v)
+            prepared = transport(u)
+            assert prepared.w2_squared == plain.w2_squared
+            assert np.array_equal(prepared.potential, plain.potential)
