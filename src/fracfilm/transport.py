@@ -92,6 +92,13 @@ class TransportResult:
 
     ``potential`` is the first variation of half the squared distance,
     delta(W^2/2), with zero mean, for both backends (Sinkhorn: delta(S_eps/2)).
+    ``hessian_bands`` (exact 1D transport with the potential; None otherwise)
+    holds the two bands of the tridiagonal W with D delta(phi) = -W delta(F):
+    a zero-mass change of u moves the CDF at interior edge k + 1 (face k,
+    between cells k and k + 1) by delta(F)_k, and the potential's face
+    differences (D phi)_k = phi_{k+1} - phi_k by -(W delta(F))_k.  The
+    diagonal has the n - 1 interior faces' entries, the off-diagonal the
+    n - 2 couplings of faces k and k + 1.
     """
 
     w2_squared: float
@@ -99,6 +106,7 @@ class TransportResult:
     method: str
     iterations: int = 0
     marginal_error: float = 0.0
+    hessian_bands: Optional[tuple] = None  # exact 1D only: (diagonal, off-diagonal) of W
 
 
 def _check_same_grid(u: GridDensity, v: GridDensity):
@@ -182,9 +190,10 @@ def _quantile_transport(u: GridDensity, cv: np.ndarray, cells) -> TransportResul
 
     # 0 <= a < 1 = cum[-1], so the cell index lies in [0, n - 1]
     own = np.searchsorted(cu, a, side="right") - 1
+    target = np.searchsorted(cv, a, side="right") - 1
     q = a + w * _MILNE_NODES                      # (3, m): the nodes of every interval
     tu = _linear_quantile(q, own, cu, edges)
-    tv = _linear_quantile(q, np.searchsorted(cv, a, side="right") - 1, cv, edges)
+    tv = _linear_quantile(q, target, cv, edges)
     d = tu - tv
     parts = _MILNE_WEIGHTS[:, 0] * np.sum(w / 3.0 * d * d, axis=1)
     w2 = float(max(parts[0] + parts[1] + parts[2], 0.0))
@@ -218,7 +227,28 @@ def _quantile_transport(u: GridDensity, cv: np.ndarray, cells) -> TransportResul
     phi_edges = np.concatenate([[0.0], np.cumsum(dphi_cell)])
     phi = phi_edges[:-1] + p_cell / h
     phi = phi - phi.mean()
-    return TransportResult(w2_squared=w2, potential=phi, method="exact_1d")
+
+    # W_kl = integral of hat_k hat_l / v(T) dx.  On a merged interval T runs
+    # inside one target cell, so 1/v(T) is the constant h / dcv of that cell
+    # (dcv > 0: the search above never lands on an empty cell; empty cells'
+    # 1/0 is never read), and dx = to_x dq.  In cell j the only hats are
+    # those of its left edge, l = (e_right - x)/h, and of its right edge,
+    # 1 - l, and l is linear in q: with l = p and r at the outer Milne nodes
+    # (a quarter of the way in from either end), its mean over the interval
+    # is (p + r)/2 and its variance (r - p)^2/3, which give the integrals of
+    # l^2, (1 - l)^2 and l (1 - l) exactly.  A tail cell of v can put 1/v
+    # past the float range; its entries are then inf or nan, and the caller
+    # closes those faces.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mass = w * (h / np.diff(cv))[target] * to_x
+        p, r = (er - tu[0]) / h, (er - tu[2]) / h
+        mean = 0.5 * (p + r)
+        var = (r - p) ** 2 / 3.0
+        sq_left = np.bincount(own, (mean * mean + var) * mass, minlength=n)
+        sq_right = np.bincount(own, ((1.0 - mean) ** 2 + var) * mass, minlength=n)
+        cross = np.bincount(own, (mean * (1.0 - mean) - var) * mass, minlength=n)
+    bands = (sq_right[:-1] + sq_left[1:], cross[1:-1])
+    return TransportResult(w2_squared=w2, potential=phi, method="exact_1d", hessian_bands=bands)
 
 
 def optimal_map_1d(u: GridDensity, v: GridDensity) -> np.ndarray:

@@ -502,7 +502,7 @@ class TestVerify:
             assert second_moment(rec.density) == pytest.approx(rec.second_moment, abs=1e-12)
 
     def test_stop_reason_round_trips(self, tmp_path):
-        text = FAST_SCENARIO.replace("inner.grad_tol = 1e-7", "inner.grad_tol = 1e-7\ninner.max_iters = 5")
+        text = FAST_SCENARIO.replace("inner.grad_tol = 1e-7", "inner.grad_tol = 1e-7\ninner.max_iters = 1")
         out = tmp_path / "capped"
         assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
         rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().splitlines()]
@@ -512,9 +512,9 @@ class TestVerify:
         assert [rec.stop_reason for rec in traj.steps] == ["max_iters"] * 4
 
     def test_transport_counters_round_trip(self, tmp_path):
-        # 1D: the exact path makes no Sinkhorn pass and the dense solve no
+        # 1D: the exact path makes no Sinkhorn pass and the face solve no
         # Krylov application; d = 2: every transport call and Newton solve does
-        one_d = FAST_SCENARIO.replace("inner.grad_tol = 1e-7", "inner.grad_tol = 1e-7\ninner.max_iters = 5")
+        one_d = FAST_SCENARIO.replace("inner.grad_tol = 1e-7", "inner.grad_tol = 1e-7\ninner.max_iters = 1")
         two_d = one_d.replace("dimension = 1", "dimension = 2").replace(
             "grid.n = 128", "grid.n = 16").replace("grid.box_length = 40.0", "grid.box_length = 12.0").replace(
             "initial.center = 0.0", "initial.center = 0.0 0.0").replace(
@@ -528,7 +528,8 @@ class TestVerify:
             _, traj = load_run_directory(out)
             counters = [tuple(getattr(rec, c) for c in names) for rec in traj.steps]
             assert counters == [tuple(int(v) for v in r[-4:]) for r in rows[1:]]
-            assert all(calls > 5 and unmet == 0 for calls, _, _, unmet in counters)
+            # the call at u_prev and at least one line-search trial
+            assert all(calls >= 2 and unmet == 0 for calls, _, _, unmet in counters)
             if name == "one_d":
                 assert all(iters == apps == 0 for _, iters, apps, _ in counters)
             else:

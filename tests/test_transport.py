@@ -347,6 +347,46 @@ class TestExact1D:
         pairing = g.cell_volume * np.sum(res.potential * rho)
         assert fd == pytest.approx(pairing, rel=1e-3)
 
+    @pytest.mark.parametrize("datum, rtol", [("gaussian", 1e-5), ("bump", 1e-5), ("self", 1e-3)])
+    def test_hessian_bands_match_finite_differences(self, datum, rtol):
+        # D phi(u + d rho) - D phi(u - d rho) = -2 d W dF + O(d^2), with
+        # dF_k = h (rho_0 + ... + rho_k) the CDF change at face k, on the
+        # faces between two cells above 1e-8 of the peak.  At u = v the map
+        # is the identity and the jumps of 1/v(T) sit on the cell edges, so
+        # the error there is O(d) (2e-4 at d = 1e-5, 2e-5 at 1e-6)
+        g = grid1d(256)
+        x = g.axis_coords
+        u, v = {"gaussian": (gaussian_density(g, 0.0, 1.0), gaussian_density(g, 0.5, 1.44)),
+                "bump": (compact_bump(g, (0.0,), 2.0), compact_bump(g, (0.3,), 2.5)),
+                "self": (gaussian_density(g, 0.0, 1.0), gaussian_density(g, 0.0, 1.0))}[datum]
+        bulk = u.values > 1e-3 * u.values.max()
+        rho = np.where(bulk, np.cos(x) * np.exp(-x * x / 2), 0.0)
+        rho[bulk] -= rho[bulk].mean()  # zero mass, inside the bulk
+        diag, off = w2_exact_1d(u, v).hessian_bands
+        dF = g.spacing * np.cumsum(rho)[:-1]
+        w_dF = diag * dF
+        w_dF[:-1] += off * dF[1:]
+        w_dF[1:] += off * dF[:-1]
+        delta = 1e-5
+        plus = w2_exact_1d(GridDensity(g, u.values + delta * rho), v).potential
+        minus = w2_exact_1d(GridDensity(g, u.values - delta * rho), v).potential
+        fd = np.diff(plus - minus) / (2 * delta)
+        above = u.values > 1e-8 * u.values.max()
+        faces = above[:-1] & above[1:]
+        assert np.max(np.abs(fd[faces] + w_dF[faces])) <= rtol * np.max(np.abs(w_dF[faces]))
+
+    def test_hessian_bands_only_with_the_potential(self):
+        g = grid1d(64)
+        u, v = gaussian_density(g, 0.0, 1.0), gaussian_density(g, 0.5, 1.2)
+        diag, off = w2_exact_1d(u, v).hessian_bands
+        assert diag.shape == (63,) and off.shape == (62,)
+        assert np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
+        # a face carries W unless both its cells are flat (CDF increment at
+        # the rounding floor of the cumulative sum, as in the potential)
+        flat = np.diff(_cdf(u.values, g)) <= 64 * np.finfo(float).eps
+        assert np.all(diag >= 0) and np.array_equal(diag == 0, flat[:-1] & flat[1:])
+        assert w2_exact_1d(u, v, want_potential=False).hessian_bands is None
+
 
 class TestSinkhorn:
     def test_identical_inputs_near_zero(self):
@@ -800,6 +840,7 @@ class TestDispatch:
         res = w2(u, transport)
         assert res.method == "sinkhorn"
         assert res.w2_squared > 0
+        assert res.hessian_bands is None
 
     @pytest.mark.parametrize("target", ["gaussian", "bump", "mixture"])
     def test_prepared_exact_matches_plain_on_repeated_calls(self, target):
@@ -817,3 +858,4 @@ class TestDispatch:
             prepared = transport(u)
             assert prepared.w2_squared == plain.w2_squared
             assert np.array_equal(prepared.potential, plain.potential)
+            assert all(np.array_equal(a, b) for a, b in zip(prepared.hessian_bands, plain.hessian_bands))
