@@ -18,17 +18,25 @@ transport through an object prepared for that target (`prepare`):
 its target's CDF and the grid's per-cell integrals, computed once, so a
 call builds only u's side.  A `Sinkhorn` owns its target, its settings
 and its warm-start state.  Its first call solves the target's kernel,
-log-mass and self-potential once; every call then starts its main loop
-from the dual it is handed (`start`), else from the last
-converged dual (`dual`; the first call from the target's self-potential,
-the exact answer for u = target), and its u-side self-potential from the
-last converged one.  `TransportResult.iterations` counts the main passes
-plus the self-potential passes the call itself made, so the first call
+log-mass and self-potential f_b once.  A call at the target itself (u's
+values equal the target's bit for bit, as at the first call of every
+JKO step) runs no pass: (f_b, f_b) is the exact dual pair of
+OT_eps(v, v), so it returns S_eps = 0 and a zero potential, keeps f_b as
+its dual and u-side self-potential, and reports the defect of that pair,
+measured by one softmin; should the defect miss the tolerance, it runs
+the main loop like any call.  Every other call starts its main loop from
+the dual it is handed (`start`), else from the last converged dual
+(`dual`, else f_b), and its u-side self-potential from the last
+converged one.  `TransportResult.iterations` counts the main passes plus
+the self-potential passes the call itself made, so the first call
 carries the target's.  The main loop over-relaxes both potential updates
 by a fixed factor, taking a relaxed update only when it raises every
 cell's term of the dual objective, and stops only when both plan
-marginals are within tolerance.  `w2_sinkhorn` is one call on a fresh
-`Sinkhorn`, in any dimension.
+marginals are within tolerance.  A pass costs its two softmins, one
+difference raw - f that serves both the a-marginal check and the
+relaxed f-update, and a max test per softmin output in place of
+masking every output for non-finite rows.  `w2_sinkhorn` is one call on
+a fresh `Sinkhorn`, in any dimension.
 
 The axis kernel exp(-|x - y|^2 / eps) is exactly 0 below `_KERNEL_FLOOR`,
 the square root of the smallest normal float (about 1.5e-154), so the
@@ -47,6 +55,7 @@ only cells without mass, where the kernel underflows anyway, move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -318,14 +327,53 @@ def _softmin(kmat, psi, dim, epsilon):
     return out
 
 
-def _relaxed(mass, pot, pot_soft, epsilon, empty, want_defect=True):
+def _finite(out):
+    """A softmin output with its non-finite entries set to 0; `out` itself
+    when it has none.  The only non-finite value `_softmin` returns is +inf
+    (see there), so one max test decides."""
+    if out.max() < np.inf:
+        return out
+    return np.where(np.isfinite(out), out, 0.0)
+
+
+def _empty_cells(mass):
+    """np.nonzero(mass == 0), or None when every cell has mass."""
+    return None if mass.all() else np.nonzero(mass == 0)
+
+
+def _row_defect(kmat, g, lb, f, a, dim, epsilon):
+    """The f-half of a Sinkhorn pass: raw = softmin(g + lb), its finite part
+    f_soft, step = f_soft - f and the L^1 defect of the a-marginal of the
+    plan of (f, g), sum_i |a_i exp((f_i - raw_i)/eps) - a_i| over the cells
+    where raw is finite.  Returns (f_soft, step, defect).  One difference
+    serves both uses: step is the numerator of the relaxed f-update
+    (`_relaxed`), and its negation over eps is the defect's exponent, bit
+    for bit (f - raw)/eps, since IEEE subtraction and division are
+    sign-symmetric."""
+    raw = _softmin(kmat, g + lb, dim, epsilon)
+    f_soft = _finite(raw)
+    step = f_soft - f
+    row = np.negative(step)
+    if f_soft is not raw:
+        row[~np.isfinite(raw)] = 0.0
+    row /= epsilon
+    np.clip(row, -700, 700, out=row)
+    np.exp(row, out=row)
+    row *= a
+    row -= a
+    np.abs(row, out=row)
+    return f_soft, step, float(row.sum())
+
+
+def _relaxed(mass, pot, pot_soft, step, epsilon, empty, want_defect=True):
     """Over-relaxed update pot + w (pot_soft - pot), w = _OMEGA, on the cells
     with mass, when it raises every cell's term of the dual objective; the
-    plain update pot_soft otherwise.  Returns the new potential and the L^1
-    defect of `mass` against its plan marginal.  `empty` indexes the cells
-    without mass (np.nonzero(mass == 0), which the main loop computes once
-    per call); the f-update, whose defect the loop does not use, passes
-    want_defect=False and gets a defect of 0.
+    plain update pot_soft otherwise.  `step` is pot_soft - pot, which the
+    caller already has.  Returns the new potential and the L^1 defect of
+    `mass` against its plan marginal.  `empty` is `_empty_cells(mass)`,
+    which the main loop computes once per call; the f-update, whose defect
+    the loop measures before it (`_row_defect`), passes want_defect=False
+    and gets a defect of 0.
 
     With the other potential fixed, the dual objective depends on this one
     through sum_i mass_i (pot_i - eps exp((pot_i - pot_soft_i)/eps)), which
@@ -338,15 +386,16 @@ def _relaxed(mass, pot, pot_soft, epsilon, empty, want_defect=True):
     Sinkhorn-Knopp, 2017).  The new plan marginal is mass_i exp((w - 1) d_i);
     cells without mass take the plain update.
     """
-    step = pot_soft - pot
     d = step / epsilon
-    d[empty] = 0.0
+    if empty is not None:
+        d[empty] = 0.0
     top = min(float(d.max()), 700.0)
-    if top > 0 and _OMEGA * top - np.exp((_OMEGA - 1.0) * top) + np.exp(-top) < 0:
+    if top > 0 and _OMEGA * top - math.exp((_OMEGA - 1.0) * top) + math.exp(-top) < 0:
         return pot_soft, 0.0
     relaxed = _OMEGA * step
     relaxed += pot
-    relaxed[empty] = pot_soft[empty]
+    if empty is not None:
+        relaxed[empty] = pot_soft[empty]
     if not want_defect:
         return relaxed, 0.0
     d *= _OMEGA - 1.0  # |exp((w - 1) d) - 1|, in place
@@ -358,16 +407,19 @@ def _relaxed(mass, pot, pot_soft, epsilon, empty, want_defect=True):
 
 def _sym_potential(a_log_mass, kmat, dim, epsilon, max_iter, tol, f0=None):
     """Fixed point of the symmetric problem OT_eps(a, a); returns (f, passes)
-    with f = g, starting from f0 (zero when None).  Raises ConvergenceError,
-    carrying the last step size, when `max_iter` passes miss the stopping rule."""
+    with f = g, starting from f0 (zero when None; never written).  Raises
+    ConvergenceError, carrying the last step size, when `max_iter` passes
+    miss the stopping rule."""
     f = np.zeros_like(a_log_mass) if f0 is None else f0
     delta = np.inf
     with np.errstate(divide="ignore"):
         for it in range(max_iter):
-            f_new = _softmin(kmat, f + a_log_mass, dim, epsilon)
-            f_new = np.where(np.isfinite(f_new), f_new, 0.0)
-            f_half = 0.5 * (f + f_new)
-            delta = float(np.max(np.abs(f_half - f)))
+            f_half = _finite(_softmin(kmat, f + a_log_mass, dim, epsilon))
+            f_half += f  # 0.5 (f + f_new), in the softmin's own buffer
+            f_half *= 0.5
+            change = f_half - f
+            np.abs(change, out=change)
+            delta = float(change.max())
             f = f_half
             if delta < 0.1 * epsilon * tol + 1e-15:
                 return f, it + 1
@@ -386,7 +438,9 @@ class Sinkhorn:
     debiased dual potential (cross potential minus self potential, zero
     mean): the cost is |x-y|^2, so that half is delta(S_eps/2), the
     convention of `w2_exact_1d`.  The potential comes out of the passes
-    that give the value.  The main loop starts from `start`, else from
+    that give the value.  A call at the target returns 0 and a zero
+    potential from the target's self-potential alone, with no pass (see
+    the module docstring).  The main loop starts from `start`, else from
     `dual`, else from the target's self-potential; a call that raises
     leaves `dual` and u's cached self-potential as they were.  The main
     loop over-relaxes both updates (`_relaxed`), so ``marginal_error`` is
@@ -415,6 +469,15 @@ class Sinkhorn:
             self._kmat, self._lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
             self._fb, it_b = _sym_potential(self._lb, self._kmat, dim, epsilon, max_iter, tol)
         kmat, lb, fb = self._kmat, self._lb, self._fb
+        if np.array_equal(u.values, v.values):
+            # (fb, fb) is the exact dual pair of OT_eps(v, v), so S_eps is 0
+            # and the potential is flat; the defect is measured, not assumed
+            with np.errstate(divide="ignore", over="ignore"):
+                marginal_error = _row_defect(kmat, fb, lb, fb, a, dim, epsilon)[2]
+            if marginal_error <= tol:
+                self.dual = self._fa = fb
+                return TransportResult(w2_squared=0.0, potential=np.zeros(grid.shape), method="sinkhorn",
+                                       iterations=it_b, marginal_error=marginal_error)
         g = next(x for x in (start, self.dual, fb) if x is not None)
         fa0 = fb if self._fa is None else self._fa
 
@@ -423,28 +486,18 @@ class Sinkhorn:
         # has no previous value), so the b-marginal is not exact and the test
         # bounds both defects of the plan of (f, g):
         # a_i (exp((f_i - f_next_i)/eps) - 1) and b_j (exp((g_j - g_soft_j)/eps) - 1)
-        empty_a, empty_b = np.nonzero(a == 0), np.nonzero(b == 0)
+        empty_a, empty_b = _empty_cells(a), _empty_cells(b)
         marginal_error = np.inf
         with np.errstate(divide="ignore", over="ignore"):
-            raw = _softmin(kmat, g + lb, dim, epsilon)
-            f = np.where(np.isfinite(raw), raw, 0.0)
+            f = _finite(_softmin(kmat, g + lb, dim, epsilon))
             for it in range(max_iter):
-                g_soft = _softmin(kmat, f + la, dim, epsilon)
-                g_soft = np.where(np.isfinite(g_soft), g_soft, 0.0)
-                g, b_defect = _relaxed(b, g, g_soft, epsilon, empty_b)
-                raw = _softmin(kmat, g + lb, dim, epsilon)
-                f_next = np.where(np.isfinite(raw), raw, f)
-                row = f - f_next  # |a exp((f - f_next)/eps) - a|, in place
-                row /= epsilon
-                np.clip(row, -700, 700, out=row)
-                np.exp(row, out=row)
-                row *= a
-                row -= a
-                np.abs(row, out=row)
-                marginal_error = max(float(row.sum()), b_defect)
+                g_soft = _finite(_softmin(kmat, f + la, dim, epsilon))
+                g, b_defect = _relaxed(b, g, g_soft, g_soft - g, epsilon, empty_b)
+                f_soft, step, a_defect = _row_defect(kmat, g, lb, f, a, dim, epsilon)
+                marginal_error = max(a_defect, b_defect)
                 if marginal_error <= tol:
                     break
-                f = _relaxed(a, f, np.where(np.isfinite(raw), raw, 0.0), epsilon, empty_a, False)[0]
+                f = _relaxed(a, f, f_soft, step, epsilon, empty_a, False)[0]
             else:
                 raise ConvergenceError(
                     f"sinkhorn failed to reach marginal tolerance {tol} in {max_iter} iterations "

@@ -277,11 +277,12 @@ class TestRegimes:
 
     @pytest.mark.parametrize("sink2d_order_step", [1.0], indirect=True)
     def test_sinkhorn_2d_newton_work(self, sink2d_order_step):
-        # exact (1e-10) solves take 25 + 49 operator applications
+        # exact (1e-10) solves take 25 + 43 operator applications
         rec, solves = sink2d_order_step
         assert rec.inner_iterations == 2
-        # 219 when every line-search call starts from the dual at u
-        assert rec.sinkhorn_iters == 137
+        # 207 when every line-search call starts from the dual at u; the
+        # call at u_prev takes only the passes of u_prev's self-potential
+        assert rec.sinkhorn_iters == 124
         assert sum(apps for *_, apps in solves) <= 40
 
     def test_sinkhorn_2d_one_evaluation_per_trial_point(self, candidates):
@@ -293,10 +294,10 @@ class TestRegimes:
 
     @pytest.mark.parametrize("sink2d_order_step", [1.0], indirect=True)
     def test_sinkhorn_2d_krylov_counts(self, sink2d_order_step):
-        # the seed-0 sink2d benchmark step: two Newton solves, 6 + 24
+        # the seed-0 sink2d benchmark step: two Newton solves, 6 + 17
         # operator applications, both within the forcing tolerance
         rec, _ = sink2d_order_step
-        assert (rec.krylov_applications, rec.krylov_unmet) == (30, 0)
+        assert (rec.krylov_applications, rec.krylov_unmet) == (23, 0)
 
     def test_step_records_krylov_work(self, sink2d_order_step):
         # the record adds up the applications of every Newton solve and
@@ -381,11 +382,12 @@ def _unhinted_w2(u, transport, start=None):
 class TestPredictedStart:
     """Each line-search call of a d >= 2 step starts from dual + 2 alpha tau z."""
 
-    @pytest.mark.parametrize("s, saved_applications", [(0.5, 0), (1.0, 0), (2.0, 1)])
+    @pytest.mark.parametrize("s, saved_applications", [(0.5, 0), (1.0, -3), (2.0, 1)])
     def test_fewer_passes_same_newton_work(self, s, saved_applications, monkeypatch):
         # the seed-0 step against the same step with every call started from
-        # the last converged dual; at s = 2 the slightly different potentials
-        # save the step's CG solves one application (455 against 456)
+        # the last converged dual; the slightly different potentials change
+        # the step's CG applications by a few: at s = 1 the hinted step takes
+        # 23 against 20, at s = 2 it takes 455 against 456
         import fracfilm.jko
 
         cfg = sink2d_step_config(max_iters=10, s=s)

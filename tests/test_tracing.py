@@ -98,6 +98,11 @@ def test_2d_run_records_sinkhorn_passes(tracing, tmp_path):
     calls = [sp for sp in spans if sp["name"] == "transport.w2"]
     assert calls
     assert all(sp["method"] == "sinkhorn" and sp["iterations"] > 0 for sp in calls)
+    # the first call, at u_prev, runs no main pass but counts the passes of
+    # u_prev's self-potential; the spans add up to the step's recorded passes
+    (rec,) = load_run_directory(out)[1].steps
+    assert len(calls) == rec.transport_calls
+    assert sum(sp["iterations"] for sp in calls) == rec.sinkhorn_iters
 
 
 def test_verify_records_one_span_per_check(tracing, tmp_path):

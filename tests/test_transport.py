@@ -174,6 +174,115 @@ def three_softmin_sinkhorn(u, v, epsilon, max_iter, tol):
     return value, debiased - debiased.mean(), iterations + it_a + it_b, marginal_error, nonfinite
 
 
+def guarded_relaxed(mass, pot, pot_soft, epsilon, empty, want_defect=True):
+    """Reference for `_relaxed`: forms pot_soft - pot itself, writes the
+    `empty` cells even when there are none, and makes the overshoot test
+    in numpy scalars."""
+    step = pot_soft - pot
+    d = step / epsilon
+    d[empty] = 0.0
+    top = min(float(d.max()), 700.0)
+    if top > 0 and transport._OMEGA * top - np.exp((transport._OMEGA - 1.0) * top) + np.exp(-top) < 0:
+        return pot_soft, 0.0
+    relaxed = transport._OMEGA * step
+    relaxed += pot
+    relaxed[empty] = pot_soft[empty]
+    if not want_defect:
+        return relaxed, 0.0
+    d *= transport._OMEGA - 1.0  # |exp((w - 1) d) - 1|, in place
+    np.exp(d, out=d)
+    d -= 1.0
+    np.abs(d, out=d)
+    return relaxed, float(np.vdot(mass, d))
+
+
+def guarded_sym_potential(a_log_mass, kmat, dim, epsilon, max_iter, tol, f0=None):
+    """Reference for `_sym_potential`: every softmin output goes through
+    np.where(np.isfinite(...)), and the damped step is formed in new arrays."""
+    f = np.zeros_like(a_log_mass) if f0 is None else f0
+    delta = np.inf
+    with np.errstate(divide="ignore"):
+        for it in range(max_iter):
+            f_new = transport._softmin(kmat, f + a_log_mass, dim, epsilon)
+            f_new = np.where(np.isfinite(f_new), f_new, 0.0)
+            f_half = 0.5 * (f + f_new)
+            delta = float(np.max(np.abs(f_half - f)))
+            f = f_half
+            if delta < 0.1 * epsilon * tol + 1e-15:
+                return f, it + 1
+    raise ConvergenceError(f"self-potential missed after {max_iter} passes", marginal_error=delta)
+
+
+class GuardedSinkhorn:
+    """Reference for `Sinkhorn`: the same state and main loop, but each pass
+    guards all three softmin uses with np.where(np.isfinite(...)) and forms
+    raw - f twice, once for the a-marginal check (as f - f_next) and once
+    inside the f-update; a call at the target runs the loop like any other,
+    one main pass from the target's self-potential."""
+
+    def __init__(self, target, config):
+        self._target, self._config = target, config
+        self._kmat = self._lb = self._fb = None
+        self._fa = None
+        self.dual = None
+
+    def __call__(self, u, start=None):
+        v = self._target
+        epsilon, max_iter, tol = self._config.epsilon, self._config.max_iter, self._config.tol
+        grid = u.grid
+        dim, hpow = grid.dim, grid.cell_volume
+        a = u.values * hpow
+        b = v.values * hpow
+        la = _scaled_log(a, epsilon)
+        it_b = 0
+        if self._fb is None:
+            self._kmat, self._lb = _axis_kernels(grid, epsilon), _scaled_log(b, epsilon)
+            self._fb, it_b = guarded_sym_potential(self._lb, self._kmat, dim, epsilon, max_iter, tol)
+        kmat, lb, fb = self._kmat, self._lb, self._fb
+        g = next(x for x in (start, self.dual, fb) if x is not None)
+        fa0 = fb if self._fa is None else self._fa
+        softmin = transport._softmin
+
+        empty_a, empty_b = np.nonzero(a == 0), np.nonzero(b == 0)
+        marginal_error = np.inf
+        with np.errstate(divide="ignore", over="ignore"):
+            raw = softmin(kmat, g + lb, dim, epsilon)
+            f = np.where(np.isfinite(raw), raw, 0.0)
+            for it in range(max_iter):
+                g_soft = softmin(kmat, f + la, dim, epsilon)
+                g_soft = np.where(np.isfinite(g_soft), g_soft, 0.0)
+                g, b_defect = guarded_relaxed(b, g, g_soft, epsilon, empty_b)
+                raw = softmin(kmat, g + lb, dim, epsilon)
+                f_next = np.where(np.isfinite(raw), raw, f)
+                row = f - f_next  # |a exp((f - f_next)/eps) - a|, in place
+                row /= epsilon
+                np.clip(row, -700, 700, out=row)
+                np.exp(row, out=row)
+                row *= a
+                row -= a
+                np.abs(row, out=row)
+                marginal_error = max(float(row.sum()), b_defect)
+                if marginal_error <= tol:
+                    break
+                f = guarded_relaxed(a, f, np.where(np.isfinite(raw), raw, 0.0), epsilon, empty_a, False)[0]
+            else:
+                raise ConvergenceError(f"main loop missed after {max_iter} passes", marginal_error=marginal_error)
+
+        ot_uv = float(np.sum(f * a) + np.sum(g * b))
+        fa, it_a = guarded_sym_potential(la, kmat, dim, epsilon, max_iter, tol, fa0)
+        self.dual, self._fa = g, fa
+        ot_uu = float(2.0 * np.nansum(np.where(a > 0, fa * a, 0.0)))
+        ot_vv = float(2.0 * np.nansum(np.where(b > 0, fb * b, 0.0)))
+        value = ot_uv - 0.5 * ot_uu - 0.5 * ot_vv
+        if abs(value) < 1e3 * tol:
+            value = max(value, 0.0)
+
+        debiased = 0.5 * (f - np.where(np.isfinite(fa), fa, 0.0))
+        debiased = debiased - debiased.mean()
+        return transport.TransportResult(w2_squared=float(value), potential=debiased, method="sinkhorn",
+                                         iterations=it + 1 + it_a + it_b, marginal_error=marginal_error)
+
+
 def compact_bump(grid, center, radius):
     """Density proportional to (1 - |x - center|^2 / radius^2)_+, zero outside."""
     r2 = sum((c - mu) ** 2 for c, mu in zip(grid.coords, center))
@@ -193,6 +302,12 @@ SINKHORN_CASES = {
     "wide": (PeriodicGrid(1, 64, 40.0), lambda g: (compact_bump(g, (0.0,), 2.0),
                                                    compact_bump(g, (1.0,), 2.5)), 0.1),
 }
+
+
+# the reference cases plus a d = 2 pair with cells without mass on both sides
+GUARDED_CASES = dict(SINKHORN_CASES, bumps2d=(
+    PeriodicGrid(2, 24, 12.0),
+    lambda g: (compact_bump(g, (0.0, 0.0), 3.0), compact_bump(g, (0.5, -0.4), 3.5)), 0.2))
 
 
 class TestExact1D:
@@ -547,6 +662,61 @@ class TestSinkhorn:
         assert exc_info.value.marginal_error > 0.1 * 0.2 * 1e-9
 
 
+class TestGuardedReference:
+    """Every pass of a call off its target is bitwise that of `GuardedSinkhorn`."""
+
+    @pytest.mark.parametrize("hinted", [False, True], ids=["dual", "start"])
+    @pytest.mark.parametrize("case", sorted(GUARDED_CASES))
+    def test_calls_match_the_guarded_loop_bitwise(self, case, hinted, monkeypatch):
+        # three calls on one object: the first solves the target's side, the
+        # others start from the dual it keeps, or from a start they are handed
+        grid, densities, epsilon = GUARDED_CASES[case]
+        u, v = densities(grid)
+        cfg = TransportConfig(epsilon, 20000, 1e-9)
+        softmin, nonfinite = transport._softmin, [0]
+
+        def counted_softmin(*args):
+            out = softmin(*args)
+            nonfinite[0] += int(np.sum(~np.isfinite(out)))
+            return out
+
+        sink, guarded = Sinkhorn(v, cfg), GuardedSinkhorn(v, cfg)
+        mid = GridDensity.normalized(grid, u.values + v.values)
+        sink_nonfinite = 0
+        for k, w in enumerate((u, mid, u)):
+            start = guarded.dual + 0.05 * np.cos(grid.coords[0]) if hinted and k else None
+            monkeypatch.setattr(transport, "_softmin", counted_softmin)
+            got = sink(w, start=start)
+            monkeypatch.setattr(transport, "_softmin", softmin)
+            want = guarded(w, start=start)
+            assert (got.w2_squared, got.iterations, got.marginal_error) == \
+                (want.w2_squared, want.iterations, want.marginal_error)
+            assert np.array_equal(got.potential, want.potential)
+            assert np.array_equal(sink.dual, guarded.dual)
+            assert np.array_equal(sink._fa, guarded._fa)
+            sink_nonfinite, nonfinite[0] = sink_nonfinite + nonfinite[0], 0
+        assert np.array_equal(sink._fb, guarded._fb)
+        if case == "wide":
+            assert sink_nonfinite > 0  # the raw softmins have non-finite rows
+        if case in ("wide", "bumps2d"):
+            assert not u.values.all() and not v.values.all()
+
+    @pytest.mark.parametrize("case", sorted(GUARDED_CASES))
+    def test_sym_potential_matches_the_guarded_loop_bitwise(self, case):
+        # from zero, and from the other density's potential, which it leaves alone
+        grid, densities, epsilon = GUARDED_CASES[case]
+        kmat = _axis_kernels(grid, epsilon)
+        la, lb = (_scaled_log(w.values * grid.cell_volume, epsilon) for w in densities(grid))
+        fb, passes = _sym_potential(lb, kmat, grid.dim, epsilon, 20000, 1e-9)
+        want_fb, want_passes = guarded_sym_potential(lb, kmat, grid.dim, epsilon, 20000, 1e-9)
+        assert passes == want_passes and np.array_equal(fb, want_fb)
+        kept = fb.copy()
+        fa, passes = _sym_potential(la, kmat, grid.dim, epsilon, 20000, 1e-9, fb)
+        want_fa, want_passes = guarded_sym_potential(la, kmat, grid.dim, epsilon, 20000, 1e-9, fb)
+        assert passes == want_passes and np.array_equal(fa, want_fa)
+        assert np.array_equal(fb, kept)
+
+
 def line_search_sequence(grid, v):
     """u = v, then six reweightings v exp(-a G) at halving a, the way a
     backtracking line search approaches its target."""
@@ -601,7 +771,7 @@ class TestKernelFloor:
         floored = jko_step(u0, cfg)
         monkeypatch.setattr(transport, "_axis_kernels", unfloored_axis_kernels)
         plain = jko_step(u0, cfg)
-        assert floored.sinkhorn_iters == plain.sinkhorn_iters == 523
+        assert floored.sinkhorn_iters == plain.sinkhorn_iters == 519
         assert np.array_equal(floored.density.values, plain.density.values)
 
 
@@ -625,20 +795,6 @@ class TestSinkhornWarmStart:
             warm_passes += warm.iterations
             cold_passes += cold.iterations
         assert warm_passes < cold_passes
-
-    def test_first_call_on_its_target_takes_one_main_pass(self, monkeypatch):
-        sym_passes = [0]
-        sym_potential = transport._sym_potential
-
-        def counted_sym_potential(*args):
-            f, passes = sym_potential(*args)
-            sym_passes[0] += passes
-            return f, passes
-
-        monkeypatch.setattr(transport, "_sym_potential", counted_sym_potential)
-        v = self.target()
-        res = Sinkhorn(v, self.CFG)(v)
-        assert res.iterations - sym_passes[0] == 1
 
     def test_failed_call_keeps_last_converged_state(self):
         cfg = TransportConfig(epsilon=0.1, max_iter=40, tol=1e-7)
@@ -673,7 +829,9 @@ class TestSinkhornWarmStart:
         g_soft = transport._softmin(kmat, (f + _scaled_log(a, eps)).reshape(grid.shape), 2, eps).ravel()
         for shift, relaxed in ((0.3, True), (10.0, False)):
             g_old = g_soft - shift * eps * np.cos(x[:, 0])
-            g, defect = transport._relaxed(b, g_old, g_soft, eps, np.nonzero(b == 0))
+            g, defect = transport._relaxed(b, g_old, g_soft, g_soft - g_old, eps, transport._empty_cells(b))
+            want_g, want_defect = guarded_relaxed(b, g_old, g_soft, eps, np.nonzero(b == 0))
+            assert np.array_equal(g, want_g) and defect == want_defect
             assert np.array_equal(g, g_soft) != relaxed
             assert defect == pytest.approx(np.sum(np.abs(plan(f, g).sum(axis=0) - b)), rel=1e-9, abs=1e-15)
             assert dual(f, g) >= dual(f, g_old)
@@ -708,15 +866,91 @@ class TestSinkhornWarmStart:
         assert res.marginal_error == pytest.approx(max(a_defect, b_defect), rel=1e-3)
 
     def test_call_waits_for_the_b_marginal(self, monkeypatch):
-        # on its target the a-marginal is met at once; a b-defect above tol
-        # still keeps the loop going to its cap
-        relaxed = transport._relaxed
-        monkeypatch.setattr(transport, "_relaxed", lambda *args: (relaxed(*args)[0], 1.0))
+        # close to its target both marginals are met well inside the cap; a
+        # b-defect above tol still keeps the loop going to its cap (a call at
+        # the target itself runs no pass, see the tests below)
         cfg = TransportConfig(epsilon=0.1, max_iter=50, tol=1e-7)
         v = self.target()
+        near = line_search_sequence(self.GRID, v)[-1]
+        assert Sinkhorn(v, cfg)(near).marginal_error <= cfg.tol
+        relaxed = transport._relaxed
+        monkeypatch.setattr(transport, "_relaxed", lambda *args: (relaxed(*args)[0], 1.0))
         with pytest.raises(ConvergenceError) as exc_info:
-            Sinkhorn(v, cfg)(v)
+            Sinkhorn(v, cfg)(near)
         assert exc_info.value.marginal_error == 1.0
+
+    def test_first_call_on_its_target_takes_no_main_pass(self, monkeypatch):
+        # (fb, fb) is the exact dual pair of OT_eps(v, v): a call at the
+        # target (v itself, or equal values) returns S_eps = 0 and a flat
+        # potential, keeps fb as its dual and u-side self-potential, and
+        # counts only the passes fb took; its defect is that of the plan of
+        # (fb, fb), measured by one softmin
+        passes = []
+        sym_potential = transport._sym_potential
+
+        def counted_sym_potential(*args):
+            f, n = sym_potential(*args)
+            passes.append(n)
+            return f, n
+
+        monkeypatch.setattr(transport, "_sym_potential", counted_sym_potential)
+        v = self.target()
+        eps, tol = self.CFG.epsilon, self.CFG.tol
+        for u in (v, GridDensity(self.GRID, v.values.copy())):
+            sink = Sinkhorn(v, self.CFG)
+            passes.clear()
+            res = sink(u)
+            assert passes == [res.iterations] and res.iterations > 0
+            assert res.w2_squared == 0.0
+            assert np.array_equal(res.potential, np.zeros(self.GRID.shape))
+            assert np.array_equal(sink.dual, sink._fb) and np.array_equal(sink._fa, sink._fb)
+            a = v.values * self.GRID.cell_volume
+            raw = transport._softmin(sink._kmat, sink._fb + sink._lb, 2, eps)
+            defect = np.sum(np.abs(a * np.exp((sink._fb - raw) / eps) - a))
+            assert res.marginal_error == defect
+            assert 0.0 < res.marginal_error <= tol
+        passes.clear()
+        again = sink(v)
+        assert (again.iterations, again.w2_squared, passes) == (0, 0.0, [])
+
+    def test_call_after_the_target_call_matches_a_one_pass_first_call(self):
+        # the first call of a step is at its target; the next call starts
+        # from fb instead of from the dual after one relaxed pass, and agrees
+        # with the call that follows that one-pass first call and with a
+        # cold tol = 1e-12 call on the cells the inner solver counts, up to
+        # a constant
+        v, tol = self.target(), self.CFG.tol
+        near = line_search_sequence(self.GRID, v)[3]
+        sink, guarded = Sinkhorn(v, self.CFG), GuardedSinkhorn(v, self.CFG)
+        # the one-pass call: fb's passes, one main pass, one u-side pass from fb
+        assert guarded(v).iterations == sink(v).iterations + 2
+        got = sink(near)
+        live = near.values > 1e-8 * near.values.max()
+        for want in (guarded(near), w2_sinkhorn(near, v, self.CFG.epsilon, 20000, 1e-12)):
+            gap = got.potential[live] - want.potential[live]
+            assert np.max(np.abs(gap - gap.mean())) <= 1e-6
+            assert abs(got.w2_squared - want.w2_squared) <= 10 * tol * abs(want.w2_squared)
+        assert got.marginal_error <= tol
+
+    def test_call_at_its_target_runs_the_loop_when_fb_misses_tol(self, monkeypatch):
+        # a target self-potential whose pair (fb, fb) misses the tolerance
+        # gets no shortcut: the call runs its main loop like any other
+        sym_potential = transport._sym_potential
+        x = self.GRID.coords[0]
+        passes = []
+
+        def rough_sym_potential(*args):
+            f, n = sym_potential(*args)
+            passes.append(n)
+            return f + 1e-3 * self.CFG.epsilon * np.cos(x), n
+
+        monkeypatch.setattr(transport, "_sym_potential", rough_sym_potential)
+        v = self.target()
+        sink = Sinkhorn(v, self.CFG)
+        res = sink(v)
+        assert len(passes) == 2 and res.iterations > sum(passes)
+        assert res.marginal_error <= self.CFG.tol
+        assert not np.array_equal(sink.dual, sink._fb)
 
     def test_warm_start_from_far_dual_matches_cold(self):
         # far's tail cells carry masses down to 1e-30, which no L1 stopping
