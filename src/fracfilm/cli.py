@@ -115,13 +115,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def _sweep_one(payload):
-    sc, u0, out_dir = payload
-    traj = jko_run(u0, sc.config, sc.num_steps)
-    write_run_directory(out_dir, sc, traj)
-    return traj.status
-
-
 def _float_list(text: str, what: str) -> list:
     try:
         return [float(v) for v in text.split(",")]
@@ -130,20 +123,21 @@ def _float_list(text: str, what: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    if args.threads < 1:
-        raise ScenarioError(f"--threads must be at least 1, got {args.threads}")
+    if args.s_list is not None and (args.horizon is not None or args.r is not None):
+        raise ScenarioError("--horizon and --r apply to --tau-list sweeps only")
     sc = load_scenario(args.scenario)
     out = Path(args.out)
-    if args.tau_list:
+    if args.tau_list is not None:
         taus = _float_list(args.tau_list, "tau")
-        horizon = args.horizon if args.horizon else sc.num_steps * sc.config.tau
+        horizon = sc.num_steps * sc.config.tau if args.horizon is None else args.horizon
+        r = 0.5 if args.r is None else args.r
         try:
-            validate_refinement_settings(taus, horizon, args.r, sc.config.s)
+            validate_refinement_settings(taus, horizon, r, sc.config.s)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         u0 = sc.initial_density()
         _make_output_dirs(out)
-        report = tau_refinement_study(u0, sc.config, tau_list=taus, horizon=horizon, r=args.r)
+        report = tau_refinement_study(u0, sc.config, tau_list=taus, horizon=horizon, r=r)
         with open(out / "tau_refinement.json", "w") as fh:
             json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -157,36 +151,27 @@ def cmd_sweep(args) -> int:
                 )
         print(f"tau sweep: gaps {report.l2h_gaps} cauchy_monotone={report.cauchy_monotone}")
         return EXIT_OK
-    if args.s_list:
-        # every order is checked before the first run starts or directory is made
-        runs = {}
-        for sv in _float_list(args.s_list, "s"):
-            try:
-                config = replace(sc.config, s=sv)
-            except ValueError as exc:
-                raise ScenarioError(str(exc)) from exc
-            run_dir = out / f"s_{sv:g}"
-            if run_dir in runs:
-                raise ScenarioError(f"--s-list orders {runs[run_dir].config.s!r} and {sv!r} "
-                                    f"would share the run directory {run_dir.name}")
-            runs[run_dir] = replace(sc, config=config, name=f"{sc.name}_s{sv:g}", raw_text="")
-        u0 = sc.initial_density()
-        _make_output_dirs(*runs)
-        payloads = [(sub, u0, run_dir) for run_dir, sub in runs.items()]
-        # the pool starts all its workers at the first submit: no more than runs
-        workers = min(args.threads, len(payloads))
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                statuses = list(pool.map(_sweep_one, payloads))
-        else:
-            statuses = [_sweep_one(p) for p in payloads]
-        bad = [s for s in statuses if s != "ok"]
-        for (sub, _, _), status in zip(payloads, statuses):
-            print(f"s = {sub.config.s:g}: {status}")
-        return EXIT_OK if not bad else EXIT_SOLVER_FAILED
-    raise ScenarioError("sweep needs --tau-list or --s-list")
+    # every order is checked before the first run starts or directory is made
+    runs = {}
+    for sv in _float_list(args.s_list, "s"):
+        try:
+            config = replace(sc.config, s=sv)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
+        run_dir = out / f"s_{sv:g}"
+        if run_dir in runs:
+            raise ScenarioError(f"--s-list orders {runs[run_dir].config.s!r} and {sv!r} "
+                                f"would share the run directory {run_dir.name}")
+        runs[run_dir] = replace(sc, config=config, name=f"{sc.name}_s{sv:g}", raw_text="")
+    u0 = sc.initial_density()
+    _make_output_dirs(*runs)
+    failed = False
+    for run_dir, sub in runs.items():
+        traj = jko_run(u0, sub.config, sub.num_steps)
+        write_run_directory(run_dir, sub, traj)
+        print(f"s = {sub.config.s:g}: {traj.status}")
+        failed |= traj.status != "ok"
+    return EXIT_SOLVER_FAILED if failed else EXIT_OK
 
 
 def cmd_print_config(args) -> int:
@@ -196,8 +181,16 @@ def cmd_print_config(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error (exit 3) like any other refusal."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ScenarioError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracfilm",
         description="Spectral minimizing-movement solver and verification suite "
         "for the fractional thin-film equation on a periodic box.",
@@ -217,12 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="tau-refinement study or s sweep")
     p_sw.add_argument("--scenario", required=True)
     p_sw.add_argument("--out", required=True)
-    p_sw.add_argument("--tau-list", default="", help="comma list, strictly decreasing")
-    p_sw.add_argument("--s-list", default="", help="comma list of equation orders")
-    p_sw.add_argument("--horizon", type=float, default=0.0, help="time horizon for tau sweeps")
-    p_sw.add_argument("--r", type=float, default=0.5, help="comparison order r < s")
-    p_sw.add_argument("--threads", type=int, default=1,
-                      help="parallel scenario workers (at least 1; at most one per --s-list entry)")
+    lists = p_sw.add_mutually_exclusive_group(required=True)
+    lists.add_argument("--tau-list", help="comma list, strictly decreasing")
+    lists.add_argument("--s-list", help="comma list of equation orders")
+    p_sw.add_argument("--horizon", type=float,
+                      help="time horizon for tau sweeps (default: num_steps * tau)")
+    p_sw.add_argument("--r", type=float, help="comparison order r < s for tau sweeps (default 0.5)")
+    p_sw.add_argument("--threads", type=int, choices=(1,), help="retired: sweeps run serially")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_pc = sub.add_parser("print-config", help="parse and echo a normalized scenario")
@@ -232,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)

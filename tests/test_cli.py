@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +21,7 @@ from fracfilm import (
     pushforward_with_drift,
     sobolev_norm_sq,
 )
-from fracfilm.cli import main
+from fracfilm.cli import build_parser, main
 from fracfilm.scenario import (
     KNOWN_CHECKS,
     KNOWN_KEYS,
@@ -632,12 +633,16 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--s-list", "1,-1"], ["--s-list", "1,-1", "--threads", "2"], ["--s-list", "1,abc"],
-         ["--s-list", "1,nan"], ["--tau-list", "4e-3,abc"]],
-        ids=["negative_s", "negative_s_parallel", "word_in_s", "nan_s", "word_in_tau"],
+        [["--s-list", "1,-1"], ["--s-list", "1,abc"], ["--s-list", "1,nan"],
+         ["--tau-list", "4e-3,abc"], ["--tau-list", "2e-3,1e-3", "--s-list", "0.5,1.5"],
+         ["--s-list", "0.5,1.5", "--horizon", "5", "--r", "3"], ["--tau-list", "2e-3", "--horizon", "0"]],
+        ids=["negative_s", "word_in_s", "nan_s", "word_in_tau", "tau_and_s_lists",
+             "s_list_with_tau_flags", "zero_horizon"],
     )
     def test_bad_list_exits_3_before_any_run(self, tmp_path, capsys, extra):
-        # every entry is checked first: no order runs and no --out is made
+        # every entry is checked first: no order runs and no --out is made;
+        # a flag the sweep would ignore (a second list, --horizon or --r on an
+        # s sweep) is refused, and an explicit --horizon 0 is not the default
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         out = tmp_path / "bad"
         assert main(["sweep", "--scenario", str(scen), "--out", str(out)] + extra) == 3
@@ -673,42 +678,41 @@ class TestSweep:
             assert rd.is_dir()
             assert main(["verify", str(rd)]) == 0
 
-    def test_s_sweep_parallel_workers(self, tmp_path):
-        scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
-        out = tmp_path / "par"
-        code = main(["sweep", "--scenario", str(scen), "--out", str(out),
-                     "--s-list", "0.5,1.0", "--threads", "2"])
-        assert code == 0
-        assert (out / "s_0.5" / "diagnostics.csv").exists()
-        assert (out / "s_1" / "diagnostics.csv").exists()
+    def test_s_sweep_is_run_at_each_order(self, tmp_path):
+        # a sweep order writes the bytes `fracfilm run` writes at that order;
+        # only the manifest differs (normalised text, name <name>_s<order>)
+        out = tmp_path / "ssweep"
+        scen = write_scenario(tmp_path, FAST_SCENARIO)
+        assert main(["sweep", "--scenario", str(scen), "--out", str(out), "--s-list", "0.5,1.5"]) == 0
+        for sv in ("0.5", "1.5"):
+            one = write_scenario(tmp_path, FAST_SCENARIO.replace("equation.s = 1.0", f"equation.s = {sv}"),
+                                 name=f"s{sv}.cfg")
+            ran, swept = tmp_path / f"run_{sv}", out / f"s_{sv}"
+            assert main(["run", "--scenario", str(one), "--out", str(ran)]) == 0
+            names = sorted(p.name for p in ran.iterdir() if p.name != "manifest.json")
+            assert names == sorted(p.name for p in swept.iterdir() if p.name != "manifest.json")
+            assert "diagnostics.csv" in names and "density_000004.txt" in names
+            for name in names:
+                assert (swept / name).read_bytes() == (ran / name).read_bytes(), (sv, name)
 
     def test_sweep_without_lists_exits_3(self, tmp_path):
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         assert main(["sweep", "--scenario", str(scen), "--out", str(tmp_path / "y")]) == 3
 
     @pytest.mark.parametrize("s_list", ["1,1", "1,1.0000001"], ids=["equal", "same_name"])
-    def test_orders_sharing_a_run_directory_exit_3(self, tmp_path, capsys, monkeypatch, s_list):
+    def test_orders_sharing_a_run_directory_exit_3(self, tmp_path, capsys, s_list):
         # both orders used to be run into s_1, the second over the first
-        import concurrent.futures
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-        monkeypatch.setattr(fracfilm.cli, "_sweep_one", None)
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         out = tmp_path / "clash"
-        code = main(["sweep", "--scenario", str(scen), "--out", str(out),
-                     "--s-list", s_list, "--threads", "2"])
+        code = main(["sweep", "--scenario", str(scen), "--out", str(out), "--s-list", s_list])
         assert code == 3
         second = s_list.split(",")[1]
         assert f"orders 1.0 and {float(second)!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_exits_3(self, tmp_path, capsys, monkeypatch, threads):
-        # such a sweep used to run every order serially and exit 0
-        import concurrent.futures
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-        monkeypatch.setattr(fracfilm.cli, "_sweep_one", None)
+    @pytest.mark.parametrize("threads", ["0", "-3", "2"])
+    def test_threads_other_than_one_exits_3(self, tmp_path, capsys, threads):
+        # --threads is retired: sweeps run serially, and only 1 is accepted
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         out = tmp_path / "t"
         code = main(["sweep", "--scenario", str(scen), "--out", str(out),
@@ -717,37 +721,51 @@ class TestSweep:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("s_list, threads, pools", [("0.5,1.0", "3", [2]), ("0.5,1.0", "2", [2]),
-                                                        ("1.0", "3", [])],
-                             ids=["capped", "equal", "one_run_serial"])
-    def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch, s_list, threads, pools):
-        # the pool forks all its workers at the first submit, so a larger
-        # pool only starts idle processes; the fake runs the sweep in-process
-        import concurrent.futures
-
-        made = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    def test_threads_one_runs(self, tmp_path, capsys):
+        # old command lines that pass --threads 1 still run every order
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
-        out = tmp_path / "p"
+        out = tmp_path / "t1"
         code = main(["sweep", "--scenario", str(scen), "--out", str(out),
-                     "--s-list", s_list, "--threads", threads])
+                     "--s-list", "0.5,1.0", "--threads", "1"])
         assert code == 0
-        assert made == pools
-        assert len(list(out.iterdir())) == len(s_list.split(","))
+        assert capsys.readouterr().out.splitlines() == ["s = 0.5: ok", "s = 1: ok"]
+        assert sorted(p.name for p in out.iterdir()) == ["s_0.5", "s_1"]
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--scenario", "x.cfg", "--out", "o", "--s-list", "1", "--bogus", "1"],
+         ["run"],
+         ["sweep", "--scenario", "x.cfg", "--out", "o", "--s-list", "1", "--threads", "x"],
+         ["sweep", "--scenario", "x.cfg", "--out", "o", "--s-list", "1", "--threads", "2"]],
+        ids=["unknown_flag", "missing_required_flag", "bad_int", "retired_value"],
+    )
+    def test_usage_error_exits_3(self, capsys, argv):
+        # argparse's own errors are usage errors (3), not solver failures (2)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fracfilm")
+        assert "config error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["top", "sweep"])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: fracfilm" in capsys.readouterr().out
+
+    def test_readme_commands_parse(self):
+        # doc-drift guard: every `fracfilm ...` line of the README's Commands
+        # block parses, so a retired value or a misspelt flag fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Commands:", 1)[1].split("\n\n", 2)[1]
+        commands = block.replace("\\\n", " ").splitlines()
+        assert len(commands) >= 5
+        for line in commands:
+            argv = shlex.split(line)
+            assert argv[0] == "fracfilm", line
+            build_parser().parse_args(argv[1:])
 
 
 class TestPrintConfig:
