@@ -16,8 +16,11 @@ face system
 
     (W + (tau/h) K) dF = tau D G,   K = D L_s D^T,   du_j = (dF_j - dF_{j-1})/h,
 
-SPD and solved by one LU on the open faces (`_solve_faces`); (tau/h) K is
-built once per step (`_face_laplacian`).  The periodic wrap face is closed,
+SPD and solved by one LU on the open faces (`_solve_faces`).  (tau/h) K is
+a circulant: the step keeps only its symbol, n values built once per step
+from the multiplier of L_s (`_face_laplacian`), and gathers the block on
+the solved faces from it.  The first call, at u_prev, gives W in closed
+form (`ExactTransport`).  The periodic wrap face is closed,
 since exact transport lives on the interval, and so is every face
 between two cells the residual ignores (below `_DEGENERATE_SHARE` of the
 peak): there the direction is not proportional to u, as the Otto one below
@@ -46,8 +49,11 @@ starts at alpha = min(1, 2 alpha_prev).  Each trial point is evaluated
 once: one transport call gives its objective for the Armijo test and, if
 it is accepted, its gradient and transport result for the next Newton
 iteration, so a step makes one call at u_prev and one per trial (Nocedal
-& Wright 2006, section 3.5).  A step ends `converged` (residual at most
-`grad_tol`, tested before the cap), `max_iters`, or `stalled`
+& Wright 2006, section 3.5).  One forward FFT gives a trial point's energy
+and L_s u (`energy_and_laplacian`, with the multiplier |xi|^(2s) computed
+once per step), and the record keeps the accepted point's energy.  A step
+ends `converged` (residual at most `grad_tol`, tested before the cap),
+`max_iters`, or `stalled`
 (`_STALL_ITERS` iterations without a new smallest residual, or an
 exhausted line search after an accepted step).  The residual ignores
 cells below 1e-8 of the peak (`_DEGENERATE_SHARE`), whose influence on
@@ -80,7 +86,10 @@ import numpy as np
 
 from .errors import FracfilmError, StagnationError
 from .measure import GridDensity, boundary_shell_mass, entropy, second_moment
-from .spectral import PeriodicGrid, energy_of_values, fractional_laplacian
+from .spectral import PeriodicGrid, energy_and_laplacian
+# bound here, unused, so that callers that look them up on this module (the
+# benchmark's tracer, benchmarks/tracing.py) still find them
+from .spectral import energy_of_values, fractional_laplacian  # noqa: F401
 from .transport import TransportConfig, prepare, w2
 
 _EPS = np.finfo(float).eps
@@ -224,29 +233,27 @@ def _apply_mobility(z: np.ndarray, mob: tuple) -> np.ndarray:
     return out
 
 
-def _face_laplacian(grid: PeriodicGrid, s: float, tau: float) -> np.ndarray:
-    """(tau/h) K on the interior faces 0..n-2 (d = 1), K = D L_s D^T with
-    (D phi)_k = phi_{k+1} - phi_k.  L_s is the circulant of the multiplier
-    |xi|^(2s), so K is the symmetric circulant of k = D L_s D^T e_0 =
-    2c - roll(c, 1) - roll(c, -1), c the column of L_s: entry (i, j) is
-    k[(i - j) % n], so row i is the window of length n - 1 that starts at
-    n - i in k reversed and doubled."""
-    n = grid.n
-    col = np.fft.ifft(grid.freq_sq ** s).real
-    col = (tau / grid.spacing) * (2 * col - np.roll(col, 1) - np.roll(col, -1))
-    flipped = np.roll(col[::-1], 1)  # k[(-m) % n] at m
-    windows = np.lib.stride_tricks.sliding_window_view(np.tile(flipped, 2), n - 1)
-    return windows[n:1:-1].copy()
+def _face_laplacian(grid: PeriodicGrid, mult: np.ndarray, tau: float) -> np.ndarray:
+    """The symbol of (tau/h) K (d = 1), K = D L_s D^T with (D phi)_k =
+    phi_{k+1} - phi_k and L_s the circulant of the multiplier `mult` =
+    |xi|^(2s): n values k = (tau/h) (2c - roll(c, 1) - roll(c, -1)), c the
+    column of L_s.  K is the symmetric circulant of k, entry (i, j) of the
+    face matrix being k[(i - j) % n]; `_solve_faces` gathers its block."""
+    col = np.fft.ifft(mult).real
+    return (tau / grid.spacing) * (2 * col - np.roll(col, 1) - np.roll(col, -1))
 
 
 def _solve_faces(lap: np.ndarray, bands: tuple, opened: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the 1D face system (W + lap) dF = rhs on the open faces; dF = 0
-    on the others and on the periodic wrap face n - 1 (the last entry).
+    """Solve the 1D face system (W + (tau/h) K) dF = rhs on the open faces;
+    dF = 0 on the others and on the periodic wrap face n - 1 (the last entry).
 
-    `lap` is `_face_laplacian`, `bands` the transport's `hessian_bands`
-    (W's diagonal and off-diagonal), `opened` marks the faces 0..n-2 that
-    the step may move mass across, and `rhs` holds one entry per face
-    0..n-2.  A face is solved for when it is open and its diagonal entry of
+    `lap` is the symbol of (tau/h) K (`_face_laplacian`), whose block on
+    the solved faces i, j is gathered as lap[i - j]: a negative difference
+    indexes from the end, which is (i - j) mod n.  `bands` are the
+    transport's `hessian_bands` (W's diagonal and off-diagonal), `opened`
+    marks the faces 0..n-2 that the step may move mass across, and `rhs`
+    holds one entry per face 0..n-2.  A face is solved for when it is open
+    and its diagonal entry of
     W is finite and positive: a tail cell of the target can put W past the
     float range, and a face between two flat cells carries none of it.  The
     system is SPD; its diagonal spans 3 to 2e7 on the reference run (1/v
@@ -258,7 +265,7 @@ def _solve_faces(lap: np.ndarray, bands: tuple, opened: np.ndarray, rhs: np.ndar
     dF = np.zeros(len(diag) + 1)
     if idx.size == 0:
         return dF
-    system = lap[np.ix_(idx, idx)]
+    system = lap[np.subtract.outer(idx, idx)]
     system[np.diag_indices(idx.size)] += diag[idx]
     pair = np.flatnonzero(np.diff(idx) == 1)  # neighbouring open faces k, k + 1
     system[pair, pair + 1] += off[idx[pair]]
@@ -347,15 +354,16 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
     s, tau, inner = cfg.s, cfg.tau, cfg.inner
     hvol = grid.cell_volume
     transport = prepare(u_prev, cfg.transport)
+    mult = grid.freq_sq ** s  # the symbol of L_s
     counts = [0, 0, 0, 0]  # transport calls, Sinkhorn passes, CG applications, unmet solves
 
     def evaluate(values: np.ndarray, start=None):
-        """The objective at `values`, its gradient and the transport result."""
+        """The objective at `values`, its energy, its gradient and the transport result."""
         tr = w2(GridDensity(grid, values), transport, start=start)
         counts[0] += 1
         counts[1] += tr.iterations
-        obj = energy_of_values(values, grid, s) + tr.w2_squared / (2 * tau)
-        return obj, fractional_laplacian(values, grid, s) + tr.potential / tau, tr
+        energy, lap_u = energy_and_laplacian(values, grid, mult)
+        return energy + tr.w2_squared / (2 * tau), energy, lap_u + tr.potential / tau, tr
 
     def residual(values: np.ndarray, g: np.ndarray):
         mask = _counted(values)
@@ -365,7 +373,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         return float(np.sqrt(np.sum(p * (gm - gbar) ** 2))), gbar
 
     if grid.dim == 1:
-        lap = _face_laplacian(grid, s, tau)
+        lap = _face_laplacian(grid, mult, tau)
         opened = _open_faces(u_prev.values > 0)[0][:-1]
 
         def direction(u, g, tr):
@@ -384,7 +392,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
             return -tau * _apply_mobility(z, mob), z
 
     u = u_prev.values.copy()
-    obj, g, tr = evaluate(u)
+    obj, energy, g, tr = evaluate(u)
     alpha = 0.5  # the first trial step is min(1, 2 alpha) = 1
     accepted_total = since_best = 0
     best_kkt = np.inf
@@ -416,7 +424,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         while alpha >= _ALPHA_MIN:
             cand = _candidate(u, du, alpha, hvol)
             start = None if dual is None else dual + (2 * alpha * tau) * z
-            obj_c, g_c, tr_c = evaluate(cand, start)
+            obj_c, energy_c, g_c, tr_c = evaluate(cand, start)
             if obj_c <= obj + _ARMIJO * alpha * slope + _OBJ_NOISE * max(1.0, abs(obj)):
                 break
             alpha *= _SHRINK
@@ -429,7 +437,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
                 )
             stop_reason = "stalled"
             break
-        u, obj, g, tr = cand, obj_c, g_c, tr_c
+        u, obj, energy, g, tr = cand, obj_c, energy_c, g_c, tr_c
         accepted_total += 1
 
     final = GridDensity(grid, u)
@@ -437,7 +445,7 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         index=0,  # caller assigns
         density=final,
         w2_sq_to_prev=tr.w2_squared,
-        energy=energy_of_values(u, grid, s),
+        energy=energy,
         entropy=entropy(final),
         second_moment=second_moment(final),
         inner_iterations=accepted_total,

@@ -290,6 +290,17 @@ def energy(density, s: float) -> float:
     return energy_of_values(density.values, density.grid, s)
 
 
+def energy_and_laplacian(values: np.ndarray, grid: PeriodicGrid, mult: np.ndarray) -> tuple:
+    """`energy_of_values` and `fractional_laplacian` of order s from one
+    forward FFT, `mult` being the symbol grid.freq_sq ** s (s > 0).  Both
+    are computed with those functions' operations, so they are bitwise
+    theirs."""
+    coeffs = np.fft.fftn(values)
+    weight = (2 * np.pi) ** (-grid.dim) * (2 * np.pi / grid.box_length) ** grid.dim
+    energy = 0.5 * float(weight * np.sum(mult * np.abs(grid.cell_volume * coeffs) ** 2))
+    return energy, np.fft.ifftn(mult * coeffs).real
+
+
 def energy_of_values(values: np.ndarray, grid: PeriodicGrid, s: float) -> float:
     """Energy of a raw grid function: the lattice sum, as in `energy`, whose
     exact first variation is `fractional_laplacian`."""

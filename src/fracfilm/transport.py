@@ -16,7 +16,11 @@ A JKO step measures many densities against one target, so it evaluates
 transport through an object prepared for that target (`prepare`):
 `ExactTransport` in 1D, `Sinkhorn` otherwise.  An `ExactTransport` holds
 its target's CDF and the grid's per-cell integrals, computed once, so a
-call builds only u's side.  A `Sinkhorn` owns its target, its settings
+call builds only u's side.  A call at the target itself (u's values equal
+the target's bit for bit, the test `Sinkhorn` uses too) runs no quantile
+pass: the map is the identity, so W^2 = 0, the potential is zero, and W's
+bands follow in closed form from the target's CDF increments (see
+`ExactTransport`).  A `Sinkhorn` owns its target, its settings
 and its warm-start state.  Its first call solves the target's kernel,
 log-mass and self-potential f_b once.  A call at the target itself (u's
 values equal the target's bit for bit, as at the first call of every
@@ -72,6 +76,9 @@ _MILNE_WEIGHTS = np.array([[2.0], [-1.0], [2.0]])
 
 # over-relaxation factor of the Sinkhorn main loop (see `_relaxed`)
 _OMEGA = 1.6
+
+# a cell whose CDF increment is at most this carries no transport (`_quantile_transport`)
+_FLAT_INCREMENT = 64 * np.finfo(float).eps
 
 # axis-kernel entries below this are exactly 0 (see the module docstring):
 # the product of any two kept entries is at least the smallest normal float
@@ -220,7 +227,7 @@ def _quantile_transport(u: GridDensity, cv: np.ndarray, cells) -> TransportResul
     # cells whose increment sits at the rounding floor of the cumulative sum
     # (true zeros, mass below float resolution) carry no resolvable coupling
     # information and are treated as untransported: phi' = 0 there
-    flat = dq <= 64 * np.finfo(float).eps
+    flat = dq <= _FLAT_INCREMENT
     to_x = h / np.where(flat, np.inf, dq)[own]
     er = edges[own + 1]
 
@@ -528,7 +535,20 @@ class Sinkhorn:
 class ExactTransport:
     """Exact quantile transport to one fixed 1D target (`w2_exact_1d`).  It
     holds the target's CDF and the grid's cell integrals, computed once;
-    it keeps no dual, so `dual` is None and `start` is ignored."""
+    it keeps no dual, so `dual` is None and `start` is ignored.
+
+    A call at the target itself (`np.array_equal` of the values) returns
+    W^2 = 0.0 and a zero potential, and W in closed form.  With the map the
+    identity, W_kl is the integral of hat_k hat_l / v over the cells, and
+    1/v on cell j is h/dcv_j, dcv the target's CDF increments: the scaling
+    the quantile pass uses, not the stored value.  With c_j = h^2/dcv_j,
+    and c_j = 0 on flat cells (dcv_j <= `_FLAT_INCREMENT`, untransported
+    as in the quantile pass), the diagonal is (c_k + c_{k+1})/3 and the
+    off-diagonal c_{k+1}/6.  The quantile pass there returns a potential
+    of rounding noise, largest in the tails where the cumulative sum
+    saturates, and bands that agree with these to 1e-5 on the faces a step
+    solves for.
+    """
 
     dual = None
 
@@ -542,7 +562,19 @@ class ExactTransport:
 
     def __call__(self, u: GridDensity, start: Optional[np.ndarray] = None) -> TransportResult:
         _check_same_grid(u, self._target)
+        if np.array_equal(u.values, self._target.values):
+            return self._at_target()
         return _quantile_transport(u, self._cdf, self._cells)
+
+    def _at_target(self) -> TransportResult:
+        """The call at the target itself, in closed form (see the class docstring)."""
+        grid = self._target.grid
+        h = grid.spacing
+        dcv = np.diff(self._cdf)
+        c = h * h / np.where(dcv <= _FLAT_INCREMENT, np.inf, dcv)  # 0 on flat cells
+        bands = ((c[:-1] + c[1:]) / 3.0, c[1:-1] / 6.0)
+        return TransportResult(w2_squared=0.0, potential=np.zeros(grid.n), method="exact_1d",
+                               hessian_bands=bands)
 
 
 def prepare(target: GridDensity, config: TransportConfig):

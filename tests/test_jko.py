@@ -175,6 +175,36 @@ class TestJkoStep:
         gbar = float(np.sum(p * g[mask]) / np.sum(p))
         assert rec.kkt_residual == float(np.sqrt(np.sum(p * (g[mask] - gbar) ** 2)))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_energy_and_gradient_are_the_spectral_functions(self, dim, monkeypatch):
+        # each trial point's energy and L_s u come from one forward FFT,
+        # bitwise `energy_of_values` and `fractional_laplacian`; the record
+        # keeps the accepted point's energy, and there is one evaluation per
+        # transport call
+        import fracfilm.jko
+
+        evaluate = fracfilm.jko.energy_and_laplacian
+        seen = []
+
+        def recorded(values, grid, mult):
+            out = evaluate(values, grid, mult)
+            seen.append((values.copy(), out))
+            return out
+
+        monkeypatch.setattr(fracfilm.jko, "energy_and_laplacian", recorded)
+        if dim == 1:
+            cfg = make_cfg(s=2.0)
+            u0 = gaussian_density(cfg.grid)
+        else:
+            cfg = sink2d_step_config(max_iters=10)
+            u0 = gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE)
+        rec = jko_step(u0, cfg)
+        assert rec.inner_iterations >= 1 and len(seen) == rec.transport_calls
+        for values, (e, lap) in seen:
+            assert e == fracfilm.energy_of_values(values, cfg.grid, cfg.s)
+            assert np.array_equal(lap, fractional_laplacian(values, cfg.grid, cfg.s))
+        assert rec.energy == fracfilm.energy_of_values(rec.density.values, cfg.grid, cfg.s)
+
 
 @pytest.fixture
 def candidates(monkeypatch):
@@ -466,10 +496,33 @@ def movable_faces(u, u_prev):
     return _open_faces(u_prev > 0)[0][:-1] & (counted[:-1] | counted[1:])
 
 
+def face_symbol(grid, s, tau):
+    """`_face_laplacian` at order s, from the multiplier `jko_step` builds."""
+    return _face_laplacian(grid, grid.freq_sq ** s, tau)
+
+
+def face_block(grid, s, tau, faces):
+    """The block of (tau/h) K on the face indices `faces`, gathered from
+    the symbol as `_solve_faces` gathers it."""
+    return face_symbol(grid, s, tau)[np.subtract.outer(faces, faces)]
+
+
+def sliding_window_face_matrix(grid, s, tau):
+    """The dense (n-1)^2 face matrix as `_face_laplacian` used to build it:
+    entry (i, j) is k[(i - j) % n], so row i is the window of length n - 1
+    that starts at n - i in the symbol k reversed and doubled."""
+    n = grid.n
+    col = np.fft.ifft(grid.freq_sq ** s).real
+    col = (tau / grid.spacing) * (2 * col - np.roll(col, 1) - np.roll(col, -1))
+    flipped = np.roll(col[::-1], 1)  # k[(-m) % n] at m
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(flipped, 2), n - 1)
+    return windows[n:1:-1].copy()
+
+
 def face_solve(grid, s, tau, u, u_prev, rhs):
     """The face system `jko_step` solves at u against u_prev: (du, dF)."""
     bands = w2_exact_1d(GridDensity(grid, u), GridDensity(grid, u_prev)).hessian_bands
-    dF = _solve_faces(_face_laplacian(grid, s, tau), bands, movable_faces(u, u_prev), rhs)
+    dF = _solve_faces(face_symbol(grid, s, tau), bands, movable_faces(u, u_prev), rhs)
     return (dF - np.roll(dF, 1)) / grid.spacing, dF
 
 
@@ -533,8 +586,24 @@ class TestNewtonDirection:
         lap = np.stack([fractional_laplacian(e, grid, s) for e in eye], axis=1)
         diff = np.roll(eye, 1, axis=1) - eye
         expected = (tau / grid.spacing) * (diff @ lap @ diff.T)[:-1, :-1]
-        faces = _face_laplacian(grid, s, tau)
+        faces = face_block(grid, s, tau, np.arange(n - 1))
         assert np.max(np.abs(faces - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    def test_gathered_block_is_the_sliding_window_matrix(self, n, s):
+        # on every interior face and on a scattered subset, bit for bit
+        grid = PeriodicGrid(1, n, 40.0)
+        dense = sliding_window_face_matrix(grid, s, 1e-2)
+        every = np.arange(n - 1)
+        assert np.array_equal(face_block(grid, s, 1e-2, every), dense)
+        some = np.flatnonzero(np.random.default_rng(n).uniform(size=n - 1) < 0.4)
+        assert np.array_equal(face_block(grid, s, 1e-2, some), dense[np.ix_(some, some)])
+
+    def test_face_laplacian_is_a_symbol(self):
+        # n values, not the (n - 1)^2 matrix (134 MB at n = 4096)
+        grid = PeriodicGrid(1, 4096, 40.0)
+        assert _face_laplacian(grid, grid.freq_sq ** 2.0, 1e-3).shape == (4096,)
 
     @pytest.mark.parametrize("datum", ["gaussian", "bump"])
     def test_direction_mass_support_and_slope(self, datum):
@@ -569,7 +638,7 @@ class TestNewtonDirection:
         _, dF = face_solve(grid, s, tau, u, u_prev, rhs)
         diag, off = w2_exact_1d(GridDensity(grid, u), GridDensity(grid, u_prev)).hessian_bands
         solved = movable_faces(u, u_prev) & np.isfinite(diag) & (diag > 0)
-        full = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + _face_laplacian(grid, s, tau)
+        full = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + face_block(grid, s, tau, np.arange(n - 1))
         keep = np.ix_(solved, solved)
         expected = np.zeros(n)
         expected[:-1][solved] = np.linalg.solve(full[keep], rhs[solved])
@@ -584,7 +653,7 @@ class TestNewtonDirection:
             raise AssertionError("no system to solve")
 
         monkeypatch.setattr(np.linalg, "solve", no_solve)
-        dF = _solve_faces(_face_laplacian(grid, 1.0, 1e-2), bands, np.zeros(63, bool), np.ones(63))
+        dF = _solve_faces(face_symbol(grid, 1.0, 1e-2), bands, np.zeros(63, bool), np.ones(63))
         assert np.array_equal(dF, np.zeros(64))
 
     def test_bump_solves_only_on_its_open_faces(self, monkeypatch):
@@ -685,7 +754,7 @@ class TestRun:
         def broken(*args, **kwargs):
             raise TypeError("broken operator")
 
-        monkeypatch.setattr(fracfilm.jko, "fractional_laplacian", broken)
+        monkeypatch.setattr(fracfilm.jko, "energy_and_laplacian", broken)
         cfg = make_cfg(n=128)
         with pytest.raises(TypeError, match="broken operator"):
             run(gaussian_density(cfg.grid), cfg, 2)

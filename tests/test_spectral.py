@@ -16,7 +16,7 @@ from fracfilm import (
     spike_density,
     uniform_density,
 )
-from fracfilm.spectral import _kink_excess, apply_multiplier
+from fracfilm.spectral import _kink_excess, apply_multiplier, energy_and_laplacian
 
 
 def grid1d(n=512, L=40.0):
@@ -270,3 +270,13 @@ class TestEnergy:
             energy(u, 0.0)
         with pytest.raises(ValueError):
             energy_of_values(u.values, g, -1.0)
+
+    @pytest.mark.parametrize("g", [PeriodicGrid(1, 256, 40.0), PeriodicGrid(2, 32, 20.0)], ids=["d1", "d2"])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    def test_one_fft_energy_and_laplacian_are_bitwise(self, g, s):
+        # the step's one-FFT evaluation gives the energy and L_s u of the
+        # separate functions, bit for bit
+        values = _bumpy_gaussian(g, 3)
+        e, lap = energy_and_laplacian(values, g, g.freq_sq ** s)
+        assert e == energy_of_values(values, g, s)
+        assert np.array_equal(lap, fractional_laplacian(values, g, s))

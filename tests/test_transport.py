@@ -23,6 +23,7 @@ from fracfilm import (
     w2_sinkhorn,
 )
 from fracfilm import transport
+from fracfilm.jko import _DEGENERATE_SHARE, _open_faces
 from fracfilm.transport import _axis_kernels, _cdf, _quantile, _scaled_log, _sym_potential
 
 
@@ -1079,17 +1080,107 @@ class TestDispatch:
     @pytest.mark.parametrize("target", ["gaussian", "bump", "mixture"])
     def test_prepared_exact_matches_plain_on_repeated_calls(self, target):
         # the target's CDF and the cell integrals are computed once, when the
-        # transport is prepared, and no call changes them
+        # transport is prepared, and no call changes them: every call off the
+        # target is bitwise `w2_exact_1d`, before and after the target call,
+        # which keeps its own contract (`assert_target_call`)
         g = grid1d(n=256)
-        v = {"gaussian": gaussian_density(g, 0.5, 1.2),
-             "bump": compact_bump(g, (0.3,), 2.0),
-             "mixture": gaussian_mixture_density(g, ((0.6, (-1.5,), 0.8), (0.4, (2.0,), 1.2)))}[target]
+        v = exact_target(g, target)
         transport = ExactTransport(v)
         densities = [gaussian_density(g, 0.0, 1.0), compact_bump(g, (-0.4,), 2.5), v,
                      gaussian_density(g, 0.0, 1.0)]
         for u in densities:
-            plain = w2_exact_1d(u, v)
             prepared = transport(u)
+            if u is v:
+                assert_target_call(prepared, v)
+                continue
+            plain = w2_exact_1d(u, v)
             assert prepared.w2_squared == plain.w2_squared
             assert np.array_equal(prepared.potential, plain.potential)
             assert all(np.array_equal(a, b) for a, b in zip(prepared.hessian_bands, plain.hessian_bands))
+
+
+def exact_target(g, kind):
+    """The 1D targets of the prepared-transport tests."""
+    if kind == "gaussian":
+        return gaussian_density(g, 0.5, 1.2)
+    if kind == "bump":
+        return compact_bump(g, (0.3,), 2.0)
+    return gaussian_mixture_density(g, ((0.6, (-1.5,), 0.8), (0.4, (2.0,), 1.2)))
+
+
+def assert_target_call(res, v):
+    """The contract of an `ExactTransport` call at its own target v: W^2 and
+    the potential exactly zero, and W's bands those of the quantile pass to
+    rel 1e-5 on the faces the 1D step solves for at u = v (measured: 2e-7 at
+    n = 256, 4e-6 at n = 2048; the quantile pass loses digits in the tail,
+    where a CDF increment is small against the cumulative sum)."""
+    assert res.w2_squared == 0.0
+    assert np.array_equal(res.potential, np.zeros(v.grid.n))
+    assert res.method == "exact_1d"
+    diag, off = res.hessian_bands
+    ref_diag, ref_off = w2_exact_1d(v, v).hessian_bands
+    assert diag.shape == ref_diag.shape and off.shape == ref_off.shape
+    counted = v.values > _DEGENERATE_SHARE * v.values.max()
+    movable = _open_faces(v.values > 0)[0][:-1] & (counted[:-1] | counted[1:])
+    solved = movable & np.isfinite(ref_diag) & (ref_diag > 0)
+    assert np.array_equal(solved, movable & (diag > 0))
+    assert np.max(np.abs(diag[solved] / ref_diag[solved] - 1.0)) <= 1e-5
+    pair = solved[:-1] & solved[1:]
+    assert np.max(np.abs(off[pair] / ref_off[pair] - 1.0)) <= 1e-5
+
+
+class TestExactAtTarget:
+    """`ExactTransport` at its own target returns W^2 = 0, a zero potential
+    and W in closed form from the target's CDF increments, with no quantile pass."""
+
+    @pytest.fixture
+    def quantile_passes(self, monkeypatch):
+        passes = []
+        quantile_pass = transport._quantile_transport
+
+        def counted(*args):
+            passes.append(args[0])
+            return quantile_pass(*args)
+
+        monkeypatch.setattr(transport, "_quantile_transport", counted)
+        return passes
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("target", ["gaussian", "bump", "mixture"])
+    def test_target_call_is_closed_form(self, target, n, quantile_passes):
+        g = grid1d(n=n)
+        v = exact_target(g, target)
+        res = ExactTransport(v)(v)
+        assert quantile_passes == []
+        assert_target_call(res, v)
+
+    def test_copy_of_the_target_takes_the_shortcut(self, quantile_passes):
+        g = grid1d(n=256)
+        v = exact_target(g, "gaussian")
+        res = ExactTransport(v)(GridDensity(g, v.values.copy()))
+        assert quantile_passes == []
+        assert_target_call(res, v)
+
+    def test_one_ulp_off_the_target_runs_the_quantile_pass(self, quantile_passes):
+        g = grid1d(n=256)
+        v = exact_target(g, "gaussian")
+        values = v.values.copy()
+        peak = int(np.argmax(values))
+        values[peak] = np.nextafter(values[peak], np.inf)
+        u = GridDensity(g, values)
+        res = ExactTransport(v)(u)
+        assert len(quantile_passes) == 1 and quantile_passes[0] is u
+        plain = w2_exact_1d(u, v)
+        assert res.w2_squared == plain.w2_squared
+        assert np.array_equal(res.potential, plain.potential)
+
+    def test_flat_cells_carry_no_transport(self):
+        # a face between two flat cells (CDF increment at the rounding floor
+        # of the cumulative sum) gets a zero diagonal, as in the quantile pass
+        g = grid1d(n=256)
+        v = exact_target(g, "bump")
+        diag, off = ExactTransport(v)(v).hessian_bands
+        flat = np.diff(_cdf(v.values, g)) <= 64 * np.finfo(float).eps
+        assert np.array_equal(diag == 0, flat[:-1] & flat[1:])
+        assert np.array_equal(off == 0, flat[1:-1])
+        assert np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
