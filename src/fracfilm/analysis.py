@@ -25,12 +25,10 @@ from .measure import (
     entropy,
     heat_semigroup,
     pushforward_with_drift,
-    second_moment,
     spike_density,
 )
 from .spectral import (
     energy,
-    energy_of_values,
     fractional_laplacian,
     sobolev_norm_sq,
     spectral_divergence,
@@ -180,19 +178,14 @@ def derivative_identity_check(v: GridDensity, eta: VectorField, s: float) -> Che
 # trajectory checkers
 
 
-def _traj_energies(traj: Trajectory):
-    cfg = traj.config
-    e0 = energy_of_values(traj.initial.values, cfg.grid, cfg.s)
-    return e0, np.array([rec.energy for rec in traj.steps])
-
-
 def check_energy_estimate(traj: Trajectory) -> CheckReport:
     """Telescoped one-step minimality: for every prefix N,
 
         F_s(u^N) + (1/2) sum_{k<=N} W^2_k / tau  <=  F_s(u0) (1 + _ENERGY_REL_TOL).
     """
     cfg = traj.config
-    e0, energies = _traj_energies(traj)
+    e0 = traj.initial_energy
+    energies = np.array([rec.energy for rec in traj.steps])
     w2s = np.array([rec.w2_sq_to_prev for rec in traj.steps])
     dissipation = np.cumsum(w2s) / (2.0 * cfg.tau)
     lhs = np.concatenate([[e0], energies + dissipation])
@@ -215,8 +208,8 @@ def check_moment_bound(traj: Trajectory) -> CheckReport:
     exact inequality of the discrete metric (rows indexed past the steps).
     """
     cfg = traj.config
-    e0, _ = _traj_energies(traj)
-    m0 = second_moment(traj.initial)
+    e0 = traj.initial_energy
+    m0 = traj.initial_moment
     horizon = traj.num_steps * cfg.tau
     bound = 2.0 * horizon * e0 + 2.0 * m0
     ks, lhs, rhs = [0], [m0], [bound]
@@ -252,7 +245,7 @@ def check_entropy_dissipation(traj: Trajectory) -> CheckReport:
     """
     cfg = traj.config
     lhs, rhs, ks = [], [], []
-    ent_prev = entropy(traj.initial)
+    ent_prev = traj.initial_entropy
     for rec in traj.steps:
         ks.append(rec.index)
         lhs.append(sobolev_norm_sq(rec.density.values, cfg.grid, 1.0 + cfg.s, lattice=True))
@@ -263,9 +256,9 @@ def check_entropy_dissipation(traj: Trajectory) -> CheckReport:
     # integrated form: sum tau ||u^k||^2 <= H(u0) + C (1 + T F(u0) + M(u0)),
     # C from the constants of the entropy lower bound
     # H(u) >= -1/e - (d/2) log(4 pi) - M(u)/4
-    e0, _ = _traj_energies(traj)
-    h0 = entropy(traj.initial)
-    m0 = second_moment(traj.initial)
+    e0 = traj.initial_energy
+    h0 = traj.initial_entropy
+    m0 = traj.initial_moment
     horizon = traj.num_steps * cfg.tau
     c_dim = max(1.0 / np.e + 0.5 * cfg.grid.dim * np.log(4.0 * np.pi), 0.5)
     integrated_lhs = float(cfg.tau * np.sum(lhs))
@@ -355,7 +348,7 @@ def check_weak_form_step(traj: Trajectory, phi, lam: Optional[float] = None) -> 
         resid_sum += resid
         w2_sum += rec.w2_sq_to_prev
         u_prev = rec.density
-    e0, _ = _traj_energies(traj)
+    e0 = traj.initial_energy
     # integrated residual (discrete weak formulation): per-step absolute
     # slack accumulates coherently over the horizon, hence the (N-1) factor
     nsteps = len(traj.steps)

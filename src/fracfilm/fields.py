@@ -48,25 +48,33 @@ def _check_radii(r_inner: float, r_outer: float) -> None:
 def plateau(r, r_inner: float, r_outer: float):
     """C-infinity cutoff chi(r): 1 for r <= r_inner, 0 for r >= r_outer.
 
-    Returns ``(chi, dchi_dr, d2chi_dr2)`` evaluated elementwise.
+    Returns ``(chi, dchi_dr, d2chi_dr2)`` evaluated elementwise.  The
+    exp(-1/t) transition is evaluated only on the open annulus; off it the
+    values are the exact 1 or 0 and zero derivatives that the transition
+    gives there.
     """
     _check_radii(r_inner, r_outer)
     r = np.asarray(r, dtype=float)
     w = r_outer - r_inner
-    t = np.clip((r - r_inner) / w, 0.0, 1.0)
+    below = r <= r_inner
+    chi = np.where(below, 1.0, 0.0)
+    dchi, ddchi = np.zeros_like(r), np.zeros_like(r)
+    # the complement of the plateaus, so that a nan radius stays nan
+    ring = ~(below | (r >= r_outer))
+    t = (r[ring] - r_inner) / w
     fa, fpa, fppa = _f_parts(1.0 - t)
     fb, fpb, fppb = _f_parts(t)
     D = fa + fb
-    chi = fa / D
+    c = fa / D
     # chi = N/D with N = f(1-t): N' = -f'(1-t), N'' = f''(1-t)
     Np, Npp = -fpa, fppa
     Dp, Dpp = fpb - fpa, fppb + fppa
-    chi_t = (Np - chi * Dp) / D
-    chi_tt = (Npp - 2.0 * chi_t * Dp - chi * Dpp) / D
-    inside = (r <= r_inner) | (r >= r_outer)
-    chi_t = np.where(inside, 0.0, chi_t)
-    chi_tt = np.where(inside, 0.0, chi_tt)
-    return chi, chi_t / w, chi_tt / w ** 2
+    chi_t = (Np - c * Dp) / D
+    chi_tt = (Npp - 2.0 * chi_t * Dp - c * Dpp) / D
+    chi[ring] = c
+    dchi[ring] = chi_t / w
+    ddchi[ring] = chi_tt / w ** 2
+    return chi, dchi, ddchi
 
 
 def _radial_parts(points):
@@ -186,21 +194,24 @@ def cosine_bump_test_function(
         dpsi[:, 0] -= freq * s * chi
         if not hessian:
             return psi, dpsi, None
-        npts, d = points.shape
-        e1 = np.zeros((npts, d))
-        e1[:, 0] = 1.0
-        H = np.zeros((npts, d, d))
-        # cos term: -k^2 cos chi e1 x e1 - k sin dchi (e1 x rhat + rhat x e1)
-        H += -(freq ** 2) * (c * chi)[:, None, None] * (e1[:, :, None] * e1[:, None, :])
-        cross = e1[:, :, None] * rhat[:, None, :] + rhat[:, :, None] * e1[:, None, :]
-        H += -freq * (s * dchi)[:, None, None] * cross
-        # chi term: cos [ ddchi rhat x rhat + (dchi/r)(I - rhat x rhat) ]
-        rr = rhat[:, :, None] * rhat[:, None, :]
-        eye = np.tile(np.eye(d), (npts, 1, 1))
-        safe_r = np.where(r > 0, r, 1.0)
-        radial = (dchi / safe_r)
-        radial = np.where(r > 0, radial, 0.0)  # dchi = 0 near 0: exact zero
-        H += c[:, None, None] * (ddchi[:, None, None] * rr + radial[:, None, None] * (eye - rr))
+        # D^2 psi = cos [ddchi rhat rhat^T + (dchi/r)(I - rhat rhat^T)]
+        #           - k^2 cos chi e1 e1^T - k sin dchi (e1 rhat^T + rhat e1^T):
+        # the chi term in two (npts, d, d) arrays, the cos term added to row
+        # and column 0 only, with the rounding of the full matrix sum
+        diag = np.arange(points.shape[1])
+        radial = np.where(r > 0, dchi / np.where(r > 0, r, 1.0), 0.0)  # dchi = 0 near 0
+        rr = np.einsum("ni,nj->nij", rhat, rhat)
+        H = ddchi[:, None, None] * rr
+        np.negative(rr, out=rr)
+        rr[:, diag, diag] += 1.0
+        rr *= radial[:, None, None]
+        H += rr
+        H *= c[:, None, None]
+        gamma = -(freq ** 2) * (c * chi)
+        delta = -freq * (s * dchi)
+        H[:, 0, 0] += gamma + delta * (2.0 * rhat[:, 0])
+        H[:, 0, 1:] += delta[:, None] * rhat[:, 1:]
+        H[:, 1:, 0] += delta[:, None] * rhat[:, 1:]
         return psi, dpsi, H
 
     # sup||D^2 phi|| <= A (k^2 + 2 k max|chi'| + max(|chi''|, |chi'|/r_inner)),

@@ -80,16 +80,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List
 
 import numpy as np
 
 from .errors import FracfilmError, StagnationError
 from .measure import GridDensity, boundary_shell_mass, entropy, second_moment
-from .spectral import PeriodicGrid, energy_and_laplacian
-# bound here, unused, so that callers that look them up on this module (the
-# benchmark's tracer, benchmarks/tracing.py) still find them
-from .spectral import energy_of_values, fractional_laplacian  # noqa: F401
+from .spectral import PeriodicGrid, energy_and_laplacian, energy_of_values
+# bound here, unused, so that callers that look it up on this module (the
+# benchmark's tracer, benchmarks/tracing.py) still find it
+from .spectral import fractional_laplacian  # noqa: F401
 from .transport import TransportConfig, prepare, w2
 
 _EPS = np.finfo(float).eps
@@ -174,6 +175,20 @@ class Trajectory:
     @property
     def num_steps(self) -> int:
         return len(self.steps)
+
+    # the initial datum's scalars, computed on first use and kept: every
+    # check that needs one reads it here
+    @cached_property
+    def initial_energy(self) -> float:
+        return energy_of_values(self.initial.values, self.config.grid, self.config.s)
+
+    @cached_property
+    def initial_entropy(self) -> float:
+        return entropy(self.initial)
+
+    @cached_property
+    def initial_moment(self) -> float:
+        return second_moment(self.initial)
 
 
 def interpolant(traj: Trajectory, t: float) -> GridDensity:

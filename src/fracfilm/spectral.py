@@ -84,6 +84,17 @@ class PeriodicGrid:
         return self.axis_coords[0] - h / 2 + h * np.arange(self.n + 1)
 
     @cached_property
+    def axis_cell_integrals(self) -> tuple:
+        """Per cell along one axis, the integrals of x and of (e_right - x) x,
+        read-only: the exact 1D transport's potential integrates against them."""
+        el, e2 = self.axis_edges[:-1], self.axis_edges[1:]
+        int_x = (e2 ** 2 - el ** 2) / 2.0
+        int_ex_x = e2 * (e2 ** 2 - el ** 2) / 2.0 - (e2 ** 3 - el ** 3) / 3.0
+        int_x.setflags(write=False)
+        int_ex_x.setflags(write=False)
+        return int_x, int_ex_x
+
+    @cached_property
     def axis_freqs(self) -> np.ndarray:
         """Frequency lattice along one axis, xi = 2*pi*k/L in FFT order."""
         return 2 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)

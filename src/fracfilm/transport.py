@@ -15,8 +15,9 @@ divergence, so both backends follow one convention.
 A JKO step measures many densities against one target, so it evaluates
 transport through an object prepared for that target (`prepare`):
 `ExactTransport` in 1D, `Sinkhorn` otherwise.  An `ExactTransport` holds
-its target's CDF and the grid's per-cell integrals, computed once, so a
-call builds only u's side.  A call at the target itself (u's values equal
+its target's CDF, computed once, and reads the per-cell integrals the
+grid keeps (`PeriodicGrid.axis_cell_integrals`), so a call builds only
+u's side.  A call at the target itself (u's values equal
 the target's bit for bit, the test `Sinkhorn` uses too) runs no quantile
 pass: the map is the identity, so W^2 = 0, the potential is zero, and W's
 bands follow in closed form from the target's CDF increments (see
@@ -159,14 +160,6 @@ def _linear_quantile(q, cell, cum, edges):
     return edges[cell] + (q - cum[cell]) / (cum[cell + 1] - cum[cell]) * (edges[cell + 1] - edges[cell])
 
 
-def _cell_integrals(edges):
-    """Per cell, the integrals of x and of (e_right - x) x."""
-    el, e2 = edges[:-1], edges[1:]
-    int_x = (e2 ** 2 - el ** 2) / 2.0
-    int_ex_x = e2 * (e2 ** 2 - el ** 2) / 2.0 - (e2 ** 3 - el ** 3) / 3.0
-    return int_x, int_ex_x
-
-
 def w2_exact_1d(u: GridDensity, v: GridDensity, want_potential: bool = True) -> TransportResult:
     """Exact 1D squared Wasserstein distance and Kantorovich potential.
 
@@ -186,13 +179,13 @@ def w2_exact_1d(u: GridDensity, v: GridDensity, want_potential: bool = True) -> 
     grid = u.grid
     if grid.dim != 1:
         raise ValueError(f"exact transport requires dimension 1, got {grid.dim}")
-    cells = _cell_integrals(grid.axis_edges) if want_potential else None
+    cells = grid.axis_cell_integrals if want_potential else None
     return _quantile_transport(u, _cdf(v.values, grid), cells)
 
 
 def _quantile_transport(u: GridDensity, cv: np.ndarray, cells) -> TransportResult:
     """`w2_exact_1d` of u against the target whose CDF is `cv`; the potential
-    only when `cells` holds the grid's `_cell_integrals`."""
+    only when `cells` holds the grid's `axis_cell_integrals`."""
     grid = u.grid
     n, h = grid.n, grid.spacing
     edges = grid.axis_edges
@@ -534,8 +527,8 @@ class Sinkhorn:
 
 class ExactTransport:
     """Exact quantile transport to one fixed 1D target (`w2_exact_1d`).  It
-    holds the target's CDF and the grid's cell integrals, computed once;
-    it keeps no dual, so `dual` is None and `start` is ignored.
+    holds the target's CDF, computed once, and reads the cell integrals its
+    grid keeps; it keeps no dual, so `dual` is None and `start` is ignored.
 
     A call at the target itself (`np.array_equal` of the values) returns
     W^2 = 0.0 and a zero potential, and W in closed form.  With the map the
@@ -558,13 +551,12 @@ class ExactTransport:
             raise ValueError(f"exact transport requires dimension 1, got {grid.dim}")
         self._target = target
         self._cdf = _cdf(target.values, grid)
-        self._cells = _cell_integrals(grid.axis_edges)
 
     def __call__(self, u: GridDensity, start: Optional[np.ndarray] = None) -> TransportResult:
         _check_same_grid(u, self._target)
         if np.array_equal(u.values, self._target.values):
             return self._at_target()
-        return _quantile_transport(u, self._cdf, self._cells)
+        return _quantile_transport(u, self._cdf, self._target.grid.axis_cell_integrals)
 
     def _at_target(self) -> TransportResult:
         """The call at the target itself, in closed form (see the class docstring)."""

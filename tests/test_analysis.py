@@ -28,7 +28,12 @@ from fracfilm import (
     uniform_density,
 )
 
-from flow_fields import sine_field, translation_field
+from flow_fields import (
+    reference_cosine_bump_spatial,
+    reference_plateau,
+    sine_field,
+    translation_field,
+)
 
 
 def grid1d(n=256, L=40.0):
@@ -333,48 +338,25 @@ class TestWeakForm:
 
 
 def _reference_cosine_bump(dim, amplitude, freq, r_inner, r_outer, time_scale=1.0):
-    """The test function as closures over a(t) = 1/(1 + t/ts), with its
-    Hessian bound probed on 20 001 radii: the reference for the separable
-    form and the closed-form bound.  Returns (value, grad, hessian, bound)."""
+    """The test function as closures over a(t) = 1/(1 + t/ts) and
+    `reference_cosine_bump_spatial`, with its Hessian bound probed on 20 001
+    radii: the reference for the separable form and the closed-form bound.
+    Returns (value, grad, hessian, bound)."""
 
-    def a(t):
-        return 1.0 / (1.0 + t / time_scale)
-
-    def parts(points):
-        r = np.linalg.norm(points, axis=1)
-        safe = np.where(r > 0, r, 1.0)
-        rhat = points / safe[:, None]
-        rhat[r == 0] = 0.0
-        chi, dchi, ddchi = plateau(r, r_inner, r_outer)
-        x1 = points[:, 0]
-        return r, rhat, chi, dchi, ddchi, np.cos(freq * x1), np.sin(freq * x1)
+    def scale(t):
+        return amplitude / (1.0 + t / time_scale)
 
     def value(t, points):
-        _, _, chi, _, _, c, _ = parts(points)
-        return a(t) * amplitude * c * chi
+        return scale(t) * reference_cosine_bump_spatial(points, freq, r_inner, r_outer)[0]
 
     def grad(t, points):
-        _, rhat, chi, dchi, _, c, s = parts(points)
-        out = c[:, None] * dchi[:, None] * rhat
-        out[:, 0] -= freq * s * chi
-        return a(t) * amplitude * out
+        return scale(t) * reference_cosine_bump_spatial(points, freq, r_inner, r_outer)[1]
 
     def hessian(t, points):
-        npts, d = points.shape
-        r, rhat, chi, dchi, ddchi, c, s = parts(points)
-        e1 = np.zeros((npts, d))
-        e1[:, 0] = 1.0
-        H = -(freq ** 2) * (c * chi)[:, None, None] * (e1[:, :, None] * e1[:, None, :])
-        cross = e1[:, :, None] * rhat[:, None, :] + rhat[:, :, None] * e1[:, None, :]
-        H += -freq * (s * dchi)[:, None, None] * cross
-        rr = rhat[:, :, None] * rhat[:, None, :]
-        radial = np.where(r > 0, dchi / np.where(r > 0, r, 1.0), 0.0)
-        H += c[:, None, None] * (ddchi[:, None, None] * rr
-                                 + radial[:, None, None] * (np.eye(d) - rr))
-        return a(t) * amplitude * H
+        return scale(t) * reference_cosine_bump_spatial(points, freq, r_inner, r_outer)[2]
 
     rprobe = np.linspace(r_inner, r_outer, 20001)
-    _, dchi, ddchi = plateau(rprobe, r_inner, r_outer)
+    _, dchi, ddchi = reference_plateau(rprobe, r_inner, r_outer)
     bound = amplitude * (freq ** 2 + 2.0 * freq * np.max(np.abs(dchi)) + np.max(np.abs(ddchi))
                          + np.max(np.abs(dchi)) / max(r_inner, 1e-9))
     return value, grad, hessian, float(bound) * 1.0000001

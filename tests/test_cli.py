@@ -21,7 +21,7 @@ from fracfilm import (
     pushforward_with_drift,
     sobolev_norm_sq,
 )
-from fracfilm.cli import build_parser, main
+from fracfilm.cli import build_parser, main, run_checks
 from fracfilm.scenario import (
     KNOWN_CHECKS,
     KNOWN_KEYS,
@@ -755,6 +755,17 @@ class TestUsage:
         assert exc.value.code == 0
         assert "usage: fracfilm" in capsys.readouterr().out
 
+    def test_python_m_fracfilm_runs_the_cli(self):
+        # `python3 -m fracfilm` from a checkout, with only src/ on the path
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "fracfilm", "print-config",
+             "--scenario", str(root / "scenarios" / "reference.cfg")],
+            env={**os.environ, "PYTHONPATH": str(Path(fracfilm.__file__).resolve().parents[1])},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("name = reference\n")
+
     def test_readme_commands_parse(self):
         # doc-drift guard: every `fracfilm ...` line of the README's Commands
         # block parses, so a retired value or a misspelt flag fails here
@@ -885,3 +896,32 @@ class TestSinkhorn2DRun:
         assert main(["verify", str(sink2d_run)]) == 0
         for name in sc.checks:
             assert json.loads((sink2d_run / f"check_{name}.json").read_text())["passed"]
+
+
+def count_initial_energies(monkeypatch, traj, checks):
+    """`run_checks` on `traj` with every module binding of `energy_of_values`
+    counting the calls on the initial density's values."""
+    original = fracfilm.energy_of_values
+    calls = []
+
+    def counting(values, grid, s):
+        if np.array_equal(values, traj.initial.values):
+            calls.append(s)
+        return original(values, grid, s)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fracfilm" and getattr(module, "energy_of_values", None) is original:
+            monkeypatch.setattr(module, "energy_of_values", counting)
+    assert [rep.name for rep in run_checks(traj, checks)] == list(checks)
+    return len(calls)
+
+
+class TestInitialScalarsOnce:
+    def test_one_initial_energy_per_verify_in_1d(self, run_dir, monkeypatch):
+        _, traj = load_run_directory(run_dir)
+        assert count_initial_energies(monkeypatch, traj, KNOWN_CHECKS) == 1
+
+    def test_one_initial_energy_per_verify_in_2d(self, sink2d_run, monkeypatch):
+        _, traj = load_run_directory(sink2d_run)
+        checks = [c for c in KNOWN_CHECKS if c != "evi_entropy"]
+        assert count_initial_energies(monkeypatch, traj, checks) == 1
