@@ -28,12 +28,7 @@ from .errors import (
     MassDriftError,
     StagnationError,
 )
-from .fields import (
-    SpaceTimeTestFunction,
-    contraction_field,
-    cosine_bump_test_function,
-    plateau,
-)
+from .fields import CosineBump, contraction_field, plateau
 from .jko import InnerConfig, JkoConfig, StepRecord, Trajectory, interpolant, jko_step, run
 from .measure import (
     GridDensity,

@@ -21,7 +21,6 @@ from .analysis import (
     validate_refinement_settings,
 )
 from .errors import FracfilmError
-from .fields import cosine_bump_test_function
 from .jko import run as jko_run
 from .scenario import (
     ScenarioError,
@@ -38,19 +37,8 @@ EXIT_SOLVER_FAILED = 2
 EXIT_CONFIG_ERROR = 3
 
 
-def _default_test_function(grid):
-    # gentle space-time bump: curvature small enough that the weak-form
-    # discretization floor stays under the absolute slack at fine tau
-    r_outer = 0.45 * grid.box_length
-    r_inner = 0.3 * grid.box_length
-    return cosine_bump_test_function(
-        dim=grid.dim, amplitude=0.1, freq=2.0, r_inner=r_inner, r_outer=r_outer
-    )
-
-
 def run_checks(traj, checks):
-    grid = traj.config.grid
-    validate_checks(checks, grid.dim)
+    validate_checks(checks, traj.config.grid.dim)
     reports = []
     for name in checks:
         if name == "energy_estimate":
@@ -60,7 +48,7 @@ def run_checks(traj, checks):
         elif name == "entropy_dissipation":
             reports.append(check_entropy_dissipation(traj))
         elif name == "weak_form":
-            reports.append(check_weak_form_step(traj, _default_test_function(grid)))
+            reports.append(check_weak_form_step(traj))
         elif name == "evi_entropy":
             final = traj.steps[-1].density if traj.steps else traj.initial
             reports.append(check_evi_entropy(traj.initial, final))

@@ -3,15 +3,14 @@
 Everything here is built from the standard exp(-1/t) transition, so the
 fields are genuinely C-infinity with analytic first and second derivatives;
 the push-forward Jacobians and the weak-form Hessian bounds never fall back
-to finite differencing.  The weak-form test function is stored in its
-separable form a(t) psi(x), and its Hessian bound is closed-form in the
-cutoff's radii.
+to finite differencing.  The weak-form test function `CosineBump` is kept
+in its separable form a(t) psi(x), and its Hessian bound is closed-form in
+the cutoff's radii.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -120,73 +119,58 @@ def _symmetric_spectral_norm(mats: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpaceTimeTestFunction:
-    """Separable smooth test function phi(t, x) = a(t) psi(x), compact in x.
+class CosineBump:
+    """The weak-form test function phi(t, x) = a(t) psi(x), compact in x, with
+    a(t) = A/(1 + t) and psi = cos(k x_1) chi(|x|) for the plateau cutoff chi
+    over the annulus (r_inner, r_outer).
 
     ``time_factor(t)`` is a(t).  ``spatial(points, hessian=False)`` returns
     psi, grad psi and, when asked, D^2 psi (else None) at an (npts, dim)
-    array of points; `value`, `grad` and `hessian` scale these by a(t).
-    ``hessian_sup`` is a certified bound >= sup ||D^2 phi||, validated
-    against a sampled estimate on construction.
+    array of points.  ``hessian_sup`` is a closed-form bound >= sup
+    ||D^2 phi||, checked against a sampled estimate on construction.  The
+    time factor is smooth and order-one on the horizons used by the checks.
     """
 
     dim: int
-    time_factor: Callable
-    spatial: Callable
-    hessian_sup: float
-    support_radius: float
-
-    def value(self, t, points):
-        psi, _, _ = self.spatial(np.atleast_2d(points))
-        return self.time_factor(t) * psi
-
-    def grad(self, t, points):
-        _, dpsi, _ = self.spatial(np.atleast_2d(points))
-        return self.time_factor(t) * dpsi
-
-    def hessian(self, t, points):
-        _, _, d2psi = self.spatial(np.atleast_2d(points), hessian=True)
-        return self.time_factor(t) * d2psi
-
-    def sampled_hessian_norm(self) -> float:
-        """Largest spectral norm of D^2 phi at 2048 seeded points of the
-        support's bounding box and four times.  ||D^2 phi(t, x)|| =
-        |a(t)| ||D^2 psi(x)||, so D^2 psi is evaluated once and its largest
-        norm is scaled by the largest |a| over the times."""
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-self.support_radius, self.support_radius, size=(2048, self.dim))
-        _, _, d2psi = self.spatial(pts, hessian=True)
-        a_max = max(abs(self.time_factor(t)) for t in (0.0, 0.3, 0.7, 1.3))
-        return float(_symmetric_spectral_norm(d2psi).max()) * a_max
+    r_inner: float
+    r_outer: float
+    amplitude: float = 0.1
+    freq: float = 2.0
 
     def __post_init__(self):
+        _check_radii(self.r_inner, self.r_outer)
         worst = self.sampled_hessian_norm()
         if self.hessian_sup < worst:
             raise ValueError(
                 f"declared Hessian bound {self.hessian_sup} below sampled estimate {worst}"
             )
 
+    @property
+    def support_radius(self) -> float:
+        return self.r_outer
 
-def cosine_bump_test_function(
-    dim: int,
-    amplitude: float = 0.1,
-    freq: float = 2.0,
-    r_inner: float = 10.0,
-    r_outer: float = 16.0,
-) -> SpaceTimeTestFunction:
-    """phi(t, x) = a(t) cos(k x_1) chi(|x|) with a(t) = A/(1 + t).
+    @property
+    def hessian_sup(self) -> float:
+        # sup||D^2 phi|| <= A (k^2 + 2 k max|chi'| + max(|chi''|, |chi'|/r_inner)),
+        # with max|chi'| = max|F'|/w and max|chi''| = max|F''|/w^2
+        w = self.r_outer - self.r_inner
+        dchi_max = _TRANSITION_SLOPE_MAX / w
+        ddchi_max = _TRANSITION_CURVATURE_MAX / w ** 2
+        bound = self.amplitude * (
+            self.freq ** 2
+            + 2.0 * self.freq * dchi_max
+            + ddchi_max
+            + dchi_max / max(self.r_inner, 1e-9)
+        )
+        return float(bound) * 1.0000001
 
-    The time factor is smooth and order-one on the horizons used by the
-    checks; spatial compact support comes from the plateau cutoff.
-    """
-    _check_radii(r_inner, r_outer)
+    def time_factor(self, t):
+        return 1.0 / (1.0 + t) * self.amplitude
 
-    def time_factor(t):
-        return 1.0 / (1.0 + t) * amplitude
-
-    def spatial(points, hessian=False):
+    def spatial(self, points, hessian=False):
+        freq = self.freq
         r, rhat = _radial_parts(points)
-        chi, dchi, ddchi = plateau(r, r_inner, r_outer)
+        chi, dchi, ddchi = plateau(r, self.r_inner, self.r_outer)
         x1 = points[:, 0]
         c, s = np.cos(freq * x1), np.sin(freq * x1)
         psi = c * chi
@@ -214,21 +198,13 @@ def cosine_bump_test_function(
         H[:, 1:, 0] += delta[:, None] * rhat[:, 1:]
         return psi, dpsi, H
 
-    # sup||D^2 phi|| <= A (k^2 + 2 k max|chi'| + max(|chi''|, |chi'|/r_inner)),
-    # with max|chi'| = max|F'|/w and max|chi''| = max|F''|/w^2
-    w = r_outer - r_inner
-    dchi_max = _TRANSITION_SLOPE_MAX / w
-    ddchi_max = _TRANSITION_CURVATURE_MAX / w ** 2
-    bound = amplitude * (
-        freq ** 2
-        + 2.0 * freq * dchi_max
-        + ddchi_max
-        + dchi_max / max(r_inner, 1e-9)
-    )
-    return SpaceTimeTestFunction(
-        dim=dim,
-        time_factor=time_factor,
-        spatial=spatial,
-        hessian_sup=float(bound) * 1.0000001,
-        support_radius=r_outer,
-    )
+    def sampled_hessian_norm(self) -> float:
+        """Largest spectral norm of D^2 phi at 2048 seeded points of the
+        support's bounding box and four times.  ||D^2 phi(t, x)|| =
+        |a(t)| ||D^2 psi(x)||, so D^2 psi is evaluated once and its largest
+        norm is scaled by the largest |a| over the times."""
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-self.support_radius, self.support_radius, size=(2048, self.dim))
+        _, _, d2psi = self.spatial(pts, hessian=True)
+        a_max = max(abs(self.time_factor(t)) for t in (0.0, 0.3, 0.7, 1.3))
+        return float(_symmetric_spectral_norm(d2psi).max()) * a_max

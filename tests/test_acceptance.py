@@ -132,8 +132,7 @@ class TestCriterion4SchemeInequalities:
     def test_reference_scenario_suite_with_tightening(self):
         t0 = time.monotonic()
         u0 = ff.gaussian_density(ff.PeriodicGrid(1, 256, 40.0), 0.0, 1.0)
-        phi = ff.cosine_bump_test_function(1, amplitude=0.1, freq=2.0,
-                                           r_inner=12.0, r_outer=18.0)
+        phi = ff.CosineBump(1, 12.0, 18.0)
         results = {}
         for grad_tol in (1e-6, 1e-8):
             cfg = _reference_scenario_config(grad_tol)
@@ -266,8 +265,7 @@ class TestCriterion7ExactInvariantsAndControls:
         grid = traj.config.grid
         cfg = replace(_reference_scenario_config(1e-8), tau=0.05)
         coarse = ff.run(ff.gaussian_density(grid, 0.0, 1.0), cfg, 3)
-        phi = ff.cosine_bump_test_function(1, amplitude=0.5, freq=3.0,
-                                           r_inner=12.0, r_outer=18.0)
+        phi = ff.CosineBump(1, 12.0, 18.0, amplitude=0.5, freq=3.0)
         good = ff.check_weak_form_step(coarse, phi)
         bad = ff.check_weak_form_step(coarse, phi, lam=phi.hessian_sup / 100.0)
         controls["weak_form_lambda_100"] = good.passed and not bad.passed

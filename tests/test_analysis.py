@@ -4,10 +4,12 @@ from dataclasses import replace
 
 from fracfilm import (
     CheckReport,
+    CosineBump,
     GridDensity,
     InnerConfig,
     JkoConfig,
     PeriodicGrid,
+    TransportConfig,
     Trajectory,
     check_energy_estimate,
     check_entropy_dissipation,
@@ -15,7 +17,6 @@ from fracfilm import (
     check_moment_bound,
     check_weak_form_step,
     contraction_field,
-    cosine_bump_test_function,
     derivative_identity_check,
     entropy,
     gaussian_density,
@@ -287,13 +288,13 @@ class TestWeakForm:
         # a test function with vanishing gradient on the density support
         # pairs only with the conserved mass: both sides collapse
         g = short_trajectory.config.grid
-        phi = cosine_bump_test_function(1, amplitude=0.1, freq=0.0, r_inner=12.0, r_outer=16.0)
+        phi = CosineBump(1, 12.0, 16.0, amplitude=0.1, freq=0.0)
         rep = check_weak_form_step(short_trajectory, phi)
         assert rep.passed
         assert np.max(rep.lhs[:-1]) < 1e-12  # last row is the vanishing bound
 
     def test_reference_passes(self, short_trajectory):
-        phi = cosine_bump_test_function(1, amplitude=0.1, freq=2.0, r_inner=12.0, r_outer=16.0)
+        phi = CosineBump(1, 12.0, 16.0)
         rep = check_weak_form_step(short_trajectory, phi)
         assert rep.passed
 
@@ -304,26 +305,37 @@ class TestWeakForm:
         grid = grid1d()
         cfg = JkoConfig(grid=grid, s=1.0, tau=0.05, inner=InnerConfig(grad_tol=1e-8))
         traj = run(gaussian_density(grid, 0.0, 1.0), cfg, 3)
-        phi = cosine_bump_test_function(1, amplitude=0.5, freq=3.0, r_inner=12.0, r_outer=16.0)
+        phi = CosineBump(1, 12.0, 16.0, amplitude=0.5, freq=3.0)
         good = check_weak_form_step(traj, phi)
         assert good.passed
         bad = check_weak_form_step(traj, phi, lam=phi.hessian_sup / 100.0)
         assert not bad.passed
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_hessian_self_check_matches_svd_norm(self, dim):
+    def test_hessian_self_check_matches_svd_norm(self, dim, monkeypatch):
         # the eigenvalue estimate is the per-point SVD norm of the same
-        # samples, and a declared bound just below it is refused
-        phi = cosine_bump_test_function(dim, amplitude=0.1, freq=2.0, r_inner=10.0, r_outer=16.0)
+        # samples, and a bound just below it is refused
+        from fracfilm import fields
+
+        phi = CosineBump(dim, 10.0, 16.0)
         rng = np.random.default_rng(3)
         pts = rng.uniform(-phi.support_radius, phi.support_radius, size=(2048, dim))
-        svd = max(float(np.max(np.linalg.norm(phi.hessian(t, pts), axis=(1, 2), ord=2)))
+        _, _, d2psi = phi.spatial(pts, hessian=True)
+        svd = max(float(np.max(np.linalg.norm(phi.time_factor(t) * d2psi, axis=(1, 2), ord=2)))
                   for t in (0.0, 0.3, 0.7, 1.3))
         worst = phi.sampled_hessian_norm()
         assert worst == pytest.approx(svd, rel=1e-12)
         assert phi.hessian_sup >= worst
+        # the bound is A k^2 (1 + 1e-7) plus terms linear in the transition
+        # constants: scaled down together, they put it 1e-9 below the estimate
+        base = 0.1 * 2.0 ** 2 * 1.0000001
+        scale = (worst * (1.0 - 1e-9) - base) / (phi.hessian_sup - base)
+        assert 0.0 < scale < 1.0
+        for name in ("_TRANSITION_SLOPE_MAX", "_TRANSITION_CURVATURE_MAX"):
+            monkeypatch.setattr(fields, name, getattr(fields, name) * scale)
+        assert phi.hessian_sup == pytest.approx(worst * (1.0 - 1e-9), rel=1e-12)
         with pytest.raises(ValueError, match="below sampled estimate"):
-            replace(phi, hessian_sup=worst * (1.0 - 1e-9))
+            CosineBump(dim, 10.0, 16.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_symmetric_spectral_norm_matches_eigvalsh(self, dim):
@@ -371,16 +383,14 @@ class TestCosineBumpTestFunction:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("radii", _RADII)
     def test_closed_form_bound_matches_probe(self, dim, radii):
-        phi = cosine_bump_test_function(dim, amplitude=0.1, freq=2.0,
-                                        r_inner=radii[0], r_outer=radii[1])
+        phi = CosineBump(dim, *radii)
         *_, bound = _reference_cosine_bump(dim, 0.1, 2.0, *radii)
         assert phi.hessian_sup == pytest.approx(bound, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_separable_form_matches_closures(self, dim):
         radii = (10.0, 16.0)
-        phi = cosine_bump_test_function(dim, amplitude=0.5, freq=3.0,
-                                        r_inner=radii[0], r_outer=radii[1])
+        phi = CosineBump(dim, radii[0], radii[1], amplitude=0.5, freq=3.0)
         value, grad, hessian, _ = _reference_cosine_bump(dim, 0.5, 3.0, *radii)
         rng = np.random.default_rng(7 + dim)
         # the box around the support, the transition annulus and the origin
@@ -388,11 +398,12 @@ class TestCosineBumpTestFunction:
         shell = rng.standard_normal((1500, dim))
         shell *= rng.uniform(*radii, size=(1500, 1)) / np.linalg.norm(shell, axis=1)[:, None]
         pts = np.vstack([pts, shell, np.zeros((1, dim))])
+        psi, dpsi, d2psi = phi.spatial(pts, hessian=True)
         for t in (0.0, 1e-3, 0.37, 2.0):
-            np.testing.assert_allclose(phi.value(t, pts), value(t, pts), rtol=1e-15, atol=0.0)
-            np.testing.assert_allclose(phi.grad(t, pts), grad(t, pts), rtol=1e-15, atol=0.0)
-            np.testing.assert_allclose(phi.hessian(t, pts), hessian(t, pts),
-                                       rtol=1e-15, atol=0.0)
+            a = phi.time_factor(t)
+            np.testing.assert_allclose(a * psi, value(t, pts), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(a * dpsi, grad(t, pts), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(a * d2psi, hessian(t, pts), rtol=1e-15, atol=0.0)
 
     def test_transition_constants_against_fine_probe(self):
         # F is the plateau profile on [0, 1]: chi on (r_inner, r_outer) =
@@ -412,20 +423,41 @@ class TestCosineBumpTestFunction:
         assert curvature - _TRANSITION_CURVATURE_MAX == pytest.approx(2.4e-8, rel=0.05)
         assert curvature <= _TRANSITION_CURVATURE_MAX * (1.0 + 1e-7)
 
-    def test_weak_form_evaluates_spatial_part_once(self, short_trajectory):
-        phi = cosine_bump_test_function(1, amplitude=0.1, freq=2.0, r_inner=12.0, r_outer=16.0)
+    def test_weak_form_evaluates_spatial_part_once(self, short_trajectory, monkeypatch):
+        phi = CosineBump(1, 12.0, 16.0)
+        expected = check_weak_form_step(short_trajectory, phi).to_json()
+        spatial = CosineBump.spatial
         calls = []
 
-        def counting(points, hessian=False):
+        def counting(self, points, hessian=False):
             calls.append((points.shape, hessian))
-            return phi.spatial(points, hessian)
+            return spatial(self, points, hessian)
 
-        counted = replace(phi, spatial=counting)
-        calls.clear()  # the construction's self-check made one call
-        rep = check_weak_form_step(short_trajectory, counted)
+        monkeypatch.setattr(CosineBump, "spatial", counting)
+        rep = check_weak_form_step(short_trajectory, phi)
         assert len(short_trajectory.steps) > 1
         assert calls == [((short_trajectory.config.grid.n, 1), False)]
-        assert rep.to_json() == check_weak_form_step(short_trajectory, phi).to_json()
+        assert rep.to_json() == expected
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_default_phi_is_the_gentle_bump(self, dim):
+        # with no phi the check tests against CosineBump(d, 0.3 L, 0.45 L)
+        if dim == 1:
+            grid = grid1d()
+            cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3, inner=InnerConfig(grad_tol=1e-8))
+            u0 = gaussian_density(grid, 0.0, 1.0)
+        else:
+            grid = PeriodicGrid(2, 16, 12.0)
+            cfg = JkoConfig(grid=grid, s=1.0, tau=1e-2,
+                            transport=TransportConfig(epsilon=0.2, tol=1e-7),
+                            inner=InnerConfig(grad_tol=1e-4, max_iters=5))
+            u0 = gaussian_density(grid, (0.0, 0.0), 1.0)
+        traj = run(u0, cfg, 2)
+        assert traj.status == "ok"
+        L = grid.box_length
+        explicit = check_weak_form_step(traj, CosineBump(dim, 0.3 * L, 0.45 * L))
+        assert check_weak_form_step(traj).to_json() == explicit.to_json()
+        assert explicit.extra["lambda"] == CosineBump(dim, 0.3 * L, 0.45 * L).hessian_sup
 
 
 class TestTauRefinement:

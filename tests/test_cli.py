@@ -23,12 +23,14 @@ from fracfilm import (
 )
 from fracfilm.cli import build_parser, main, run_checks
 from fracfilm.scenario import (
+    CSV_COLUMNS,
     KNOWN_CHECKS,
     KNOWN_KEYS,
     Scenario,
     ScenarioError,
     format_scenario,
     load_run_directory,
+    load_scenario,
     parse_scenario,
     validate_checks,
 )
@@ -224,6 +226,22 @@ class TestRun:
         energies = [float(r.split(",")[2]) for r in rows[1:]]
         assert all(abs(e) < 1e-14 for e in energies)
 
+    def test_failed_step_exits_2_and_writes_the_run(self, tmp_path, capsys, monkeypatch):
+        # a line search that may try no step fails step 1; the run directory
+        # still records the initial density and the failure
+        import fracfilm.jko
+
+        monkeypatch.setattr(fracfilm.jko, "_ALPHA_MIN", 2.0)
+        scen = write_scenario(tmp_path, FAST_SCENARIO)
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert "solver failure: failed:step=1:StagnationError" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"].startswith("failed:step=1:StagnationError")
+        assert manifest["num_steps"] == 0
+        assert (out / "diagnostics.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+        assert sorted(p.name for p in out.glob("density_*.txt")) == ["density_000000.txt"]
+
     def test_missing_initial_file_exits_3(self, tmp_path, capsys):
         text = FAST_SCENARIO.replace(
             "initial.kind = gaussian", "initial.kind = from_file\ninitial.path = /nonexistent/u0.txt"
@@ -398,6 +416,17 @@ def drop_first_diagnostics_row(text):
     return "".join(lines[:1] + lines[2:])
 
 
+def drop_last_cell_of_second_row(text):
+    lines = text.splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+def delete_file(text):
+    """An edit that deletes the file."""
+    return None
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("verify")
@@ -447,17 +476,29 @@ class TestVerify:
          ("manifest.json", drop_scenario_text, "scenario_text"),
          ("density_000002.txt", scale_middle_value(-1.0), "density_000002.txt"),
          ("density_000002.txt", scale_middle_value(1.5), "density_000002.txt"),
-         ("diagnostics.csv", drop_first_diagnostics_row, "diagnostics.csv")],
+         ("diagnostics.csv", drop_first_diagnostics_row, "diagnostics.csv"),
+         ("manifest.json", delete_file, "no manifest.json"),
+         ("diagnostics.csv", delete_file, "no diagnostics.csv"),
+         ("diagnostics.csv", lambda text: text.replace("energy", "energie", 1),
+          "unexpected diagnostics columns"),
+         ("diagnostics.csv", drop_last_cell_of_second_row, f": {len(CSV_COLUMNS) - 1} cells"),
+         ("density_000002.txt", delete_file, "density snapshot for step 2 missing")],
         ids=["energy_abc", "k_x", "manifest_not_json", "manifest_without_scenario_text",
-             "negated_snapshot_value", "snapshot_value_times_1.5", "first_row_deleted"],
+             "negated_snapshot_value", "snapshot_value_times_1.5", "first_row_deleted",
+             "no_manifest", "no_diagnostics", "wrong_header", "short_row", "missing_snapshot"],
     )
     def test_malformed_run_directory_exits_3(self, run_dir, tmp_path, capsys, name, edit, message):
-        # each of these used to end `verify` in a traceback and exit 1
+        # a config error (3) naming the file or cause, never a traceback (the
+        # first seven used to exit 1); an edit that returns None deletes the file
         import shutil
 
         bad = tmp_path / "bad_run"
         shutil.copytree(run_dir, bad, ignore=shutil.ignore_patterns("check_*.json"))
-        (bad / name).write_text(edit((bad / name).read_text()))
+        text = edit((bad / name).read_text())
+        if text is None:
+            (bad / name).unlink()
+        else:
+            (bad / name).write_text(text)
         assert main(["verify", str(bad)]) == 3
         assert message in capsys.readouterr().err
         assert not list(bad.glob("check_*.json"))
@@ -778,6 +819,16 @@ class TestUsage:
             assert argv[0] == "fracfilm", line
             build_parser().parse_args(argv[1:])
 
+    def test_readme_layout_names_every_module(self):
+        # doc-drift guard: the README's Layout block lists exactly the
+        # modules of the package
+        root = Path(__file__).resolve().parents[1]
+        block = (root / "README.md").read_text().split("## Layout", 1)[1].split("\n\n", 2)[1]
+        listed = [line.split()[0] for line in block.splitlines()]
+        modules = sorted(str(p.relative_to(root)) for p in (root / "src" / "fracfilm").glob("*.py"))
+        assert sorted(listed) == modules
+        assert len(listed) == len(set(listed))
+
 
 class TestPrintConfig:
     def test_echo_normalized(self, tmp_path, capsys):
@@ -898,30 +949,40 @@ class TestSinkhorn2DRun:
             assert json.loads((sink2d_run / f"check_{name}.json").read_text())["passed"]
 
 
-def count_initial_energies(monkeypatch, traj, checks):
-    """`run_checks` on `traj` with every module binding of `energy_of_values`
-    counting the calls on the initial density's values."""
+def count_initial_energies(monkeypatch, initial):
+    """Make every module binding of `energy_of_values` count its calls on the
+    values of the density `initial`; returns the list that collects them."""
     original = fracfilm.energy_of_values
     calls = []
 
     def counting(values, grid, s):
-        if np.array_equal(values, traj.initial.values):
+        if np.array_equal(values, initial.values):
             calls.append(s)
         return original(values, grid, s)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "fracfilm" and getattr(module, "energy_of_values", None) is original:
             monkeypatch.setattr(module, "energy_of_values", counting)
-    assert [rep.name for rep in run_checks(traj, checks)] == list(checks)
-    return len(calls)
+    return calls
 
 
 class TestInitialScalarsOnce:
     def test_one_initial_energy_per_verify_in_1d(self, run_dir, monkeypatch):
         _, traj = load_run_directory(run_dir)
-        assert count_initial_energies(monkeypatch, traj, KNOWN_CHECKS) == 1
+        calls = count_initial_energies(monkeypatch, traj.initial)
+        assert [rep.name for rep in run_checks(traj, KNOWN_CHECKS)] == KNOWN_CHECKS
+        assert len(calls) == 1
 
     def test_one_initial_energy_per_verify_in_2d(self, sink2d_run, monkeypatch):
         _, traj = load_run_directory(sink2d_run)
         checks = [c for c in KNOWN_CHECKS if c != "evi_entropy"]
-        assert count_initial_energies(monkeypatch, traj, checks) == 1
+        calls = count_initial_energies(monkeypatch, traj.initial)
+        assert [rep.name for rep in run_checks(traj, checks)] == checks
+        assert len(calls) == 1
+
+    def test_one_initial_energy_per_run(self, tmp_path, monkeypatch):
+        # the manifest's initial block holds the one energy of u0 a run computes
+        scen = write_scenario(tmp_path, FAST_SCENARIO)
+        calls = count_initial_energies(monkeypatch, load_scenario(scen).initial_density())
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == 1

@@ -10,7 +10,7 @@ Hessian bound is held by `test_hessian_self_check_matches_svd_norm`.
 import numpy as np
 import pytest
 
-from fracfilm import cosine_bump_test_function, plateau
+from fracfilm import CosineBump, plateau
 from flow_fields import reference_cosine_bump_spatial, reference_plateau
 
 R_INNER, R_OUTER = 10.0, 16.0
@@ -84,7 +84,7 @@ def test_plateau_at_the_edges():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_test_function_matches_the_whole_array_reference(dim):
-    phi = cosine_bump_test_function(dim, amplitude=0.1, freq=2.0, r_inner=R_INNER, r_outer=R_OUTER)
+    phi = CosineBump(dim, R_INNER, R_OUTER)
     pts = _points(dim, np.random.default_rng(31 + dim))
     psi, dpsi, hess = phi.spatial(pts, hessian=True)
     ref_psi, ref_dpsi, ref_hess = reference_cosine_bump_spatial(pts, 2.0, R_INNER, R_OUTER)

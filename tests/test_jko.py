@@ -13,6 +13,7 @@ from fracfilm import (
     InnerConfig,
     JkoConfig,
     PeriodicGrid,
+    StagnationError,
     TransportConfig,
     energy,
     fractional_laplacian,
@@ -744,6 +745,22 @@ class TestRun:
                         inner=InnerConfig(grad_tol=1e-6), transport=transport)
         traj = run(gaussian_density(grid, (0.0, 0.0), 1.0), cfg, 2)
         assert traj.status.startswith("failed:step=1:")
+        assert traj.num_steps == 0
+
+    def test_no_descent_step_fails_the_first_step(self, monkeypatch):
+        # with the smallest trial step above the first one (alpha = 1) the
+        # line search tries none: the step raises with the previous density
+        # as its last iterate, and run() ends with the failure in its status
+        import fracfilm.jko
+
+        monkeypatch.setattr(fracfilm.jko, "_ALPHA_MIN", 2.0)
+        cfg = make_cfg()
+        u0 = gaussian_density(cfg.grid, 0.0, 1.0)
+        with pytest.raises(StagnationError, match="no descent step") as exc:
+            jko_step(u0, cfg)
+        assert np.array_equal(exc.value.last_iterate.values, u0.values)
+        traj = run(u0, cfg, 3)
+        assert traj.status.startswith("failed:step=1:StagnationError")
         assert traj.num_steps == 0
 
     def test_programming_error_propagates(self, monkeypatch):
