@@ -18,7 +18,6 @@ from .analysis import (
     check_weak_form_step,
     derivative_identity_check,
     operator_N,
-    operator_N_density,
     tau_refinement_study,
 )
 from .errors import (
@@ -50,7 +49,6 @@ from .spectral import (
     fractional_laplacian,
     sobolev_norm_sq,
     spectral_divergence,
-    spectral_gradient,
 )
 from .transport import (
     ExactTransport,

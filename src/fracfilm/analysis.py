@@ -33,7 +33,6 @@ from .spectral import (
     fractional_laplacian,
     sobolev_norm_sq,
     spectral_divergence,
-    spectral_gradient,
 )
 from .transport import w2_exact_1d
 
@@ -101,12 +100,17 @@ class CheckReport:
 
 
 def operator_N(v: np.ndarray, grid, eta: np.ndarray, s: float) -> float:
-    """Weak-form pairing N(v, eta) with the case split at m = floor(s/2).
+    """Weak-form pairing N(v, eta) = h^d sum (L_s v) * div(eta v).
 
-    For s in [2m, 2m+1] (closed right endpoint) the integrand is
-    (L_{s-m} v) * L_m(div(eta v)); for s in (2m+1, 2m+2) it is
-    grad(L_{s-m-1} v) . grad(L_m(div(eta v))).  Products eta*v are formed
-    pointwise; all derivatives are spectral.
+    This is the exact derivative of the scheme's lattice energy
+    `energy_of_values` along dv/dt = -div(eta v), for every s > 0.  The
+    paper splits the order at m, the integer part of s/2, moving L_m (and,
+    for s in (2m+1, 2m+2), one gradient) onto div(eta v) so that N is
+    defined for v in H^{1+s}.  On the grid every derivative is a Fourier
+    multiplier, so that split changes nothing but rounding on smooth data,
+    and its gradient branch is not the energy's derivative in d >= 2: the
+    gradient multipliers zero each axis's Nyquist mode, |xi|^(2s) does not.
+    Products eta*v are formed pointwise.
     """
     if s <= 0 or not np.isfinite(s):
         raise ValueError(f"operator order must satisfy s > 0, got {s}")
@@ -116,23 +120,8 @@ def operator_N(v: np.ndarray, grid, eta: np.ndarray, s: float) -> float:
         raise ValueError(
             f"vector field values must have shape {(grid.dim,) + grid.shape}, got {eta.shape}"
         )
-    m = int(math.floor(s / 2.0))
     div_ev = spectral_divergence(eta * v[None], grid)
-    hvol = grid.cell_volume
-    if 2 * m <= s <= 2 * m + 1:
-        a = fractional_laplacian(v, grid, s - m)
-        b = fractional_laplacian(div_ev, grid, m) if m > 0 else div_ev
-        return float(hvol * np.sum(a * b))
-    a = spectral_gradient(fractional_laplacian(v, grid, s - m - 1), grid)
-    b = spectral_gradient(fractional_laplacian(div_ev, grid, m) if m > 0 else div_ev, grid)
-    return float(hvol * np.sum(a * b))
-
-
-def operator_N_density(v: GridDensity, eta: VectorField, s: float) -> float:
-    """`operator_N` with the field sampled at the grid nodes."""
-    pts = np.stack([c.ravel() for c in v.grid.coords], axis=1)
-    vals = eta(pts).T.reshape((v.grid.dim,) + v.grid.shape)
-    return operator_N(v.values, v.grid, vals, s)
+    return float(grid.cell_volume * np.sum(fractional_laplacian(v, grid, s) * div_ev))
 
 
 def derivative_identity_check(v: GridDensity, eta: VectorField, s: float) -> CheckReport:
@@ -153,8 +142,9 @@ def derivative_identity_check(v: GridDensity, eta: VectorField, s: float) -> Che
     fp2 = pushed_energy(t_fd / 2)
     fm2 = pushed_energy(-t_fd / 2)
     fd_half = (fp2 - fm2) / t_fd
-    nval = operator_N_density(v, eta, s)
-    target = -nval
+    pts = np.stack([c.ravel() for c in v.grid.coords], axis=1)
+    eta_vals = eta(pts).T.reshape((v.grid.dim,) + v.grid.shape)
+    target = -operator_N(v.values, v.grid, eta_vals, s)
     scale = max(abs(target), 1e-300)
     rel = abs(fd_full - target) / scale
     c_est = abs(fd_full - fd_half) / (0.75 * t_fd ** 2)
@@ -427,15 +417,15 @@ def pairwise_gap(
 
 def validate_refinement_settings(taus: Sequence[float], horizon: float, r: float, s: float) -> None:
     """Raise ValueError unless the taus are finite, positive and strictly
-    decreasing, the horizon is finite and positive, and r < s."""
+    decreasing, the horizon is finite and positive, and r is finite with r < s."""
     if not all(math.isfinite(t) and t > 0 for t in taus) or any(
         a <= b for a, b in zip(taus, taus[1:])
     ):
         raise ValueError(f"tau_list must be finite, positive and strictly decreasing, got {taus}")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    if not r < s:
-        raise ValueError(f"refinement order r must satisfy r < s, got r={r}, s={s}")
+    if not (math.isfinite(r) and r < s):
+        raise ValueError(f"refinement order r must be finite with r < s, got r={r}, s={s}")
 
 
 def tau_refinement_study(

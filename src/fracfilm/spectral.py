@@ -173,14 +173,6 @@ def fractional_laplacian(values: np.ndarray, grid: PeriodicGrid, s: float) -> np
     return apply_multiplier(values, grid, mult)
 
 
-def spectral_gradient(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Gradient via the i*xi multipliers of `PeriodicGrid.derivative_multipliers`.
-
-    Returns an array of shape (d, *grid.shape).
-    """
-    return np.stack([apply_multiplier(values, grid, m) for m in grid.derivative_multipliers])
-
-
 def spectral_divergence(components: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Divergence of a vector field given as (d, *grid.shape)."""
     components = np.asarray(components, dtype=float)

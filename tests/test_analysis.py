@@ -18,16 +18,21 @@ from fracfilm import (
     check_weak_form_step,
     contraction_field,
     derivative_identity_check,
+    energy_of_values,
     entropy,
+    fractional_laplacian,
     gaussian_density,
     operator_N,
-    operator_N_density,
     plateau,
     run,
     sobolev_norm_sq,
+    spectral_divergence,
     tau_refinement_study,
     uniform_density,
 )
+
+from fracfilm.analysis import validate_refinement_settings
+from fracfilm.spectral import apply_multiplier
 
 from flow_fields import (
     reference_cosine_bump_spatial,
@@ -64,7 +69,22 @@ class TestOperatorN:
         g = grid1d()
         u = gaussian_density(g)
         fld = translation_field([0.0], 5.0, 9.0)
-        assert operator_N_density(u, fld, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert operator_N(u.values, g, field_values(fld, g), 1.0) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_chain_rule_of_lattice_energy(self, dim, s):
+        # N(v, eta) is the derivative of the scheme's energy along
+        # dv/dt = -div(eta v); the energy is quadratic, so the central
+        # difference of unit step in the direction w = div(eta v) is exact
+        # up to rounding
+        g = PeriodicGrid(dim, 32, 10.0)
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=g.shape)
+        eta = rng.normal(size=(dim,) + g.shape)
+        w = spectral_divergence(eta * v[None], g)
+        fd = (energy_of_values(v + w, g, s) - energy_of_values(v - w, g, s)) / 2.0
+        assert operator_N(v, g, eta, s) == pytest.approx(fd, rel=1e-9)
 
     def test_antisymmetry_in_eta(self):
         g = grid1d(128)
@@ -87,21 +107,30 @@ class TestOperatorN:
         split = 2.0 * operator_N(v, g, e1, s) + 3.0 * operator_N(v, g, e2, s)
         assert both == pytest.approx(split, rel=1e-11)
 
-    def test_branches_agree_on_smooth_input(self):
-        # both case-split branches represent the same bilinear form for grid
-        # functions; cross-check them at an interior order via the identity
-        # sum L_{s-m} v * L_m w = sum grad L_{s-m-1} v . grad L_m w
-        g = grid1d()
-        u = gaussian_density(g, 0.0, 1.5)
-        fld = sine_field(1, 9.0, 14.0)
-        eta = field_values(fld, g)
-        from fracfilm.spectral import fractional_laplacian, spectral_divergence
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_branches_agree_on_smooth_input(self, dim, s):
+        # the paper's case split at m = int(s/2): (L_{s-m} v) * L_m(div(eta v))
+        # for s in [2m, 2m+1], grad L_{s-m-1} v . grad L_m(div(eta v)) for
+        # s in (2m+1, 2m+2).  On smooth data it is the single sum of
+        # `operator_N`; on rough data in d >= 2 the gradient branch differs,
+        # since its multipliers zero each axis's Nyquist mode and |xi|^(2s)
+        # does not
+        g = grid1d() if dim == 1 else PeriodicGrid(2, 64, 20.0)
+        u = gaussian_density(g, 0.0, 1.5).values
+        radii = (9.0, 14.0) if dim == 1 else (4.0, 7.0)
+        eta = field_values(sine_field(dim, *radii), g)
 
-        s = 1.5
-        div_ev = spectral_divergence(eta * u.values[None], g)
-        first = g.cell_volume * np.sum(fractional_laplacian(u.values, g, s) * div_ev)
-        second = operator_N(u.values, g, eta, s)
-        assert first == pytest.approx(second, rel=1e-9)
+        def grad(w):
+            return np.stack([apply_multiplier(w, g, m) for m in g.derivative_multipliers])
+
+        m = int(s // 2)
+        div_ev = fractional_laplacian(spectral_divergence(eta * u[None], g), g, m)
+        if s <= 2 * m + 1:
+            split = np.sum(fractional_laplacian(u, g, s - m) * div_ev)
+        else:
+            split = np.sum(grad(fractional_laplacian(u, g, s - m - 1)) * grad(div_ev))
+        assert operator_N(u, g, eta, s) == pytest.approx(g.cell_volume * split, rel=1e-10)
 
     def test_invalid_order_rejected(self):
         g = grid1d(64)
@@ -111,7 +140,7 @@ class TestOperatorN:
 
 class TestDerivativeIdentity:
     # the most load-bearing check: the finite difference of the energy along
-    # the push-forward flow must reproduce -N across both branches
+    # the push-forward flow must reproduce -N at every order
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
     def test_contraction_field(self, s):
@@ -493,11 +522,20 @@ class TestTauRefinement:
         with pytest.raises(ValueError):
             tau_refinement_study(uniform_density(grid), cfg, tau_list=(1e-3, 2e-3))
 
-    def test_r_must_be_below_s(self):
+    @pytest.mark.parametrize("r", [1.0, -np.inf])
+    def test_r_must_be_below_s(self, r):
+        # a non-finite r would run every solve and write "r": -Infinity,
+        # which is not JSON
         grid = grid1d(128)
         cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3)
-        with pytest.raises(ValueError):
-            tau_refinement_study(uniform_density(grid), cfg, tau_list=(2e-3, 1e-3), r=1.0)
+        with pytest.raises(ValueError, match="refinement order"):
+            tau_refinement_study(uniform_density(grid), cfg, tau_list=(2e-3, 1e-3), r=r)
+
+    @pytest.mark.parametrize("r", [-np.inf, np.nan])
+    def test_validate_refinement_settings_rejects_r(self, r):
+        validate_refinement_settings([2e-3, 1e-3], 4e-3, 0.5, 1.0)
+        with pytest.raises(ValueError, match="must be finite with r < s"):
+            validate_refinement_settings([2e-3, 1e-3], 4e-3, r, 1.0)
 
 
 class TestCheckReportContract:

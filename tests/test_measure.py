@@ -258,6 +258,26 @@ class TestPushforward:
         assert out.mass() == pytest.approx(1.0, abs=1e-12)
         assert np.min(out.values) >= 0.0
 
+    def test_drift_above_the_bars_warns_then_raises(self, monkeypatch):
+        # the measured drift (1.6e-7 here) is below both bars; lowered to 0,
+        # the warning bar warns and the hard bar raises with that drift
+        import fracfilm.measure
+        from fracfilm import MassDriftError
+
+        g = grid1d(512)
+        u = gaussian_density(g, 0.0, 0.25)
+        fld = contraction_field(1, 9.0, 14.0)
+        _, drift = pushforward_with_drift(u, fld, 0.1)
+        assert drift > 0.0
+        monkeypatch.setattr(fracfilm.measure, "_PUSHFORWARD_WARN", 0.0)
+        with pytest.warns(UserWarning, match="push-forward mass drift"):
+            _, warned = pushforward_with_drift(u, fld, 0.1)
+        assert warned == drift
+        monkeypatch.setattr(fracfilm.measure, "_PUSHFORWARD_FAIL", 0.0)
+        with pytest.raises(MassDriftError) as exc:
+            pushforward_with_drift(u, fld, 0.1)
+        assert exc.value.drift == drift
+
     def test_wrapping_support_rejected(self):
         g = PeriodicGrid(1, 128, 10.0)
         u = gaussian_density(g, 0.0, 0.25)
