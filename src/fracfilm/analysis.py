@@ -326,7 +326,7 @@ def check_weak_form_step(
     lam_val = float(lam if lam is not None else phi.hessian_sup)
     pts = np.stack([c.ravel() for c in grid.coords], axis=1)
     # phi = a(t) psi(x): psi and grad psi on the grid once, scaled per step
-    psi, dpsi, _ = phi.spatial(pts)
+    psi, dpsi = phi.spatial(pts)
     psi = psi.reshape(grid.shape)
     dpsi = dpsi.T.reshape((grid.dim,) + grid.shape)
     hvol = grid.cell_volume

@@ -105,30 +105,18 @@ def contraction_field(dim: int, r_inner: float, r_outer: float, rate: float = 1.
     return VectorField(dim=dim, func=func, jacobian=jac, support_radius=r_outer)
 
 
-def _symmetric_spectral_norm(mats: np.ndarray) -> np.ndarray:
-    """Spectral norm, the largest |eigenvalue|, of each symmetric matrix in a
-    stack of shape (..., d, d).  Closed form for d <= 2: |h| in 1D, and
-    |a + c|/2 + hypot((a - c)/2, b) for [[a, b], [b, c]]; `eigvalsh` above."""
-    d = mats.shape[-1]
-    if d == 1:
-        return np.abs(mats[..., 0, 0])
-    if d == 2:
-        a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
-        return np.abs(a + c) / 2 + np.hypot((a - c) / 2, b)
-    return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
-
-
 @dataclass(frozen=True)
 class CosineBump:
     """The weak-form test function phi(t, x) = a(t) psi(x), compact in x, with
     a(t) = A/(1 + t) and psi = cos(k x_1) chi(|x|) for the plateau cutoff chi
     over the annulus (r_inner, r_outer).
 
-    ``time_factor(t)`` is a(t).  ``spatial(points, hessian=False)`` returns
-    psi, grad psi and, when asked, D^2 psi (else None) at an (npts, dim)
-    array of points.  ``hessian_sup`` is a closed-form bound >= sup
-    ||D^2 phi||, checked against a sampled estimate on construction.  The
-    time factor is smooth and order-one on the horizons used by the checks.
+    ``time_factor(t)`` is a(t).  ``spatial(points)`` returns psi and grad psi
+    at an (npts, dim) array of points, and ``hessian_norm(points)`` the
+    spectral norm of D^2 psi there.  ``hessian_sup`` is a closed-form bound
+    >= sup ||D^2 phi||, checked against a sampled estimate on construction.
+    The time factor is smooth and order-one on the horizons used by the
+    checks.
     """
 
     dim: int
@@ -139,6 +127,10 @@ class CosineBump:
 
     def __post_init__(self):
         _check_radii(self.r_inner, self.r_outer)
+        for name in ("amplitude", "freq"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         worst = self.sampled_hessian_norm()
         if self.hessian_sup < worst:
             raise ValueError(
@@ -167,44 +159,41 @@ class CosineBump:
     def time_factor(self, t):
         return 1.0 / (1.0 + t) * self.amplitude
 
-    def spatial(self, points, hessian=False):
-        freq = self.freq
+    def _parts(self, points):
+        """The unit radial vector, cos and sin of k x_1, and chi, chi', chi''."""
         r, rhat = _radial_parts(points)
-        chi, dchi, ddchi = plateau(r, self.r_inner, self.r_outer)
-        x1 = points[:, 0]
-        c, s = np.cos(freq * x1), np.sin(freq * x1)
-        psi = c * chi
+        kx1 = self.freq * points[:, 0]
+        return (r, rhat, np.cos(kx1), np.sin(kx1)) + plateau(r, self.r_inner, self.r_outer)
+
+    def spatial(self, points):
+        _, rhat, c, s, chi, dchi, _ = self._parts(points)
         dpsi = c[:, None] * dchi[:, None] * rhat
-        dpsi[:, 0] -= freq * s * chi
-        if not hessian:
-            return psi, dpsi, None
-        # D^2 psi = cos [ddchi rhat rhat^T + (dchi/r)(I - rhat rhat^T)]
-        #           - k^2 cos chi e1 e1^T - k sin dchi (e1 rhat^T + rhat e1^T):
-        # the chi term in two (npts, d, d) arrays, the cos term added to row
-        # and column 0 only, with the rounding of the full matrix sum
-        diag = np.arange(points.shape[1])
-        radial = np.where(r > 0, dchi / np.where(r > 0, r, 1.0), 0.0)  # dchi = 0 near 0
-        rr = np.einsum("ni,nj->nij", rhat, rhat)
-        H = ddchi[:, None, None] * rr
-        np.negative(rr, out=rr)
-        rr[:, diag, diag] += 1.0
-        rr *= radial[:, None, None]
-        H += rr
-        H *= c[:, None, None]
-        gamma = -(freq ** 2) * (c * chi)
-        delta = -freq * (s * dchi)
-        H[:, 0, 0] += gamma + delta * (2.0 * rhat[:, 0])
-        H[:, 0, 1:] += delta[:, None] * rhat[:, 1:]
-        H[:, 1:, 0] += delta[:, None] * rhat[:, 1:]
-        return psi, dpsi, H
+        dpsi[:, 0] -= self.freq * s * chi
+        return c * chi, dpsi
+
+    def hessian_norm(self, points):
+        """||D^2 psi|| at each point from scalar fields: with c, s = cos, sin of
+        k x_1, rho = chi'/r and r the unit radial vector, D^2 psi =
+        c [chi'' rr^T + rho (I - rr^T)] - k^2 c chi e1 e1^T - k s chi' (e1 r^T +
+        r e1^T).  That is c rho off span{e1, r} and the 2 x 2 block m on it,
+        for r = p e1 + sigma u with u orthogonal to e1; using p^2 + sigma^2 = 1
+        keeps chi'' and rho apart where the block's diagonal would cancel them."""
+        r, rhat, c, s, chi, dchi, ddchi = self._parts(points)
+        rho = np.where(r > 0, dchi / np.where(r > 0, r, 1.0), 0.0)  # dchi = 0 near 0
+        gamma, delta = -(self.freq ** 2) * (c * chi), -self.freq * (s * dchi)
+        p, sigma_sq = rhat[:, 0], np.sum(rhat[:, 1:] ** 2, axis=1)
+        m11 = c * (ddchi * p ** 2 + rho * sigma_sq) + (gamma + delta * (2.0 * p))
+        if self.dim == 1:
+            return np.abs(m11)
+        m12 = np.sqrt(sigma_sq) * (c * (ddchi - rho) * p + delta)
+        m22 = c * (ddchi * sigma_sq + rho * p ** 2)
+        norm = np.abs(m11 + m22) / 2 + np.hypot((m11 - m22) / 2, m12)
+        return norm if self.dim == 2 else np.maximum(norm, np.abs(c * rho))
 
     def sampled_hessian_norm(self) -> float:
         """Largest spectral norm of D^2 phi at 2048 seeded points of the
-        support's bounding box and four times.  ||D^2 phi(t, x)|| =
-        |a(t)| ||D^2 psi(x)||, so D^2 psi is evaluated once and its largest
-        norm is scaled by the largest |a| over the times."""
+        support's bounding box.  ||D^2 phi(t, x)|| = a(t) ||D^2 psi(x)||, and
+        a(t) = A/(1 + t) is largest at t = 0, where it is A."""
         rng = np.random.default_rng(3)
         pts = rng.uniform(-self.support_radius, self.support_radius, size=(2048, self.dim))
-        _, _, d2psi = self.spatial(pts, hessian=True)
-        a_max = max(abs(self.time_factor(t)) for t in (0.0, 0.3, 0.7, 1.3))
-        return float(_symmetric_spectral_norm(d2psi).max()) * a_max
+        return float(self.hessian_norm(pts).max()) * self.amplitude

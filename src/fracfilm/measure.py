@@ -63,7 +63,10 @@ class GridDensity:
 
 def gaussian_density(grid: PeriodicGrid, center=0.0, variance=1.0) -> GridDensity:
     """Isotropic Gaussian sampled at the nodes, renormalized to unit mass."""
-    center = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape not in ((1,), (grid.dim,)):
+        raise ValueError(f"gaussian center has {center.size} coordinates, dimension is {grid.dim}")
+    center = np.broadcast_to(center, (grid.dim,))
     if not np.all(np.isfinite(center)):
         raise ValueError(f"gaussian center must be finite, got {tuple(center.tolist())}")
     if not (np.isfinite(variance) and variance > 0):

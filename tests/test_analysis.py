@@ -342,14 +342,14 @@ class TestWeakForm:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_hessian_self_check_matches_svd_norm(self, dim, monkeypatch):
-        # the eigenvalue estimate is the per-point SVD norm of the same
-        # samples, and a bound just below it is refused
+        # the closed-form estimate is the per-point SVD norm of the reference
+        # Hessian at the same samples, and a bound just below it is refused
         from fracfilm import fields
 
         phi = CosineBump(dim, 10.0, 16.0)
         rng = np.random.default_rng(3)
         pts = rng.uniform(-phi.support_radius, phi.support_radius, size=(2048, dim))
-        _, _, d2psi = phi.spatial(pts, hessian=True)
+        d2psi = reference_cosine_bump_spatial(pts, 2.0, 10.0, 16.0)[2]
         svd = max(float(np.max(np.linalg.norm(phi.time_factor(t) * d2psi, axis=(1, 2), ord=2)))
                   for t in (0.0, 0.3, 0.7, 1.3))
         worst = phi.sampled_hessian_norm()
@@ -365,17 +365,6 @@ class TestWeakForm:
         assert phi.hessian_sup == pytest.approx(worst * (1.0 - 1e-9), rel=1e-12)
         with pytest.raises(ValueError, match="below sampled estimate"):
             CosineBump(dim, 10.0, 16.0)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_symmetric_spectral_norm_matches_eigvalsh(self, dim):
-        # the closed forms for d <= 2 agree with the eigenvalue route
-        from fracfilm.fields import _symmetric_spectral_norm
-
-        rng = np.random.default_rng(11 + dim)
-        raw = rng.standard_normal((4096, dim, dim)) * rng.uniform(1e-3, 1e3, (4096, 1, 1))
-        mats = raw + np.swapaxes(raw, 1, 2)
-        expected = np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
-        assert np.allclose(_symmetric_spectral_norm(mats), expected, rtol=1e-14, atol=0.0)
 
 
 def _reference_cosine_bump(dim, amplitude, freq, r_inner, r_outer, time_scale=1.0):
@@ -417,6 +406,44 @@ class TestCosineBumpTestFunction:
         assert phi.hessian_sup == pytest.approx(bound, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("radii", _RADII)
+    def test_hessian_norm_matches_svd_norm(self, dim, radii):
+        # the closed form against the SVD norm of the reference Hessian over
+        # the support's box, the annulus, its edges, the x_1 axis (sigma = 0,
+        # the origin included) and, for d >= 2, the plane x_1 = 0
+        r_inner, r_outer = radii
+        phi = CosineBump(dim, r_inner, r_outer)
+        rng = np.random.default_rng(17 + dim)
+        dirs = rng.standard_normal((3000, dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        edges = np.array([r_inner, r_outer])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        radius = np.concatenate([rng.uniform(0.0, 1.1 * r_outer, 1000),
+                                 rng.uniform(r_inner, r_outer, 1000), np.resize(edges, 1000)])
+        axis = np.zeros((2001, dim))
+        axis[:, 0] = np.linspace(-1.1 * r_outer, 1.1 * r_outer, 2001)
+        plane = np.zeros((1000, dim))
+        plane[:, -1] = rng.uniform(r_inner, r_outer, 1000)
+        pts = np.vstack([dirs * radius[:, None], axis, plane])
+        hess = reference_cosine_bump_spatial(pts, 2.0, r_inner, r_outer)[2]
+        svd = np.linalg.norm(hess, axis=(1, 2), ord=2)
+        np.testing.assert_allclose(phi.hessian_norm(pts), svd, rtol=1e-12, atol=0.0)
+        if dim == 3:
+            # alpha = chi'/r, the eigenvalue off span{e1, r}, is the largest
+            # eigenvalue over much of the plane's inner half
+            _, dchi, _ = reference_plateau(plane[:, -1], r_inner, r_outer)
+            largest = np.linalg.eigvalsh(hess[-1000:])[:, -1]
+            alpha = dchi / plane[:, -1]
+            assert np.sum((alpha < 0) & np.isclose(largest, alpha, rtol=1e-12, atol=0.0)) > 100
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("amplitude", "freq") for value in (np.nan, np.inf, -0.5)])
+    def test_refuses_a_non_finite_or_negative_parameter(self, field, value):
+        # a nan amplitude used to give lambda = nan and NaN in the check JSON
+        with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+            CosineBump(1, 12.0, 16.0, **{field: value})
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_separable_form_matches_closures(self, dim):
         radii = (10.0, 16.0)
         phi = CosineBump(dim, radii[0], radii[1], amplitude=0.5, freq=3.0)
@@ -427,12 +454,14 @@ class TestCosineBumpTestFunction:
         shell = rng.standard_normal((1500, dim))
         shell *= rng.uniform(*radii, size=(1500, 1)) / np.linalg.norm(shell, axis=1)[:, None]
         pts = np.vstack([pts, shell, np.zeros((1, dim))])
-        psi, dpsi, d2psi = phi.spatial(pts, hessian=True)
+        psi, dpsi = phi.spatial(pts)
+        norm = phi.hessian_norm(pts)
         for t in (0.0, 1e-3, 0.37, 2.0):
             a = phi.time_factor(t)
             np.testing.assert_allclose(a * psi, value(t, pts), rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(a * dpsi, grad(t, pts), rtol=1e-15, atol=0.0)
-            np.testing.assert_allclose(a * d2psi, hessian(t, pts), rtol=1e-15, atol=0.0)
+            svd = np.linalg.norm(hessian(t, pts), axis=(1, 2), ord=2)
+            np.testing.assert_allclose(a * norm, svd, rtol=1e-12, atol=0.0)
 
     def test_transition_constants_against_fine_probe(self):
         # F is the plateau profile on [0, 1]: chi on (r_inner, r_outer) =
@@ -458,14 +487,14 @@ class TestCosineBumpTestFunction:
         spatial = CosineBump.spatial
         calls = []
 
-        def counting(self, points, hessian=False):
-            calls.append((points.shape, hessian))
-            return spatial(self, points, hessian)
+        def counting(self, points):
+            calls.append(points.shape)
+            return spatial(self, points)
 
         monkeypatch.setattr(CosineBump, "spatial", counting)
         rep = check_weak_form_step(short_trajectory, phi)
         assert len(short_trajectory.steps) > 1
-        assert calls == [((short_trajectory.config.grid.n, 1), False)]
+        assert calls == [(short_trajectory.config.grid.n, 1)]
         assert rep.to_json() == expected
 
     @pytest.mark.parametrize("dim", [1, 2])

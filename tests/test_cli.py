@@ -316,10 +316,15 @@ class TestRun:
             ("initial.kind = gaussian", "initial.kind = gaussian_mixture\n"
              "initial.components = 1.5 : -1.0 : 1.0 ; -0.5 : 1.0 : 1.0", "weight"),
             ("initial.center = 0.0", "initial.center = inf", "center"),
+            ("initial.center = 0.0", "initial.center = 0.0 0.0",
+             "center has 2 coordinates, dimension is 1"),
+            ("initial.kind = gaussian", "initial.kind = gaussian_mixture\n"
+             "initial.components = 1.0 : 0.0 0.0 : 1.0", "center has 2 coordinates, dimension is 1"),
         ],
         ids=["word_grid_n", "negative_num_steps", "component_with_two_fields",
              "mixture_without_components", "unknown_kind", "wrong_row_count", "zero_weights",
-             "negative_weight", "infinite_center"],
+             "negative_weight", "infinite_center", "center_beyond_dimension",
+             "component_center_beyond_dimension"],
     )
     def test_refused_setting_names_its_cause(self, tmp_path, capsys, old, new, cause):
         # each such scenario is refused (3) before any --out is made
@@ -940,6 +945,18 @@ class TestStartup:
         assert got["pushed"] == pushed.values.tolist()
         assert got["drift"] == drift
         assert got["norm"] == sobolev_norm_sq(u.values, grid, 0.5)
+
+    @pytest.mark.parametrize("name", ["FAST_SCENARIO", "SINK2D_SCENARIO"])
+    def test_run_and_verify_emit_no_warning(self, tmp_path, name):
+        # a fresh interpreter with every warning an error: a numpy
+        # RuntimeWarning on the run or verify path fails the command
+        scen = write_scenario(tmp_path, globals()[name])
+        out = tmp_path / "run"
+        env = {**os.environ, "PYTHONPATH": str(Path(fracfilm.__file__).resolve().parents[1])}
+        for argv in (["run", "--scenario", str(scen), "--out", str(out)], ["verify", str(out)]):
+            done = subprocess.run([sys.executable, "-W", "error", "-m", "fracfilm", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
 
 
 # the d = 2 Sinkhorn benchmark workload (sink2d) at its default mixture, three steps
