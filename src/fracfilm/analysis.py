@@ -30,6 +30,7 @@ from .measure import (
 )
 from .spectral import (
     energy,
+    energy_of_values,
     fractional_laplacian,
     sobolev_norm_sq,
     spectral_divergence,
@@ -239,7 +240,7 @@ def check_entropy_dissipation(traj: Trajectory) -> CheckReport:
     ent_prev = traj.initial_entropy
     for rec in traj.steps:
         ks.append(rec.index)
-        lhs.append(sobolev_norm_sq(rec.density.values, cfg.grid, 1.0 + cfg.s, lattice=True))
+        lhs.append(2.0 * energy_of_values(rec.density.values, cfg.grid, 1.0 + cfg.s))
         rhs.append((ent_prev - rec.entropy) / cfg.tau)
         ent_prev = rec.entropy
     lhs = np.array(lhs)
@@ -384,7 +385,7 @@ class TauRefinementReport:
     taus: List[float]
     l2h_gaps: List[float]  # consecutive-pair integral H^{1+r} gaps
     sup_gaps: List[float]  # consecutive-pair sup-in-time H^r gaps
-    rates: List[float]
+    rates: List[Optional[float]]  # None where either gap is 0
     cauchy_monotone: bool
     horizon: float
     r: float
@@ -458,7 +459,7 @@ def tau_refinement_study(
         gaps.append(float(g))
         sups.append(float(sgap))
     rates = [
-        math.log(gaps[i] / gaps[i + 1], 2.0) if gaps[i + 1] > 0 else math.inf
+        math.log(gaps[i] / gaps[i + 1], 2.0) if gaps[i] > 0 and gaps[i + 1] > 0 else None
         for i in range(len(gaps) - 1)
     ]
     monotone = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))

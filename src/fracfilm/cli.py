@@ -127,12 +127,13 @@ def cmd_sweep(args) -> int:
         _make_output_dirs(out)
         report = tau_refinement_study(u0, sc.config, tau_list=taus, horizon=horizon, r=r)
         with open(out / "tau_refinement.json", "w") as fh:
-            json.dump(asdict(report), fh, indent=2, sort_keys=True)
+            json.dump(asdict(report), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         with open(out / "tau_refinement.csv", "w") as fh:
             fh.write("tau_coarse,tau_fine,l2h_gap,sup_gap,rate\n")
             for i in range(len(report.l2h_gaps)):
-                rate = report.rates[i - 1] if i >= 1 else float("nan")
+                rate = report.rates[i - 1] if i >= 1 else None
+                rate = float("nan") if rate is None else rate
                 fh.write(
                     f"{report.taus[i]},{report.taus[i+1]},{report.l2h_gaps[i]!r},"
                     f"{report.sup_gaps[i]!r},{rate!r}\n"

@@ -84,14 +84,14 @@ def _radial_parts(points):
     return r, rhat
 
 
-def contraction_field(dim: int, r_inner: float, r_outer: float, rate: float = 1.0) -> VectorField:
-    """eta(x) = -rate * x * chi(|x|): contracts toward the origin on the plateau."""
+def contraction_field(dim: int, r_inner: float, r_outer: float) -> VectorField:
+    """eta(x) = -x * chi(|x|): contracts toward the origin on the plateau."""
 
     def func(points):
         points = np.atleast_2d(points)
         r, _ = _radial_parts(points)
         chi, _, _ = plateau(r, r_inner, r_outer)
-        return -rate * points * chi[:, None]
+        return -points * chi[:, None]
 
     def jac(points):
         points = np.atleast_2d(points)
@@ -100,7 +100,7 @@ def contraction_field(dim: int, r_inner: float, r_outer: float, rate: float = 1.
         chi, dchi, _ = plateau(r, r_inner, r_outer)
         eye = np.tile(np.eye(d), (npts, 1, 1))
         outer = points[:, :, None] * rhat[:, None, :]
-        return -rate * (chi[:, None, None] * eye + dchi[:, None, None] * outer)
+        return -(chi[:, None, None] * eye + dchi[:, None, None] * outer)
 
     return VectorField(dim=dim, func=func, jacobian=jac, support_radius=r_outer)
 

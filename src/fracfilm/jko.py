@@ -114,10 +114,10 @@ class InnerConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0:
-            raise ValueError("inner solver tolerances must be positive")
-        if not np.isfinite(self.grad_tol):
-            raise ValueError("inner solver tolerances must be finite")
+        if self.max_iters < 1:
+            raise ValueError(f"inner max_iters must be at least 1, got {self.max_iters}")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"inner grad_tol must be finite and positive, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)

@@ -154,11 +154,10 @@ class VectorField:
     func: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    sup_norm: float = field(default=0.0)
+    sup_norm: float = field(init=False)
 
     def __post_init__(self):
-        if self.sup_norm == 0.0:
-            object.__setattr__(self, "sup_norm", _sample_sup_norm(self))
+        object.__setattr__(self, "sup_norm", _sample_sup_norm(self))
         # spot-check the declared support on boundary samples
         probe = _boundary_probe(self.dim, self.support_radius)
         if np.max(np.abs(self.func(probe))) > 1e-12:

@@ -150,13 +150,18 @@ def apply_multiplier(values: np.ndarray, grid: PeriodicGrid, multiplier: np.ndar
     Uses the raw FFT (normalization cancels); realness of the output is the
     caller's responsibility when the multiplier is not real and even.
     """
+    out = np.fft.ifftn(multiplier * np.fft.fftn(_on_grid(values, grid)))
+    return out.real
+
+
+def _on_grid(values, grid: PeriodicGrid) -> np.ndarray:
+    """`values` as a float array; GridMismatchError unless it has the grid's shape."""
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise GridMismatchError(
             f"value shape {values.shape} does not match grid {grid.shape}"
         )
-    out = np.fft.ifftn(multiplier * np.fft.fftn(values))
-    return out.real
+    return values
 
 
 def fractional_laplacian(values: np.ndarray, grid: PeriodicGrid, s: float) -> np.ndarray:
@@ -191,17 +196,15 @@ def sobolev_norm_sq(
     grid: PeriodicGrid,
     r: float,
     homogeneous: bool = True,
-    lattice: bool = False,
 ) -> float:
-    """Squared Sobolev (semi)norm of order r.
+    """Squared continuum Sobolev (semi)norm of order r.
 
     Lattice sums:
         homogeneous:    (2 pi)^(-d) * sum_xi |xi|^(2r)     |u_hat|^2 * (2 pi/L)^d
         inhomogeneous:  (2 pi)^(-d) * sum_xi (1+|xi|^2)^r  |u_hat|^2 * (2 pi/L)^d
 
-    The order-zero homogeneous norm coincides with the L^2 norm
-    h^d * sum |u|^2.  Homogeneous norms of negative order require a
-    vanishing zero mode.
+    Homogeneous orders must satisfy r >= 0; the order-zero norm coincides
+    with the L^2 norm h^d * sum |u|^2.  Inhomogeneous orders may be negative.
 
     For a homogeneous norm with d = 1 and non-integer r > 0 the multiplier
     |xi|^(2r) has a kink at xi = 0, and the lattice sum exceeds the
@@ -220,36 +223,17 @@ def sobolev_norm_sq(
     whose corrected value is below zero, fills the box against the
     truncation rule and raises ValueError.
 
-    ``lattice=True`` returns the plain lattice sum in every case: the
-    quantity whose exact first variation is `fractional_laplacian`, used by
-    the scheme's energy and the lattice identities.
+    The scheme's energy is the plain lattice sum instead (`energy`).
     """
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise GridMismatchError(
-            f"value shape {values.shape} does not match grid {grid.shape}"
-        )
-    coeffs = grid.cell_volume * np.fft.fftn(values)
-    d = grid.dim
-    weight = (2 * np.pi) ** (-d) * (2 * np.pi / grid.box_length) ** d
+    values = _on_grid(values, grid)
     if homogeneous:
-        mult = np.zeros(grid.shape)
-        if r >= 0:
-            mult = grid.freq_sq ** r  # 0^0 = 1 keeps the zero mode at r = 0
-        else:
-            zero = (0,) * d
-            c0 = abs(coeffs[zero])
-            scale = np.max(np.abs(coeffs))
-            if scale > 0 and c0 > 1e-10 * scale:
-                raise ValueError(
-                    "homogeneous norm of negative order requires a vanishing zero mode"
-                )
-            mult = np.where(grid.freq_sq > 0, grid.freq_sq, 1.0) ** r
-            mult[zero] = 0.0
+        if not r >= 0:
+            raise ValueError(f"homogeneous norm order must satisfy r >= 0, got {r}")
+        mult = grid.freq_sq ** r  # 0^0 = 1 keeps the zero mode at r = 0
     else:
         mult = (1.0 + grid.freq_sq) ** r
-    total = float(weight * np.sum(mult * np.abs(coeffs) ** 2))
-    if lattice or not homogeneous or d != 1 or r <= 0 or float(r).is_integer():
+    total = 2 * _half_lattice_sum(np.fft.fftn(values), grid, mult)
+    if not homogeneous or grid.dim != 1 or float(r).is_integer():
         return total
     size = np.abs(values)
     shell, whole = np.sum(size[grid.boundary_shell]), np.sum(size)
@@ -285,23 +269,25 @@ def _kink_excess(values: np.ndarray, grid: PeriodicGrid, r: float) -> float:
 def energy(density, s: float) -> float:
     """Dirichlet-type energy: half the squared homogeneous norm of order s.
 
-    This is the scheme's energy, the plain lattice sum of
-    `sobolev_norm_sq(..., lattice=True)`; its exact first variation is
-    `fractional_laplacian`.  Accepts a GridDensity or a raw grid function
+    This is the scheme's energy: the plain lattice sum, whose exact first
+    variation is `fractional_laplacian`, not the continuum norm of
+    `sobolev_norm_sq`.  Accepts a GridDensity or a raw grid function
     paired with its grid via the ``grid`` attribute.
     """
     return energy_of_values(density.values, density.grid, s)
 
 
+def _half_lattice_sum(coeffs: np.ndarray, grid: PeriodicGrid, mult: np.ndarray) -> float:
+    """(1/2) (2 pi)^(-d) sum_xi mult |h^d u_hat|^2 (2 pi/L)^d from coeffs = fftn(u)."""
+    weight = (2 * np.pi) ** (-grid.dim) * (2 * np.pi / grid.box_length) ** grid.dim
+    return 0.5 * float(weight * np.sum(mult * np.abs(grid.cell_volume * coeffs) ** 2))
+
+
 def energy_and_laplacian(values: np.ndarray, grid: PeriodicGrid, mult: np.ndarray) -> tuple:
     """`energy_of_values` and `fractional_laplacian` of order s from one
-    forward FFT, `mult` being the symbol grid.freq_sq ** s (s > 0).  Both
-    are computed with those functions' operations, so they are bitwise
-    theirs."""
+    forward FFT, `mult` being the symbol grid.freq_sq ** s (s > 0)."""
     coeffs = np.fft.fftn(values)
-    weight = (2 * np.pi) ** (-grid.dim) * (2 * np.pi / grid.box_length) ** grid.dim
-    energy = 0.5 * float(weight * np.sum(mult * np.abs(grid.cell_volume * coeffs) ** 2))
-    return energy, np.fft.ifftn(mult * coeffs).real
+    return _half_lattice_sum(coeffs, grid, mult), np.fft.ifftn(mult * coeffs).real
 
 
 def energy_of_values(values: np.ndarray, grid: PeriodicGrid, s: float) -> float:
@@ -309,5 +295,4 @@ def energy_of_values(values: np.ndarray, grid: PeriodicGrid, s: float) -> float:
     exact first variation is `fractional_laplacian`."""
     if s <= 0 or not np.isfinite(s):
         raise ValueError(f"energy order must satisfy s > 0, got {s}")
-    return 0.5 * sobolev_norm_sq(values, grid, s, lattice=True)
-
+    return _half_lattice_sum(np.fft.fftn(_on_grid(values, grid)), grid, grid.freq_sq ** s)

@@ -508,13 +508,13 @@ class Sinkhorn:
         ot_uv = float(np.sum(f * a) + np.sum(g * b))
         fa, it_a = _sym_potential(la, kmat, dim, epsilon, max_iter, tol, fa0)
         self.dual, self._fa = g, fa
-        ot_uu = float(2.0 * np.nansum(np.where(a > 0, fa * a, 0.0)))
-        ot_vv = float(2.0 * np.nansum(np.where(b > 0, fb * b, 0.0)))
+        ot_uu = float(2.0 * np.sum(fa * a))
+        ot_vv = float(2.0 * np.sum(fb * b))
         value = ot_uv - 0.5 * ot_uu - 0.5 * ot_vv
         if abs(value) < 1e3 * tol:
             value = max(value, 0.0)
 
-        debiased = 0.5 * (f - np.where(np.isfinite(fa), fa, 0.0))
+        debiased = 0.5 * (f - fa)
         debiased = debiased - debiased.mean()
         return TransportResult(
             w2_squared=float(value),

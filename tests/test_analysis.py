@@ -25,7 +25,6 @@ from fracfilm import (
     operator_N,
     plateau,
     run,
-    sobolev_norm_sq,
     spectral_divergence,
     tau_refinement_study,
     uniform_density,
@@ -219,6 +218,16 @@ class TestEntropyDissipation:
         assert rep.passed
         assert abs(rep.lhs[0]) < 1e-12
 
+    def test_lhs_is_twice_the_lattice_energy_of_order_one_plus_s(self):
+        # at s = 0.5 the order 1 + s is fractional: the per-step norm is the
+        # plain lattice sum, bit for bit, not the kink-corrected continuum norm
+        grid = grid1d(128)
+        cfg = JkoConfig(grid=grid, s=0.5, tau=1e-3, inner=InnerConfig(grad_tol=1e-8))
+        traj = run(gaussian_density(grid, 0.0, 1.0), cfg, 2)
+        rep = check_entropy_dissipation(traj)
+        want = [2 * energy_of_values(rec.density.values, grid, 1.5) for rec in traj.steps]
+        assert list(rep.lhs[:-1]) == want
+
     def test_reference_passes(self, short_trajectory):
         rep = check_entropy_dissipation(short_trajectory)
         assert rep.passed
@@ -249,7 +258,7 @@ class TestEntropyDissipation:
         steps, ent_prev = [], entropy(traj.initial)
         for rec in traj.steps:
             rough = GridDensity.normalized(grid, rec.density.values * wiggle)
-            norm = sobolev_norm_sq(rough.values, grid, 1.0 + traj.config.s, lattice=True)
+            norm = 2 * energy_of_values(rough.values, grid, 1.0 + traj.config.s)
             ent_prev = ent_prev - tau * norm
             steps.append(replace(rec, density=rough, entropy=ent_prev))
         rep = check_entropy_dissipation(Trajectory(traj.config, traj.initial, steps))

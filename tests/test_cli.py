@@ -320,11 +320,15 @@ class TestRun:
              "center has 2 coordinates, dimension is 1"),
             ("initial.kind = gaussian", "initial.kind = gaussian_mixture\n"
              "initial.components = 1.0 : 0.0 0.0 : 1.0", "center has 2 coordinates, dimension is 1"),
+            ("inner.grad_tol = 1e-7", "inner.grad_tol = 1e-7\ninner.max_iters = 0",
+             "inner max_iters must be at least 1, got 0"),
+            ("inner.grad_tol = 1e-7", "inner.grad_tol = 0", "inner grad_tol must be finite and positive, got 0.0"),
+            ("inner.grad_tol = 1e-7", "inner.grad_tol = nan", "inner grad_tol must be finite and positive, got nan"),
         ],
         ids=["word_grid_n", "negative_num_steps", "component_with_two_fields",
              "mixture_without_components", "unknown_kind", "wrong_row_count", "zero_weights",
              "negative_weight", "infinite_center", "center_beyond_dimension",
-             "component_center_beyond_dimension"],
+             "component_center_beyond_dimension", "zero_max_iters", "zero_grad_tol", "nan_grad_tol"],
     )
     def test_refused_setting_names_its_cause(self, tmp_path, capsys, old, new, cause):
         # each such scenario is refused (3) before any --out is made
@@ -754,6 +758,24 @@ class TestSweep:
         assert code == 2
         assert "solver failure: refinement run at tau=0.02 failed" in capsys.readouterr().err
 
+    def test_tau_sweep_with_zero_gaps_writes_strict_json(self, tmp_path):
+        # uniform data never moves, so every gap is 0 and no rate exists:
+        # null in the JSON (not Infinity), nan in the CSV
+        scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
+        out = tmp_path / "flat"
+        code = main(["sweep", "--scenario", str(scen), "--out", str(out), "--tau-list", "4e-3,2e-3,1e-3",
+                     "--horizon", "8e-3"])
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads((out / "tau_refinement.json").read_text(), parse_constant=refuse)
+        assert doc["l2h_gaps"] == [0.0, 0.0]
+        assert doc["rates"] == [None]
+        rows = (out / "tau_refinement.csv").read_text().splitlines()
+        assert [row.split(",")[-1] for row in rows[1:]] == ["nan", "nan"]
+
     def test_s_sweep_runs_and_verifies(self, tmp_path):
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         out = tmp_path / "ssweep"
@@ -1043,6 +1065,30 @@ class TestInitialScalarsOnce:
         calls = count_initial_energies(monkeypatch, load_scenario(scen).initial_density())
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 0
         assert len(calls) == 1
+
+
+class TestContinuumNormOffRunAndVerify:
+    def test_no_sobolev_norm_call_at_fractional_order(self, tmp_path, monkeypatch):
+        # at s = 0.5 the entropy check's order 1 + s is fractional, where the
+        # continuum norm would differ from the scheme's lattice sum
+        calls = []
+        original = fracfilm.spectral.sobolev_norm_sq
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:])
+            return original(*args, **kwargs)
+
+        for module in (fracfilm.spectral, fracfilm.analysis):
+            monkeypatch.setattr(module, "sobolev_norm_sq", counting)
+        text = FAST_SCENARIO.replace("equation.s = 1.0", "equation.s = 0.5").replace(
+            "time.num_steps = 4", "time.num_steps = 2").replace(
+            "checks = energy_estimate, moment_bound", f"checks = {', '.join(KNOWN_CHECKS)}")
+        scen = write_scenario(tmp_path, text)
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) in (0, 1)
+        assert len(list(out.glob("check_*.json"))) == len(KNOWN_CHECKS)
+        assert calls == []
 
 
 # the stiff1d benchmark workload at its default mixture: one s = 2 step to a

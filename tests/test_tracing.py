@@ -10,6 +10,8 @@ metrics read.
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,8 @@ import pytest
 from fracfilm.cli import main
 from fracfilm.scenario import load_run_directory
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING_PATH = ROOT / "benchmarks" / "tracing.py"
 
 ONE_STEP_1D = """\
 name = traced1d
@@ -77,6 +80,16 @@ def run_dir(tmp_path, text):
 def test_every_binding_is_a_plain_function(tracing):
     for modname, attr, _ in tracing.BINDINGS:
         assert inspect.isfunction(getattr(importlib.import_module(modname), attr)), (modname, attr)
+
+
+def test_setup_probe_prints_its_seconds():
+    # the probe warms PeriodicGrid caches by name, `_phase` included
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "setup_probe.py"), str(ROOT / "scenarios" / "reference.cfg")],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    assert float(line) > 0
 
 
 def test_1d_run_records_one_potential_call_per_evaluation(tracing, tmp_path):
