@@ -10,7 +10,6 @@ to shrink them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
@@ -49,14 +48,16 @@ _EVI_MONO_TOL = 1e-12  # allowed increase of the EVI slack as t decreases
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one checker: series of (k, lhs, rhs), violation, verdict."""
+    """Outcome of one checker: series of (k, lhs, rhs), violation, verdict.
+    A check that cannot judge its input fails with an empty series,
+    max_violation None and the reason in ``extra["reason"]``."""
 
     name: str
     tolerance: float
     ks: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    max_violation: float
+    max_violation: Optional[float]
     passed: bool
     extra: dict = field(default_factory=dict)
 
@@ -91,9 +92,6 @@ class CheckReport:
         if self.extra:
             doc["extra"] = self.extra
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +276,21 @@ def check_evi_entropy(u: GridDensity, v: GridDensity) -> CheckReport:
         (W^2(S_t u, v) - W^2(u, v)) / (2t)  <=  H(v) - H(u) + eps(t)
 
     with the measured slack eps(t) required nonincreasing along the
-    decreasing times `_EVI_TIMES`.
+    decreasing times `_EVI_TIMES`.  When the heat flow of u rings below its
+    negativity floor (rough data), the check fails with that reason.
     """
     ts = list(_EVI_TIMES)
+    try:
+        heated = [heat_semigroup(u, t) for t in ts]
+    except ValueError as exc:
+        empty = np.zeros(0)
+        return CheckReport("evi_entropy", _EVI_MONO_TOL, empty, empty, empty, None, False,
+                           extra={"reason": str(exc)})
     w2_uv = w2_exact_1d(u, v, want_potential=False).w2_squared
     rhs_val = entropy(v) - entropy(u)
     lhs = []
-    for t in ts:
-        w2_t = w2_exact_1d(heat_semigroup(u, t), v, want_potential=False).w2_squared
+    for t, u_t in zip(ts, heated):
+        w2_t = w2_exact_1d(u_t, v, want_potential=False).w2_squared
         lhs.append((w2_t - w2_uv) / (2.0 * t))
     slack = np.maximum(0.0, np.array(lhs) - rhs_val)
     # rows: slack(t_{i+1}) vs slack(t_i) -- nonincreasing along decreasing t
@@ -462,13 +467,14 @@ def tau_refinement_study(
         math.log(gaps[i] / gaps[i + 1], 2.0) if gaps[i] > 0 and gaps[i + 1] > 0 else None
         for i in range(len(gaps) - 1)
     ]
-    monotone = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
+    # decreasing gaps; a pair of zero gaps (data that never moves) counts too
+    monotone = all(a > b or a == b == 0.0 for a, b in zip(gaps, gaps[1:]))
     return TauRefinementReport(
         taus=taus,
         l2h_gaps=gaps,
         sup_gaps=sups,
         rates=rates,
-        cauchy_monotone=bool(monotone) if len(gaps) > 1 else True,
+        cauchy_monotone=monotone,
         horizon=horizon,
         r=r,
     )

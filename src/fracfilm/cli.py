@@ -6,7 +6,6 @@ Exit codes: 0 ok, 1 check failure, 2 solver failure, 3 usage/config error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -28,6 +27,7 @@ from .scenario import (
     load_run_directory,
     load_scenario,
     validate_checks,
+    write_json,
     write_run_directory,
 )
 
@@ -85,6 +85,9 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     sc, traj = load_run_directory(args.run_dir)
+    if traj.status != "ok":  # a failed run is not judged
+        print(f"solver failure: {traj.status}", file=sys.stderr)
+        return EXIT_SOLVER_FAILED
     checks = list(sc.checks)
     if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -94,11 +97,13 @@ def cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     all_passed = True
     for rep in reports:
-        with open(run_dir / f"check_{rep.name}.json", "w") as fh:
-            fh.write(rep.to_json())
-            fh.write("\n")
+        write_json(run_dir / f"check_{rep.name}.json", rep.to_dict())
         status = "PASS" if rep.passed else "FAIL"
-        print(f"{status} {rep.name}: max violation {rep.max_violation:.3e} (tolerance {rep.tolerance:.3e})")
+        if rep.max_violation is None:
+            print(f"{status} {rep.name}: cannot judge: {rep.extra['reason']}")
+        else:
+            print(f"{status} {rep.name}: max violation {rep.max_violation:.3e} "
+                  f"(tolerance {rep.tolerance:.3e})")
         all_passed &= rep.passed
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
@@ -126,9 +131,7 @@ def cmd_sweep(args) -> int:
         u0 = sc.initial_density()
         _make_output_dirs(out)
         report = tau_refinement_study(u0, sc.config, tau_list=taus, horizon=horizon, r=r)
-        with open(out / "tau_refinement.json", "w") as fh:
-            json.dump(asdict(report), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        write_json(out / "tau_refinement.json", asdict(report))
         with open(out / "tau_refinement.csv", "w") as fh:
             fh.write("tau_coarse,tau_fine,l2h_gap,sup_gap,rate\n")
             for i in range(len(report.l2h_gaps)):

@@ -114,7 +114,8 @@ class CosineBump:
     ``time_factor(t)`` is a(t).  ``spatial(points)`` returns psi and grad psi
     at an (npts, dim) array of points, and ``hessian_norm(points)`` the
     spectral norm of D^2 psi there.  ``hessian_sup`` is a closed-form bound
-    >= sup ||D^2 phi||, checked against a sampled estimate on construction.
+    >= sup ||D^2 phi||, checked on construction against its maximum over a
+    fixed point set.
     The time factor is smooth and order-one on the horizons used by the
     checks.
     """
@@ -191,9 +192,22 @@ class CosineBump:
         return norm if self.dim == 2 else np.maximum(norm, np.abs(c * rho))
 
     def sampled_hessian_norm(self) -> float:
-        """Largest spectral norm of D^2 phi at 2048 seeded points of the
-        support's bounding box.  ||D^2 phi(t, x)|| = a(t) ||D^2 psi(x)||, and
-        a(t) = A/(1 + t) is largest at t = 0, where it is A."""
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-self.support_radius, self.support_radius, size=(2048, self.dim))
-        return float(self.hessian_norm(pts).max()) * self.amplitude
+        """Largest spectral norm of D^2 phi at the first 2048 points of the
+        Roberts R_d sequence, scaled to the support's bounding box.
+        ||D^2 phi(t, x)|| = a(t) ||D^2 psi(x)||, and a(t) = A/(1 + t) is
+        largest at t = 0, where it is A."""
+        pts = _roberts_points(2048, self.dim) * (2.0 * self.support_radius) - self.support_radius
+        return float(self.hessian_norm(pts.T).max()) * self.amplitude
+
+
+def _roberts_points(n: int, dim: int) -> np.ndarray:
+    """The first n points of the low-discrepancy R_d sequence, as a (dim, n)
+    array: frac(1/2 + k g^-j), k = 1..n, j = 1..dim, for the positive root g
+    of g^(dim+1) = g + 1."""
+    g = 2.0
+    for _ in range(30):  # a contraction by less than 1/3 per pass
+        g = (1.0 + g) ** (1.0 / (dim + 1))
+    z = g ** -np.arange(1.0, dim + 1)[:, None] * np.arange(1.0, n + 1)
+    z += 0.5
+    z -= np.floor(z)
+    return z

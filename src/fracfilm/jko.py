@@ -355,7 +355,7 @@ def _solve_krylov(u: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray,
 
 def _candidate(u: np.ndarray, du: np.ndarray, alpha: float, cell_volume: float) -> np.ndarray:
     """u + alpha du where du >= 0, u exp(alpha du / u) where du < 0, renormalised."""
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # du / u is -inf where u is 0 or tiny
         ratio = np.divide(du, u, out=np.zeros_like(u), where=du < 0)
     w = np.where(du < 0, u * np.exp(alpha * ratio), u + alpha * du)
     return w / (np.sum(w) * cell_volume)

@@ -28,12 +28,14 @@ solver settings), built once; building it validates those settings.
 
 A run directory contains diagnostics.csv (17 significant digits, one row
 per step), one density_??????.txt snapshot per step (k = 0 included), and
-manifest.json echoing the scenario text verbatim.
+manifest.json echoing the scenario text verbatim.  Every JSON file the
+package writes goes through `write_json`, which refuses NaN and Infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -62,6 +64,13 @@ def _count(cell: str) -> int:
     return int(cell)
 
 
+def _finite(cell: str) -> float:
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {cell!r}")
+    return x
+
+
 def _stop_reason(cell: str) -> str:
     if cell not in STOP_REASONS:
         raise ValueError(f"unknown stop reason {cell!r}")
@@ -69,18 +78,18 @@ def _stop_reason(cell: str) -> str:
 
 
 # diagnostics.csv, one (column, StepRecord field, cell parser) per column.
-# Float cells are written with `_fmt`, the others with `str`; the `t` column
-# is index * tau and has no field.
+# Float cells are written with `_fmt` and must read back finite, the others
+# with `str`; the `t` column is index * tau and has no field.
 DIAGNOSTIC_COLUMNS = (
     ("k", "index", _count),
-    ("t", None, float),
-    ("energy", "energy", float),
-    ("entropy", "entropy", float),
-    ("second_moment", "second_moment", float),
-    ("w2_sq_step", "w2_sq_to_prev", float),
+    ("t", None, _finite),
+    ("energy", "energy", _finite),
+    ("entropy", "entropy", _finite),
+    ("second_moment", "second_moment", _finite),
+    ("w2_sq_step", "w2_sq_to_prev", _finite),
     ("inner_iters", "inner_iterations", _count),
-    ("kkt_residual", "kkt_residual", float),
-    ("boundary_mass", "boundary_mass", float),
+    ("kkt_residual", "kkt_residual", _finite),
+    ("boundary_mass", "boundary_mass", _finite),
     ("stop_reason", "stop_reason", _stop_reason),
     ("transport_calls", "transport_calls", _count),
     ("sinkhorn_iters", "sinkhorn_iters", _count),
@@ -365,7 +374,7 @@ def _diagnostic_cells(rec: StepRecord, tau: float):
     """The diagnostics.csv cells of one step, column by column."""
     for _, attr, parse in DIAGNOSTIC_COLUMNS:
         x = rec.index * tau if attr is None else getattr(rec, attr)
-        yield _fmt(x) if parse is float else str(x)
+        yield _fmt(x) if parse is _finite else str(x)
 
 
 def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
@@ -390,9 +399,12 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
             "boundary_mass": boundary_shell_mass(traj.initial),
         },
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as strict JSON (no NaN or Infinity), indented, keys sorted."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _package_version() -> str:
@@ -417,6 +429,8 @@ def load_run_directory(run_dir):
 
     Snapshot values and CSV diagnostics round-trip float64 exactly (17
     significant digits), so reconstructed records match the in-memory run.
+    A malformed directory, a non-finite diagnostics cell, or a finished run
+    (status ok) without one row per step raises ScenarioError.
     """
     run = Path(run_dir)
     manifest_path = run / "manifest.json"
@@ -453,4 +467,7 @@ def load_run_directory(run_dir):
         traj = Trajectory(sc.config, initial, steps, status=manifest.get("status", "ok"))
     except ValueError as exc:  # rows that skip or repeat a step
         raise ScenarioError(f"diagnostics {csv_path}: {exc}") from None
+    if traj.status == "ok" and traj.num_steps != sc.num_steps:
+        raise ScenarioError(f"diagnostics {csv_path}: the run finished {sc.num_steps} steps "
+                            f"but has rows for {traj.num_steps}")
     return sc, traj

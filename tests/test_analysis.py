@@ -31,6 +31,7 @@ from fracfilm import (
 )
 
 from fracfilm.analysis import validate_refinement_settings
+from fracfilm.scenario import write_json
 from fracfilm.spectral import apply_multiplier
 
 from flow_fields import (
@@ -305,6 +306,16 @@ class TestEviEntropy:
         assert rep.extra["entropy_difference"] >= 0.0
         assert rep.passed
 
+    def test_rough_data_fails_with_the_reason(self):
+        # the heat flow of a step rings below its negativity floor: the check
+        # cannot judge, says why, and its report is strict JSON
+        g = grid1d()
+        u = GridDensity.normalized(g, (np.abs(g.axis_coords) < 3.0).astype(float))
+        rep = check_evi_entropy(u, u)
+        assert not rep.passed and rep.max_violation is None and len(rep.ks) == 0
+        assert rep.extra["reason"].startswith("heat flow produced negativity")
+        assert rep.to_dict()["max_violation"] is None
+
     def test_negative_control_inflated_quotient(self):
         g = grid1d()
         u = gaussian_density(g, 0.0, 1.0)
@@ -356,8 +367,7 @@ class TestWeakForm:
         from fracfilm import fields
 
         phi = CosineBump(dim, 10.0, 16.0)
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-phi.support_radius, phi.support_radius, size=(2048, dim))
+        pts = fields._roberts_points(2048, dim).T * (2.0 * phi.support_radius) - phi.support_radius
         d2psi = reference_cosine_bump_spatial(pts, 2.0, 10.0, 16.0)[2]
         svd = max(float(np.max(np.linalg.norm(phi.time_factor(t) * d2psi, axis=(1, 2), ord=2)))
                   for t in (0.0, 0.3, 0.7, 1.3))
@@ -374,6 +384,22 @@ class TestWeakForm:
         assert phi.hessian_sup == pytest.approx(worst * (1.0 - 1e-9), rel=1e-12)
         with pytest.raises(ValueError, match="below sampled estimate"):
             CosineBump(dim, 10.0, 16.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_hessian_guard_points_are_the_roberts_sequence(self, dim):
+        # frac(1/2 + k g^-j) for the positive root g of g^(d+1) = g + 1; the
+        # 2048 points reach every cell of an 8^d partition of the unit box
+        from fracfilm.fields import _roberts_points
+
+        z = _roberts_points(2048, dim)
+        roots = np.roots([1.0] + [0.0] * (dim - 1) + [-1.0, -1.0])
+        g = max(r.real for r in roots if abs(r.imag) < 1e-12)
+        expected = 0.5 + np.arange(1, 2049) * g ** -np.arange(1.0, dim + 1)[:, None]
+        distance = np.abs(z - expected) % 1.0
+        assert np.all(np.minimum(distance, 1.0 - distance) < 1e-10)
+        assert z.shape == (dim, 2048) and np.all((z >= 0.0) & (z < 1.0))
+        cells = np.ravel_multi_index(tuple((8 * z).astype(int)), (8,) * dim)
+        assert len(np.unique(cells)) == 8 ** dim
 
 
 def _reference_cosine_bump(dim, amplitude, freq, r_inner, r_outer, time_scale=1.0):
@@ -492,7 +518,7 @@ class TestCosineBumpTestFunction:
 
     def test_weak_form_evaluates_spatial_part_once(self, short_trajectory, monkeypatch):
         phi = CosineBump(1, 12.0, 16.0)
-        expected = check_weak_form_step(short_trajectory, phi).to_json()
+        expected = check_weak_form_step(short_trajectory, phi).to_dict()
         spatial = CosineBump.spatial
         calls = []
 
@@ -504,7 +530,7 @@ class TestCosineBumpTestFunction:
         rep = check_weak_form_step(short_trajectory, phi)
         assert len(short_trajectory.steps) > 1
         assert calls == [(short_trajectory.config.grid.n, 1)]
-        assert rep.to_json() == expected
+        assert rep.to_dict() == expected
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_default_phi_is_the_gentle_bump(self, dim):
@@ -523,7 +549,7 @@ class TestCosineBumpTestFunction:
         assert traj.status == "ok"
         L = grid.box_length
         explicit = check_weak_form_step(traj, CosineBump(dim, 0.3 * L, 0.45 * L))
-        assert check_weak_form_step(traj).to_json() == explicit.to_json()
+        assert check_weak_form_step(traj).to_dict() == explicit.to_dict()
         assert explicit.extra["lambda"] == CosineBump(dim, 0.3 * L, 0.45 * L).hessian_sup
 
 
@@ -583,10 +609,21 @@ class TestCheckReportContract:
         rep2 = CheckReport.from_series("demo", [1], [2.0], [1.0], tolerance=0.5)
         assert not rep2.passed and rep2.max_violation == 1.0
 
-    def test_json_schema(self):
+    def test_json_schema(self, tmp_path):
         import json
 
         rep = CheckReport.from_series("demo", [1], [1.0], [2.0], tolerance=0.1)
-        doc = json.loads(rep.to_json())
+        write_json(tmp_path / "check_demo.json", rep.to_dict())
+        doc = json.loads((tmp_path / "check_demo.json").read_text())
         assert set(doc) >= {"name", "tolerance", "max_violation", "passed", "series"}
         assert doc["series"] == [{"k": 1, "lhs": 1.0, "rhs": 2.0}]
+
+    def test_write_json_is_strict(self, tmp_path):
+        # two-space indent, sorted keys, a final newline; NaN and Infinity
+        # are refused rather than written as bare constants
+        path = tmp_path / "doc.json"
+        write_json(path, {"b": [1, None], "a": 0.5})
+        assert path.read_text() == '{\n  "a": 0.5,\n  "b": [\n    1,\n    null\n  ]\n}\n'
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write_json(tmp_path / "bad.json", {"x": bad})

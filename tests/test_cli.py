@@ -69,6 +69,14 @@ SINKHORN_2D_SCENARIO = FAST_SCENARIO.replace("dimension = 1", "dimension = 2").r
     "time.num_steps = 4", "time.num_steps = 1\ntransport.epsilon = 0.2\ntransport.tol = 1e-7")
 
 
+def read_strict_json(path):
+    """The JSON document at `path`; ValueError on a bare NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def write_scenario(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -463,6 +471,11 @@ def drop_first_diagnostics_row(text):
     return "".join(lines[:1] + lines[2:])
 
 
+def drop_last_diagnostics_row(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:-1])
+
+
 def drop_last_cell_of_second_row(text):
     lines = text.splitlines()
     lines[2] = lines[2].rsplit(",", 1)[0]
@@ -529,14 +542,20 @@ class TestVerify:
          ("diagnostics.csv", lambda text: text.replace("energy", "energie", 1),
           "unexpected diagnostics columns"),
          ("diagnostics.csv", drop_last_cell_of_second_row, f": {len(CSV_COLUMNS) - 1} cells"),
-         ("density_000002.txt", delete_file, "density snapshot for step 2 missing")],
+         ("density_000002.txt", delete_file, "density snapshot for step 2 missing"),
+         ("diagnostics.csv", set_diagnostics_cell("energy", "nan"), "not a finite number: 'nan'"),
+         ("diagnostics.csv", set_diagnostics_cell("kkt_residual", "inf"), "not a finite number: 'inf'"),
+         ("diagnostics.csv", drop_last_diagnostics_row, "finished 4 steps but has rows for 3")],
         ids=["energy_abc", "k_x", "manifest_not_json", "manifest_without_scenario_text",
              "negated_snapshot_value", "snapshot_value_times_1.5", "first_row_deleted",
-             "no_manifest", "no_diagnostics", "wrong_header", "short_row", "missing_snapshot"],
+             "no_manifest", "no_diagnostics", "wrong_header", "short_row", "missing_snapshot",
+             "energy_nan", "kkt_inf", "last_row_deleted"],
     )
     def test_malformed_run_directory_exits_3(self, run_dir, tmp_path, capsys, name, edit, message):
         # a config error (3) naming the file or cause, never a traceback (the
-        # first seven used to exit 1); an edit that returns None deletes the file
+        # first seven used to exit 1, energy_nan wrote NaN into its check
+        # file and exited 1, last_row_deleted was judged and passed); an edit
+        # that returns None deletes the file
         import shutil
 
         bad = tmp_path / "bad_run"
@@ -549,6 +568,42 @@ class TestVerify:
         assert main(["verify", str(bad)]) == 3
         assert message in capsys.readouterr().err
         assert not list(bad.glob("check_*.json"))
+
+    def test_failed_run_is_not_judged(self, tmp_path, capsys):
+        # a starved Sinkhorn solver fails the first step: verify reports the
+        # run's status with the solver-failure code (2) and judges nothing;
+        # it used to print PASS for both checks and exit 0
+        scen = write_scenario(tmp_path, SINKHORN_2D_SCENARIO + "transport.max_iter = 2\n")
+        out = tmp_path / "failed"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver failure: failed:step=1:ConvergenceError")
+        assert captured.out == ""
+        assert not list(out.glob("check_*.json"))
+
+    def test_evi_entropy_on_rough_data_fails_with_its_reason(self, tmp_path, capsys):
+        # a step datum: the spectral heat flow of the final density rings
+        # below its negativity floor.  verify used to end in a ValueError
+        # with no check file written; now evi_entropy fails with the reason
+        # and every requested check file is strict JSON
+        x = PeriodicGrid(1, 256, 40.0).axis_coords
+        np.savetxt(tmp_path / "step.txt", (np.abs(x) < 3.0).astype(float))
+        text = FAST_SCENARIO.replace("grid.n = 128", "grid.n = 256").replace(
+            "initial.kind = gaussian", f"initial.kind = from_file\ninitial.path = {tmp_path / 'step.txt'}"
+        ).replace("time.num_steps = 4", "time.num_steps = 2").replace(
+            "checks = energy_estimate, moment_bound", "checks = " + ", ".join(KNOWN_CHECKS))
+        out = tmp_path / "step"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert re.search("^FAIL evi_entropy: cannot judge: heat flow produced negativity",
+                         capsys.readouterr().out, re.M)
+        docs = {name: read_strict_json(out / f"check_{name}.json") for name in KNOWN_CHECKS}
+        evi = docs["evi_entropy"]
+        assert not evi["passed"] and evi["max_violation"] is None and evi["series"] == []
+        assert evi["extra"]["reason"].startswith("heat flow produced negativity")
 
     def test_one_grid_per_run_directory(self, run_dir):
         _, traj = load_run_directory(run_dir)
@@ -766,13 +821,10 @@ class TestSweep:
         code = main(["sweep", "--scenario", str(scen), "--out", str(out), "--tau-list", "4e-3,2e-3,1e-3",
                      "--horizon", "8e-3"])
         assert code == 0
-
-        def refuse(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        doc = json.loads((out / "tau_refinement.json").read_text(), parse_constant=refuse)
+        doc = read_strict_json(out / "tau_refinement.json")
         assert doc["l2h_gaps"] == [0.0, 0.0]
         assert doc["rates"] == [None]
+        assert doc["cauchy_monotone"] is True  # a pair of zero gaps does not increase
         rows = (out / "tau_refinement.csv").read_text().splitlines()
         assert [row.split(",")[-1] for row in rows[1:]] == ["nan", "nan"]
 
@@ -928,17 +980,20 @@ import sys
 import fracfilm as ff
 from fracfilm.cli import main
 
+random = []  # numpy.random loaded, after each run and each verify
 for scen in sys.argv[1:]:
     assert main(["run", "--scenario", scen, "--out", scen + ".run"]) == 0
+    random.append("numpy.random" in sys.modules)
     assert main(["verify", scen + ".run"]) in (0, 1)  # 1: a FAIL verdict, not an error
+    random.append("numpy.random" in sys.modules)
 leaked = sorted(m for m in sys.modules if m.startswith("scipy"))
 grid = ff.PeriodicGrid(1, 256, 40.0)
 u = ff.gaussian_density(grid, 0.0, 1.0)
 pushed, drift = ff.pushforward_with_drift(u, ff.contraction_field(1, 9.0, 14.0), 1e-2)
 norm = ff.sobolev_norm_sq(u.values, grid, 0.5)
 loaded = [m in sys.modules for m in ("scipy.ndimage", "scipy.special")]
-print(json.dumps({"leaked": leaked, "loaded": loaded, "pushed": pushed.values.tolist(),
-                  "drift": drift, "norm": norm}))
+print(json.dumps({"leaked": leaked, "random": random, "loaded": loaded,
+                  "pushed": pushed.values.tolist(), "drift": drift, "norm": norm}))
 """
 
 
@@ -946,7 +1001,8 @@ class TestStartup:
     def test_run_and_verify_never_import_scipy(self, tmp_path):
         # a fresh interpreter, since this one has loaded scipy already: run
         # and verify (every check in 1D, a Sinkhorn run in d = 2) must leave
-        # scipy out; the two functions that need it load it on first use
+        # scipy and numpy.random out; the two functions that need scipy load
+        # it on first use
         one_d = FAST_SCENARIO.replace("time.num_steps = 4", "time.num_steps = 2").replace(
             "checks = energy_estimate, moment_bound",
             "checks = energy_estimate, moment_bound, entropy_dissipation, weak_form, evi_entropy")
@@ -960,6 +1016,7 @@ class TestStartup:
         assert len(list(Path(scens[0] + ".run").glob("check_*.json"))) == 5
         got = json.loads(done.stdout.splitlines()[-1])
         assert got["leaked"] == []
+        assert got["random"] == [False] * 4  # the Hessian guard samples a fixed point set
         assert got["loaded"] == [True, True]
         grid = PeriodicGrid(1, 256, 40.0)
         u = gaussian_density(grid, 0.0, 1.0)

@@ -30,6 +30,7 @@ from fracfilm.jko import (
     _DEGENERATE_SHARE,
     _NEWTON_FORCING,
     _apply_mobility,
+    _candidate,
     _face_laplacian,
     _face_mobility,
     _open_faces,
@@ -205,6 +206,17 @@ class TestJkoStep:
             assert e == fracfilm.energy_of_values(values, cfg.grid, cfg.s)
             assert np.array_equal(lap, fractional_laplacian(values, cfg.grid, cfg.s))
         assert rec.energy == fracfilm.energy_of_values(rec.density.values, cfg.grid, cfg.s)
+
+
+@pytest.mark.filterwarnings("error")
+def test_candidate_is_quiet_on_subnormal_cells():
+    # du / u overflows to -inf on a subnormal cell with du < 0, and the
+    # cell empties exactly; numpy used to warn "overflow encountered in divide"
+    u = np.array([1e-310, 0.25, 0.75])
+    du = np.array([-1.0, -0.25, 0.5])
+    expected = np.array([0.0, 0.25 * np.exp(0.5 * -1.0), 0.75 + 0.5 * 0.5])
+    got = _candidate(u, du, 0.5, 0.5)
+    assert np.array_equal(got, expected / (np.sum(expected) * 0.5))
 
 
 @pytest.fixture
