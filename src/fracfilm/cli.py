@@ -22,6 +22,7 @@ from .analysis import (
 from .errors import FracfilmError
 from .jko import run as jko_run
 from .scenario import (
+    KNOWN_CHECKS,
     ScenarioError,
     format_scenario,
     load_run_directory,
@@ -83,9 +84,23 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _drop_verdicts(run_dir: Path):
+    """Remove an earlier verify's check files from a run directory that
+    verify refuses, so that no stale verdict survives the refusal."""
+    if (run_dir / "manifest.json").is_file():
+        for name in KNOWN_CHECKS:
+            (run_dir / f"check_{name}.json").unlink(missing_ok=True)
+
+
 def cmd_verify(args) -> int:
-    sc, traj = load_run_directory(args.run_dir)
+    run_dir = Path(args.run_dir)
+    try:
+        sc, traj = load_run_directory(run_dir)
+    except ScenarioError:
+        _drop_verdicts(run_dir)
+        raise
     if traj.status != "ok":  # a failed run is not judged
+        _drop_verdicts(run_dir)
         print(f"solver failure: {traj.status}", file=sys.stderr)
         return EXIT_SOLVER_FAILED
     checks = list(sc.checks)
@@ -94,7 +109,6 @@ def cmd_verify(args) -> int:
         if not checks:
             raise ScenarioError(f"--checks {args.checks!r} names no check")
     reports = run_checks(traj, checks)
-    run_dir = Path(args.run_dir)
     all_passed = True
     for rep in reports:
         write_json(run_dir / f"check_{rep.name}.json", rep.to_dict())

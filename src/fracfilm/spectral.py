@@ -16,6 +16,7 @@ errors (and, for |xi|^(2r) in 1D, the kink correction below).
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -25,6 +26,8 @@ import numpy as np
 from .errors import GridMismatchError
 
 _SHELL_SHARE_MAX = 1e-8  # boundary-shell share of sum |u| the kink correction allows
+_ZETA_HEAD = np.arange(1.0, 64.0)  # the terms of zeta(1 + q) summed directly
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)  # B_2, ..., B_10 for the rest
 
 
 @dataclass(frozen=True)
@@ -254,16 +257,38 @@ def sobolev_norm_sq(
 
 def _kink_excess(values: np.ndarray, grid: PeriodicGrid, r: float) -> float:
     """The two leading Euler-Maclaurin terms of `sobolev_norm_sq` in 1D."""
-    from scipy.special import zeta  # loaded on first use: no run or verify path needs it
-
     k = 2 * np.pi / grid.box_length
     m0, m1, m2 = (grid.spacing * np.sum(grid.axis_coords ** p * values) for p in range(3))
     psi0 = m0 ** 2 / (2 * np.pi)
     psi2 = 2 * (m1 ** 2 - m0 * m2) / (2 * np.pi)
     return float(
-        2 * zeta(-2 * r) * k ** (1 + 2 * r) * psi0
-        + zeta(-2 * r - 2) * k ** (3 + 2 * r) * psi2
+        2 * _zeta_negative(2 * r) * k ** (1 + 2 * r) * psi0
+        + _zeta_negative(2 * r + 2) * k ** (3 + 2 * r) * psi2
     )
+
+
+def _zeta_negative(q: float) -> float:
+    """Riemann zeta(-q) for q > 0 by the functional equation
+
+        zeta(-q) = -2^(-q) pi^(-q-1) sin(pi q/2) Gamma(1+q) zeta(1+q).
+
+    The powers and Gamma share one exp, so nothing overflows where zeta(-q)
+    is finite, and sin(pi q/2) is reduced by whole half turns, exact at the
+    trivial zeros q = 2, 4, ...  zeta(1 + q) sums n <= 63 and takes the rest
+    by Euler-Maclaurin from n = 64, whose pole term 64^(-q)/q takes q itself
+    rather than (1 + q) - 1.
+    """
+    half = q / 2
+    turns = round(half)
+    sine = (-1) ** turns * math.sin(math.pi * (half - turns))
+    scale = math.exp(math.lgamma(1 + q) - q * math.log(2 * math.pi) - math.log(math.pi))
+    sigma, n = 1 + q, 64.0
+    zeta = float(np.sum(_ZETA_HEAD ** -sigma)) + n ** -q / q + n ** -sigma / 2
+    term = sigma * n ** (-sigma - 1)  # sigma (sigma+1) ... (sigma+2j-2) n^(-sigma-2j+1)
+    for j, bernoulli in enumerate(_BERNOULLI, start=1):
+        zeta += bernoulli / math.factorial(2 * j) * term
+        term *= (sigma + 2 * j - 1) * (sigma + 2 * j) / n ** 2
+    return -sine * scale * zeta
 
 
 def energy(density, s: float) -> float:

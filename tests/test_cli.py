@@ -17,6 +17,7 @@ from fracfilm import (
     PeriodicGrid,
     TransportConfig,
     contraction_field,
+    derivative_identity_check,
     gaussian_density,
     pushforward_with_drift,
     sobolev_norm_sq,
@@ -456,6 +457,15 @@ def drop_scenario_text(text):
     return json.dumps(manifest)
 
 
+def set_status(status):
+    """An edit of manifest.json that records the run's status as `status`."""
+    def edit(text):
+        manifest = json.loads(text)
+        manifest["status"] = status
+        return json.dumps(manifest)
+    return edit
+
+
 def scale_middle_value(factor):
     """An edit of a density snapshot that multiplies its middle value by `factor`."""
     def edit(text):
@@ -567,6 +577,30 @@ class TestVerify:
             (bad / name).write_text(text)
         assert main(["verify", str(bad)]) == 3
         assert message in capsys.readouterr().err
+        assert not list(bad.glob("check_*.json"))
+
+    @pytest.mark.parametrize(
+        "name, edit, code",
+        [("diagnostics.csv", set_diagnostics_cell("energy", "nan"), 3),
+         ("manifest.json", set_status("failed:step=3:StagnationError"), 2)],
+        ids=["energy_nan", "failed_status"],
+    )
+    def test_refusal_removes_earlier_verdicts(self, run_dir, tmp_path, name, edit, code):
+        # the check files of an earlier verify used to survive the refusal
+        # and still say "passed": true; a bad --checks argument on the good
+        # directory is no refusal of the run and keeps them
+        import shutil
+
+        bad = tmp_path / "run"
+        shutil.copytree(run_dir, bad, ignore=shutil.ignore_patterns("check_*.json"))
+        assert main(["verify", str(bad)]) == 0
+        verdicts = {p.name: p.read_bytes() for p in bad.glob("check_*.json")}
+        assert len(verdicts) == 2
+        for checks in ("bogus", ","):
+            assert main(["verify", str(bad), "--checks", checks]) == 3
+        assert {p.name: p.read_bytes() for p in bad.glob("check_*.json")} == verdicts
+        (bad / name).write_text(edit((bad / name).read_text()))
+        assert main(["verify", str(bad)]) == code
         assert not list(bad.glob("check_*.json"))
 
     def test_failed_run_is_not_judged(self, tmp_path, capsys):
@@ -974,8 +1008,21 @@ class TestPrintConfig:
 
 
 STARTUP_PROBE = """\
+import importlib.abc
 import json
 import sys
+
+leaked = []  # every scipy import the probe attempts, each refused
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.partition(".")[0] == "scipy":
+            leaked.append(name)
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
 
 import fracfilm as ff
 from fracfilm.cli import main
@@ -986,23 +1033,24 @@ for scen in sys.argv[1:]:
     random.append("numpy.random" in sys.modules)
     assert main(["verify", scen + ".run"]) in (0, 1)  # 1: a FAIL verdict, not an error
     random.append("numpy.random" in sys.modules)
-leaked = sorted(m for m in sys.modules if m.startswith("scipy"))
 grid = ff.PeriodicGrid(1, 256, 40.0)
 u = ff.gaussian_density(grid, 0.0, 1.0)
-pushed, drift = ff.pushforward_with_drift(u, ff.contraction_field(1, 9.0, 14.0), 1e-2)
+field = ff.contraction_field(1, 9.0, 14.0)
+pushed, drift = ff.pushforward_with_drift(u, field, 1e-2)
 norm = ff.sobolev_norm_sq(u.values, grid, 0.5)
-loaded = [m in sys.modules for m in ("scipy.ndimage", "scipy.special")]
-print(json.dumps({"leaked": leaked, "random": random, "loaded": loaded,
-                  "pushed": pushed.values.tolist(), "drift": drift, "norm": norm}))
+identity = ff.derivative_identity_check(u, field, 1.5).to_dict()
+print(json.dumps({"leaked": leaked, "random": random, "pushed": pushed.values.tolist(),
+                  "drift": drift, "norm": norm, "identity": identity}))
 """
 
 
 class TestStartup:
     def test_run_and_verify_never_import_scipy(self, tmp_path):
-        # a fresh interpreter, since this one has loaded scipy already: run
-        # and verify (every check in 1D, a Sinkhorn run in d = 2) must leave
-        # scipy and numpy.random out; the two functions that need scipy load
-        # it on first use
+        # a fresh interpreter that refuses every scipy import, since this one
+        # has loaded scipy already: run and verify (every check in 1D, a
+        # Sinkhorn run in d = 2), the push-forward, the kink-corrected norm
+        # and the derivative identity work without it, and run and verify
+        # leave numpy.random out
         one_d = FAST_SCENARIO.replace("time.num_steps = 4", "time.num_steps = 2").replace(
             "checks = energy_estimate, moment_bound",
             "checks = energy_estimate, moment_bound, entropy_dissipation, weak_form, evi_entropy")
@@ -1017,13 +1065,15 @@ class TestStartup:
         got = json.loads(done.stdout.splitlines()[-1])
         assert got["leaked"] == []
         assert got["random"] == [False] * 4  # the Hessian guard samples a fixed point set
-        assert got["loaded"] == [True, True]
         grid = PeriodicGrid(1, 256, 40.0)
         u = gaussian_density(grid, 0.0, 1.0)
-        pushed, drift = pushforward_with_drift(u, contraction_field(1, 9.0, 14.0), 1e-2)
+        field = contraction_field(1, 9.0, 14.0)
+        pushed, drift = pushforward_with_drift(u, field, 1e-2)
         assert got["pushed"] == pushed.values.tolist()
         assert got["drift"] == drift
         assert got["norm"] == sobolev_norm_sq(u.values, grid, 0.5)
+        assert got["identity"] == derivative_identity_check(u, field, 1.5).to_dict()
+        assert got["identity"]["passed"]
 
     @pytest.mark.parametrize("name", ["FAST_SCENARIO", "SINK2D_SCENARIO"])
     def test_run_and_verify_emit_no_warning(self, tmp_path, name):

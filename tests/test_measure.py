@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.ndimage import map_coordinates
 
 from fracfilm import (
     GridDensity,
@@ -18,6 +19,8 @@ from fracfilm import (
     uniform_density,
     w2_exact_1d,
 )
+
+from fracfilm.measure import _periodic_cubic_spline
 
 from flow_fields import flow_map, translation_field
 
@@ -277,6 +280,18 @@ class TestPushforward:
         with pytest.raises(MassDriftError) as exc:
             pushforward_with_drift(u, fld, 0.1)
         assert exc.value.drift == drift
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 48)])
+    def test_spline_matches_map_coordinates(self, dim, n):
+        # the push-forward's interpolant against scipy's periodic cubic
+        # B-spline, at points up to a period beyond either end of the box
+        g = PeriodicGrid(dim, n, 10.0)
+        rng = np.random.default_rng(dim)
+        values = rng.uniform(size=g.shape)
+        idx = rng.uniform(-n, 2 * n, size=(dim, 2000))
+        oracle = map_coordinates(values, idx, order=3, mode="grid-wrap", prefilter=True)
+        got = _periodic_cubic_spline(values, g, idx)
+        assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     def test_wrapping_support_rejected(self):
         g = PeriodicGrid(1, 128, 10.0)

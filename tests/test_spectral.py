@@ -1,9 +1,10 @@
+import math
 from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, zeta
 
 from fracfilm import (
     GridMismatchError,
@@ -16,7 +17,7 @@ from fracfilm import (
     spike_density,
     uniform_density,
 )
-from fracfilm.spectral import _kink_excess, apply_multiplier, energy_and_laplacian
+from fracfilm.spectral import _kink_excess, _zeta_negative, apply_multiplier, energy_and_laplacian
 
 
 def grid1d(n=512, L=40.0):
@@ -174,7 +175,7 @@ class TestSobolevNorms:
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0])
     def test_gaussian_vs_gamma_closed_form_consistency(self, r):
         # the adaptive-quadrature oracle agrees with the Gamma closed form
-        assert gaussian_hdot_oracle(r) == pytest.approx(gamma(r + 0.5) / (2 * np.pi), rel=1e-12)
+        assert gaussian_hdot_oracle(r) == pytest.approx(math.gamma(r + 0.5) / (2 * np.pi), rel=1e-12)
 
     def test_gaussian_h1(self):
         # frozen from the Gamma-integral oracle: Gamma(3/2)/(2 pi) = 1/(4 sqrt(pi))
@@ -203,8 +204,27 @@ class TestSobolevNorms:
         g = grid1d()
         u = gaussian_density(g, 2.0, 1.0)
         val = sobolev_norm_sq(u.values, g, r, homogeneous=True)
-        oracle = gamma(r + 0.5) / (2 * np.pi)
+        oracle = math.gamma(r + 0.5) / (2 * np.pi)
         assert val == pytest.approx(oracle, rel=1e-6)
+
+    def test_kink_zeta_matches_scipy(self):
+        # zeta(-2r) and zeta(-2r - 2), the kink terms' constants: r near 0
+        # puts zeta(1 + 2r) beside its pole, and r near 1/2 and 3/2 puts
+        # -2r beside -1 and -3
+        r = np.concatenate([[1e-9, 0.5 - 1e-9, 0.5 + 1e-9, 1.5 - 1e-9, 1.5 + 1e-9],
+                            np.geomspace(1e-3, 85.0, 2200)])
+        for q in (2 * r, 2 * r + 2):
+            oracle = zeta(-q)
+            # within 1e-5 of a trivial zero -2m, scipy loses up to 8.7e-8 to
+            # its sin(pi s/2); there the functional equation with an exact
+            # sin(pi (q/2 - m)) and scipy's zeta(1 + q) is the oracle
+            half = q / 2
+            m = np.round(half)
+            near = (m > 0) & (half != m) & (np.abs(half - m) < 1e-5)
+            oracle[near] = (-(-1.0) ** m[near] * np.sin(np.pi * (half - m)[near])
+                            * 2 ** -q[near] * np.pi ** (-q[near] - 1)
+                            * gamma(1 + q[near]) * zeta(1 + q[near]))
+            np.testing.assert_allclose([_zeta_negative(x) for x in q], oracle, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("r", [0.5, 1.5])
     def test_box_filling_data_rejected(self, r):
