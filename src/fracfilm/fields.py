@@ -2,8 +2,8 @@
 
 Everything here is built from the standard exp(-1/t) transition, so the
 fields are genuinely C-infinity with analytic first and second derivatives;
-the push-forward Jacobians and the weak-form Hessian bounds never fall back
-to finite differencing.  The weak-form test function `CosineBump` is kept
+the push-forward's divergences and the weak-form Hessian bounds never fall
+back to finite differencing.  The weak-form test function `CosineBump` is kept
 in its separable form a(t) psi(x), and its Hessian bound is closed-form in
 the cutoff's radii.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import VectorField
+from .measure import VectorField, _roberts_points
 
 
 def _f_parts(t):
@@ -93,16 +93,14 @@ def contraction_field(dim: int, r_inner: float, r_outer: float) -> VectorField:
         chi, _, _ = plateau(r, r_inner, r_outer)
         return -points * chi[:, None]
 
-    def jac(points):
+    def divergence(points):
+        # div(-x chi) = -(d chi + x . grad chi), and x . grad chi = r chi'
         points = np.atleast_2d(points)
-        npts, d = points.shape
-        r, rhat = _radial_parts(points)
+        r, _ = _radial_parts(points)
         chi, dchi, _ = plateau(r, r_inner, r_outer)
-        eye = np.tile(np.eye(d), (npts, 1, 1))
-        outer = points[:, :, None] * rhat[:, None, :]
-        return -(chi[:, None, None] * eye + dchi[:, None, None] * outer)
+        return -(dim * chi + r * dchi)
 
-    return VectorField(dim=dim, func=func, jacobian=jac, support_radius=r_outer)
+    return VectorField(dim=dim, func=func, divergence=divergence, support_radius=r_outer)
 
 
 @dataclass(frozen=True)
@@ -198,16 +196,3 @@ class CosineBump:
         largest at t = 0, where it is A."""
         pts = _roberts_points(2048, self.dim) * (2.0 * self.support_radius) - self.support_radius
         return float(self.hessian_norm(pts.T).max()) * self.amplitude
-
-
-def _roberts_points(n: int, dim: int) -> np.ndarray:
-    """The first n points of the low-discrepancy R_d sequence, as a (dim, n)
-    array: frac(1/2 + k g^-j), k = 1..n, j = 1..dim, for the positive root g
-    of g^(dim+1) = g + 1."""
-    g = 2.0
-    for _ in range(30):  # a contraction by less than 1/3 per pass
-        g = (1.0 + g) ** (1.0 / (dim + 1))
-    z = g ** -np.arange(1.0, dim + 1)[:, None] * np.arange(1.0, n + 1)
-    z += 0.5
-    z -= np.floor(z)
-    return z

@@ -135,6 +135,12 @@ class JkoConfig:
             raise ValueError(f"equation order must satisfy s > 0, got {self.s}")
         if self.tau <= 0 or not np.isfinite(self.tau):
             raise ValueError(f"time step must satisfy tau > 0, got {self.tau}")
+        # the entropy check's |xi|^(2 + 2s) is the highest order a run or its checks apply
+        with np.errstate(over="ignore"):
+            top = self.grid.dim * np.max(self.grid.axis_freqs ** 2)
+            if not np.isfinite(top ** (1.0 + self.s)):
+                raise ValueError(f"equation order s = {self.s!r} overflows on this grid: "
+                                 f"(max |xi|^2)^(1 + s) = {top:.3e}^{1.0 + self.s!r}")
 
 
 @dataclass(frozen=True)

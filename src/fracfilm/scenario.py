@@ -253,6 +253,8 @@ def _scenario_from_keys(kv: dict, text: str) -> Scenario:
         components = tuple(comps)
     checks = kv.get("checks", ", ".join(DEFAULT_CHECKS))
     checks = tuple(c.strip() for c in checks.split(",") if c.strip())
+    if not checks:
+        raise ScenarioError(f"checks {kv['checks']!r} names no check")
     dimension = _as_int(kv, "dimension", 1)
     _check_retired(kv, dimension)
     validate_checks(checks, dimension)

@@ -1,10 +1,10 @@
 """Test-only vector fields, their flow map, and a reference cutoff.
 
 A rigid translation and a deforming sine field, both cut off by
-`fracfilm.fields.plateau`, and the flow map of the integrator that
-`pushforward_with_drift` uses.  The package's checks need none of them.
-`reference_plateau` is the cutoff evaluated at every point, the form
-`plateau` must reproduce bit for bit.
+`fracfilm.fields.plateau` and each given with its divergence, and the flow
+map of the integrator that `pushforward_with_drift` uses.  The package's
+checks need none of them.  `reference_plateau` is the cutoff evaluated at
+every point, the form `plateau` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -67,13 +67,14 @@ def translation_field(direction, r_inner: float, r_outer: float) -> VectorField:
         chi, _, _ = plateau(r, r_inner, r_outer)
         return a[None, :] * chi[:, None]
 
-    def jac(points):
+    def divergence(points):
+        # div(a chi) = a . grad chi = chi' (a . rhat)
         points = np.atleast_2d(points)
         r, rhat = _radial_parts(points)
         _, dchi, _ = plateau(r, r_inner, r_outer)
-        return a[None, :, None] * (dchi[:, None] * rhat)[:, None, :]
+        return dchi * (rhat @ a)
 
-    return VectorField(dim=len(a), func=func, jacobian=jac, support_radius=r_outer)
+    return VectorField(dim=len(a), func=func, divergence=divergence, support_radius=r_outer)
 
 
 def sine_field(dim: int, r_inner: float, r_outer: float, freq: float = 0.5, axis: int = 0) -> VectorField:
@@ -87,22 +88,18 @@ def sine_field(dim: int, r_inner: float, r_outer: float, freq: float = 0.5, axis
         out[:, axis] = np.sin(freq * points[:, axis]) * chi
         return out
 
-    def jac(points):
+    def divergence(points):
+        # d/dx_axis of sin(freq x_axis) chi
         points = np.atleast_2d(points)
-        npts, d = points.shape
         r, rhat = _radial_parts(points)
         chi, dchi, _ = plateau(r, r_inner, r_outer)
-        s = np.sin(freq * points[:, axis])
-        c = np.cos(freq * points[:, axis])
-        out = np.zeros((npts, d, d))
-        out[:, axis, :] = s[:, None] * dchi[:, None] * rhat
-        out[:, axis, axis] += freq * c * chi
-        return out
+        x = points[:, axis]
+        return freq * np.cos(freq * x) * chi + np.sin(freq * x) * dchi * rhat[:, axis]
 
-    return VectorField(dim=dim, func=func, jacobian=jac, support_radius=r_outer)
+    return VectorField(dim=dim, func=func, divergence=divergence, support_radius=r_outer)
 
 
 def flow_map(eta: VectorField, t: float, points: np.ndarray) -> np.ndarray:
     """Integrate dX/dt = eta(X) from the given points over time t (|t| <= 1)."""
-    y, _ = _integrate_flow(eta, t, np.atleast_2d(np.asarray(points, dtype=float)), with_jacobian=False)
+    y, _ = _integrate_flow(eta, t, np.atleast_2d(np.asarray(points, dtype=float)))
     return y

@@ -296,12 +296,15 @@ class TestRun:
             ("initial.variance = 1.0", "initial.variance = nan"),
             ("initial.kind = gaussian", "initial.kind = gaussian_mixture\n"
              "initial.components = 0.5 : -1.0 : 1.0 ; 0.5 : 1.0 : inf"),
+            ("equation.s = 1.0", "equation.s = 200"),
+            ("grid.box_length = 40.0", "grid.box_length = 1e-160"),
+            ("checks = energy_estimate, moment_bound", "checks ="),
         ],
         ids=["odd_n", "negative_s", "exact_in_2d", "nan_epsilon", "zero_transport_tol",
              "zero_transport_max_iter", "nan_grad_tol", "infinite_obj_tol", "nonzero_obj_tol",
              "sinkhorn_in_1d", "zero_snapshot_stride", "snapshot_stride_2", "misspelt_key",
              "repeated_key", "infinite_grid_n", "infinite_variance", "nan_variance",
-             "infinite_component_variance"],
+             "infinite_component_variance", "overflowing_symbol", "tiny_box", "empty_checks"],
     )
     def test_invalid_setting_exits_3(self, tmp_path, capsys, old, new):
         scen = write_scenario(tmp_path, FAST_SCENARIO.replace(old, new))
@@ -651,13 +654,6 @@ class TestVerify:
         assert main(["verify", str(run_dir), "--checks", checks]) == 3
         assert "names no check" in capsys.readouterr().err
 
-    def test_scenario_with_empty_checks_key_runs_none(self, tmp_path):
-        text = UNIFORM_SCENARIO.replace("checks = energy_estimate", "checks =")
-        out = tmp_path / "nochecks"
-        assert main(["run", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
-        assert main(["verify", str(out)]) == 0
-        assert not list(out.glob("check_*.json"))
-
     def test_evi_entropy_in_2d_exits_3(self, tmp_path, capsys):
         text = UNIFORM_SCENARIO.replace("dimension = 1", "dimension = 2").replace(
             "grid.n = 64", "grid.n = 8"
@@ -813,15 +809,17 @@ class TestSweep:
         [["--s-list", "1,-1"], ["--s-list", "1,abc"], ["--s-list", "1,nan"],
          ["--tau-list", "4e-3,abc"], ["--tau-list", "2e-3,1e-3", "--s-list", "0.5,1.5"],
          ["--s-list", "0.5,1.5", "--horizon", "5", "--r", "3"], ["--tau-list", "2e-3", "--horizon", "0"],
-         ["--tau-list", "2e-3,1e-3", "--r=-inf"]],
+         ["--tau-list", "2e-3,1e-3", "--r=-inf"], ["--s-list", "1,300"]],
         ids=["negative_s", "word_in_s", "nan_s", "word_in_tau", "tau_and_s_lists",
-             "s_list_with_tau_flags", "zero_horizon", "infinite_r"],
+             "s_list_with_tau_flags", "zero_horizon", "infinite_r", "overflowing_s"],
     )
     def test_bad_list_exits_3_before_any_run(self, tmp_path, capsys, extra):
         # every entry is checked first: no order runs and no --out is made;
         # a flag the sweep would ignore (a second list, --horizon or --r on an
         # s sweep) is refused, and an explicit --horizon 0 is not the default;
-        # --r=-inf (a bare -inf parses as a flag) used to run every solve
+        # --r=-inf (a bare -inf parses as a flag) used to run every solve; at
+        # s = 300 the symbol (max |xi|^2)^(1 + s) = 25.3^301 overflows, and the
+        # order used to end its run in a traceback (exit 1)
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         out = tmp_path / "bad"
         assert main(["sweep", "--scenario", str(scen), "--out", str(out)] + extra) == 3
@@ -1027,7 +1025,7 @@ sys.meta_path.insert(0, NoScipy())
 import fracfilm as ff
 from fracfilm.cli import main
 
-random = []  # numpy.random loaded, after each run and each verify
+random = []  # numpy.random loaded, after each run, verify, push-forward and identity
 for scen in sys.argv[1:]:
     assert main(["run", "--scenario", scen, "--out", scen + ".run"]) == 0
     random.append("numpy.random" in sys.modules)
@@ -1037,8 +1035,10 @@ grid = ff.PeriodicGrid(1, 256, 40.0)
 u = ff.gaussian_density(grid, 0.0, 1.0)
 field = ff.contraction_field(1, 9.0, 14.0)
 pushed, drift = ff.pushforward_with_drift(u, field, 1e-2)
+random.append("numpy.random" in sys.modules)
 norm = ff.sobolev_norm_sq(u.values, grid, 0.5)
 identity = ff.derivative_identity_check(u, field, 1.5).to_dict()
+random.append("numpy.random" in sys.modules)
 print(json.dumps({"leaked": leaked, "random": random, "pushed": pushed.values.tolist(),
                   "drift": drift, "norm": norm, "identity": identity}))
 """
@@ -1049,8 +1049,8 @@ class TestStartup:
         # a fresh interpreter that refuses every scipy import, since this one
         # has loaded scipy already: run and verify (every check in 1D, a
         # Sinkhorn run in d = 2), the push-forward, the kink-corrected norm
-        # and the derivative identity work without it, and run and verify
-        # leave numpy.random out
+        # and the derivative identity work without it, and none of them
+        # loads numpy.random
         one_d = FAST_SCENARIO.replace("time.num_steps = 4", "time.num_steps = 2").replace(
             "checks = energy_estimate, moment_bound",
             "checks = energy_estimate, moment_bound, entropy_dissipation, weak_form, evi_entropy")
@@ -1064,7 +1064,7 @@ class TestStartup:
         assert len(list(Path(scens[0] + ".run").glob("check_*.json"))) == 5
         got = json.loads(done.stdout.splitlines()[-1])
         assert got["leaked"] == []
-        assert got["random"] == [False] * 4  # the Hessian guard samples a fixed point set
+        assert got["random"] == [False] * 6  # field checks sample fixed point sets
         grid = PeriodicGrid(1, 256, 40.0)
         u = gaussian_density(grid, 0.0, 1.0)
         field = contraction_field(1, 9.0, 14.0)

@@ -20,9 +20,9 @@ from fracfilm import (
     w2_exact_1d,
 )
 
-from fracfilm.measure import _periodic_cubic_spline
+from fracfilm.measure import _integrate_flow, _periodic_cubic_spline
 
-from flow_fields import flow_map, translation_field
+from flow_fields import flow_map, sine_field, translation_field
 
 
 def grid1d(n=512, L=40.0):
@@ -216,6 +216,31 @@ class TestFlowMap:
         with pytest.raises(ValueError):
             flow_map(fld, 1.5, np.array([[0.0]]))
 
+    @pytest.mark.parametrize("t", [0.5, -0.5])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_contraction_determinant_on_plateau(self, dim, t):
+        # eta = -x on the plateau, so det DX_t = exp(-d t); the points stay
+        # inside r_inner = 1.75 (|X_t| <= e^0.5 sqrt(2) 0.7 < 1.7)
+        fld = contraction_field(dim, 1.75, 2.0)
+        axes = np.meshgrid(*[np.linspace(-0.7, 0.7, 5)] * dim, indexing="ij")
+        pts = np.stack([a.ravel() for a in axes], axis=1)
+        _, log_det = _integrate_flow(fld, t, pts)
+        np.testing.assert_allclose(np.exp(log_det), np.exp(-dim * t), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("t", [0.5, -0.5])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sine_determinant_on_plateau(self, dim, t):
+        # eta = e_1 sin(k x_1) on the plateau: d/dt log sin(k X_1) = k cos(k X_1)
+        # = div eta, so det DX_t = sin(k X_t)/sin(k x_0); with k = 1, x_1 stays
+        # in (0, pi) or (-pi, 0) and |X_t| < 3.3 < r_inner
+        fld = sine_field(dim, 5.0, 8.0, freq=1.0)
+        axes = np.meshgrid(np.array([-2.7, -1.9, -1.1, -0.3, 0.3, 1.1, 1.9, 2.7]),
+                           *[np.linspace(-1.0, 1.0, 3)] * (dim - 1), indexing="ij")
+        pts = np.stack([a.ravel() for a in axes], axis=1)
+        there, log_det = _integrate_flow(fld, t, pts)
+        exact = np.sin(there[:, 0]) / np.sin(pts[:, 0])
+        np.testing.assert_allclose(np.exp(log_det), exact, rtol=1e-12, atol=0)
+
 
 class TestPushforward:
     def test_t_zero_unchanged(self):
@@ -304,14 +329,13 @@ class TestPushforward:
         def bad_func(pts):
             return np.ones_like(pts)
 
-        def bad_jac(pts):
-            n, d = pts.shape
-            return np.zeros((n, d, d))
+        def bad_div(pts):
+            return np.zeros(len(pts))
 
         from fracfilm import VectorField
 
         with pytest.raises(ValueError):
-            VectorField(dim=1, func=bad_func, jacobian=bad_jac, support_radius=3.0)
+            VectorField(dim=1, func=bad_func, divergence=bad_div, support_radius=3.0)
 
 
 class TestBoundaryShell:
