@@ -203,8 +203,8 @@ def check_moment_bound(traj: Trajectory) -> CheckReport:
     horizon = traj.num_steps * cfg.tau
     bound = 2.0 * horizon * e0 + 2.0 * m0
     ks, lhs, rhs = [0], [m0], [bound]
-    for rec in traj.steps:
-        ks.append(rec.index)
+    for k, rec in enumerate(traj.steps, start=1):
+        ks.append(k)
         lhs.append(rec.second_moment)
         rhs.append(bound)
     extra = {"initial_moment": m0, "initial_energy": e0, "horizon": horizon}
@@ -213,12 +213,12 @@ def check_moment_bound(traj: Trajectory) -> CheckReport:
         w0 = w2_exact_1d(traj.initial, spike, want_potential=False).w2_squared
         acc = 0.0
         offset = traj.num_steps
-        for rec in traj.steps:
+        for k, rec in enumerate(traj.steps, start=1):
             acc += rec.w2_sq_to_prev / cfg.tau
             wn = w2_exact_1d(rec.density, spike, want_potential=False).w2_squared
-            ks.append(offset + rec.index)
+            ks.append(offset + k)
             lhs.append(wn)
-            rhs.append(2.0 * rec.index * cfg.tau * acc + 2.0 * w0)
+            rhs.append(2.0 * k * cfg.tau * acc + 2.0 * w0)
         extra["chain_reference_w2"] = float(w0)
     return CheckReport.from_series("moment_bound", ks, lhs, rhs, tolerance=_MOMENT_ABS_TOL,
                                    extra=extra)
@@ -236,8 +236,8 @@ def check_entropy_dissipation(traj: Trajectory) -> CheckReport:
     cfg = traj.config
     lhs, rhs, ks = [], [], []
     ent_prev = traj.initial_entropy
-    for rec in traj.steps:
-        ks.append(rec.index)
+    for k, rec in enumerate(traj.steps, start=1):
+        ks.append(k)
         lhs.append(2.0 * energy_of_values(rec.density.values, cfg.grid, 1.0 + cfg.s))
         rhs.append((ent_prev - rec.entropy) / cfg.tau)
         ent_prev = rec.entropy
@@ -340,14 +340,14 @@ def check_weak_form_step(
     resid_sum = 0.0
     w2_sum = 0.0
     u_prev = traj.initial
-    for rec in traj.steps:
-        a_n = phi.time_factor(rec.index * cfg.tau)
+    for k, rec in enumerate(traj.steps, start=1):
+        a_n = phi.time_factor(k * cfg.tau)
         phi_vals = a_n * psi
         eta_vals = a_n * dpsi
         pairing = hvol * float(np.sum(phi_vals * (rec.density.values - u_prev.values)))
         nval = operator_N(rec.density.values, grid, eta_vals, cfg.s)
         resid = pairing - cfg.tau * nval
-        ks.append(rec.index)
+        ks.append(k)
         lhs.append(abs(resid))
         rhs.append(0.5 * lam_val * rec.w2_sq_to_prev * (1.0 + _MULT_SLACK))
         resid_sum += resid

@@ -51,8 +51,7 @@ def run_checks(traj, checks):
         elif name == "weak_form":
             reports.append(check_weak_form_step(traj))
         elif name == "evi_entropy":
-            final = traj.steps[-1].density if traj.steps else traj.initial
-            reports.append(check_evi_entropy(traj.initial, final))
+            reports.append(check_evi_entropy(traj.initial, traj.density_at_step(traj.num_steps)))
     return reports
 
 

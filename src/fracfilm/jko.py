@@ -79,8 +79,7 @@ which has no z and whose `dual` is None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -145,9 +144,9 @@ class JkoConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Diagnostics of one proximal step."""
+    """Diagnostics of one proximal step; its number is its position in
+    `Trajectory.steps`, counted from 1."""
 
-    index: int
     density: GridDensity
     w2_sq_to_prev: float
     energy: float
@@ -165,15 +164,26 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """The initial datum and the records of steps 1, 2, ...; the initial
+    datum's scalars are computed once, when the trajectory is built, and
+    the manifest and every check read them here."""
+
     config: JkoConfig
     initial: GridDensity
     steps: List[StepRecord]
     status: str = "ok"
+    initial_energy: float = field(init=False)
+    initial_entropy: float = field(init=False)
+    initial_moment: float = field(init=False)
+    initial_boundary_mass: float = field(init=False)
 
     def __post_init__(self):
-        for k, rec in enumerate(self.steps, start=1):
-            if rec.index != k:
-                raise ValueError(f"step indices must be contiguous from 1, found {rec.index} at {k}")
+        u0 = self.initial
+        object.__setattr__(self, "initial_energy",
+                           energy_of_values(u0.values, self.config.grid, self.config.s))
+        object.__setattr__(self, "initial_entropy", entropy(u0))
+        object.__setattr__(self, "initial_moment", second_moment(u0))
+        object.__setattr__(self, "initial_boundary_mass", boundary_shell_mass(u0))
 
     def density_at_step(self, k: int) -> GridDensity:
         return self.initial if k == 0 else self.steps[k - 1].density
@@ -181,20 +191,6 @@ class Trajectory:
     @property
     def num_steps(self) -> int:
         return len(self.steps)
-
-    # the initial datum's scalars, computed on first use and kept: every
-    # check that needs one reads it here
-    @cached_property
-    def initial_energy(self) -> float:
-        return energy_of_values(self.initial.values, self.config.grid, self.config.s)
-
-    @cached_property
-    def initial_entropy(self) -> float:
-        return entropy(self.initial)
-
-    @cached_property
-    def initial_moment(self) -> float:
-        return second_moment(self.initial)
 
 
 def interpolant(traj: Trajectory, t: float) -> GridDensity:
@@ -391,7 +387,12 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
         p = values[mask] * hvol
         gm = g[mask]
         gbar = float(np.sum(p * gm) / np.sum(p))
-        return float(np.sqrt(np.sum(p * (gm - gbar) ** 2))), gbar
+        # the deviations are divided by a power of two 2^e >= their largest
+        # size, which is exact, so that their squares cannot overflow at a
+        # large order s
+        dev = gm - gbar
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(dev))))[1])
+        return scale * float(np.sqrt(np.sum(p * (dev / scale) ** 2))), gbar
 
     if grid.dim == 1:
         lap = _face_laplacian(grid, mult, tau)
@@ -463,7 +464,6 @@ def jko_step(u_prev: GridDensity, cfg: JkoConfig) -> StepRecord:
 
     final = GridDensity(grid, u)
     return StepRecord(
-        index=0,  # caller assigns
         density=final,
         w2_sq_to_prev=tr.w2_squared,
         energy=energy,
@@ -493,7 +493,6 @@ def run(u0: GridDensity, cfg: JkoConfig, num_steps: int) -> Trajectory:
             rec = jko_step(u, cfg)
         except FracfilmError as exc:
             return Trajectory(cfg, u0, steps, status=f"failed:step={k}:{type(exc).__name__}:{exc}")
-        rec = replace(rec, index=k)
         steps.append(rec)
         u = rec.density
     return Trajectory(cfg, u0, steps)

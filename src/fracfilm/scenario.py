@@ -45,16 +45,8 @@ from typing import Optional
 import numpy as np
 
 from .jko import STOP_REASONS, InnerConfig, JkoConfig, StepRecord, Trajectory
-from .measure import (
-    GridDensity,
-    boundary_shell_mass,
-    entropy,
-    gaussian_density,
-    gaussian_mixture_density,
-    second_moment,
-    uniform_density,
-)
-from .spectral import PeriodicGrid, energy_of_values
+from .measure import GridDensity, gaussian_density, gaussian_mixture_density, uniform_density
+from .spectral import PeriodicGrid
 from .transport import TransportConfig
 
 
@@ -79,9 +71,10 @@ def _stop_reason(cell: str) -> str:
 
 # diagnostics.csv, one (column, StepRecord field, cell parser) per column.
 # Float cells are written with `_fmt` and must read back finite, the others
-# with `str`; the `t` column is index * tau and has no field.
+# with `str`.  The `k` and `t` columns have no field: they are the row's
+# position k, counted from 1, and k * tau.
 DIAGNOSTIC_COLUMNS = (
-    ("k", "index", _count),
+    ("k", None, _count),
     ("t", None, _finite),
     ("energy", "energy", _finite),
     ("entropy", "entropy", _finite),
@@ -372,10 +365,11 @@ def _read_density_file(path, grid: PeriodicGrid) -> np.ndarray:
     return arr.reshape(grid.shape)
 
 
-def _diagnostic_cells(rec: StepRecord, tau: float):
-    """The diagnostics.csv cells of one step, column by column."""
-    for _, attr, parse in DIAGNOSTIC_COLUMNS:
-        x = rec.index * tau if attr is None else getattr(rec, attr)
+def _diagnostic_cells(k: int, rec: StepRecord, tau: float):
+    """The diagnostics.csv cells of step k, column by column."""
+    position = {"k": k, "t": k * tau}
+    for column, attr, parse in DIAGNOSTIC_COLUMNS:
+        x = position[column] if attr is None else getattr(rec, attr)
         yield _fmt(x) if parse is _finite else str(x)
 
 
@@ -385,8 +379,8 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "diagnostics.csv", "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in traj.steps:
-            fh.write(",".join(_diagnostic_cells(rec, sc.config.tau)) + "\n")
+        for k, rec in enumerate(traj.steps, start=1):
+            fh.write(",".join(_diagnostic_cells(k, rec, sc.config.tau)) + "\n")
     for k in range(traj.num_steps + 1):
         write_density_file(out / _density_filename(k), traj.density_at_step(k))
     manifest = {
@@ -395,10 +389,10 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
         "status": traj.status,
         "num_steps": traj.num_steps,
         "initial": {
-            "energy": energy_of_values(traj.initial.values, sc.config.grid, sc.config.s),
-            "entropy": entropy(traj.initial),
-            "second_moment": second_moment(traj.initial),
-            "boundary_mass": boundary_shell_mass(traj.initial),
+            "energy": traj.initial_energy,
+            "entropy": traj.initial_entropy,
+            "second_moment": traj.initial_moment,
+            "boundary_mass": traj.initial_boundary_mass,
         },
     }
     write_json(out / "manifest.json", manifest)
@@ -431,8 +425,9 @@ def load_run_directory(run_dir):
 
     Snapshot values and CSV diagnostics round-trip float64 exactly (17
     significant digits), so reconstructed records match the in-memory run.
-    A malformed directory, a non-finite diagnostics cell, or a finished run
-    (status ok) without one row per step raises ScenarioError.
+    A malformed directory, a non-finite diagnostics cell, a row whose `k`
+    is not its row number, or a finished run (status ok) without one row
+    per step raises ScenarioError.
     """
     run = Path(run_dir)
     manifest_path = run / "manifest.json"
@@ -455,7 +450,7 @@ def load_run_directory(run_dir):
         header = fh.readline().strip().split(",")
         if header != CSV_COLUMNS:
             raise ScenarioError(f"unexpected diagnostics columns {header}")
-        for line in fh:
+        for k, line in enumerate(fh, start=1):
             parts = line.strip().split(",")
             if len(parts) != len(CSV_COLUMNS):
                 raise ScenarioError(f"malformed diagnostics row {line!r}: {len(parts)} cells")
@@ -463,12 +458,12 @@ def load_run_directory(run_dir):
                 cells = [parse(c) for c, (_, _, parse) in zip(parts, DIAGNOSTIC_COLUMNS)]
             except ValueError as exc:
                 raise ScenarioError(f"malformed diagnostics row {line!r}: {exc}") from None
+            if cells[0] != k:  # a row that skips or repeats a step
+                raise ScenarioError(f"diagnostics {csv_path}: row {k} holds step {cells[0]}")
             rows.append({attr: x for x, (_, attr, _) in zip(cells, DIAGNOSTIC_COLUMNS) if attr})
-    steps = [StepRecord(density=_read_snapshot(run, row["index"], grid), **row) for row in rows]
-    try:
-        traj = Trajectory(sc.config, initial, steps, status=manifest.get("status", "ok"))
-    except ValueError as exc:  # rows that skip or repeat a step
-        raise ScenarioError(f"diagnostics {csv_path}: {exc}") from None
+    steps = [StepRecord(density=_read_snapshot(run, k, grid), **row)
+             for k, row in enumerate(rows, start=1)]
+    traj = Trajectory(sc.config, initial, steps, status=manifest.get("status", "ok"))
     if traj.status == "ok" and traj.num_steps != sc.num_steps:
         raise ScenarioError(f"diagnostics {csv_path}: the run finished {sc.num_steps} steps "
                             f"but has rows for {traj.num_steps}")

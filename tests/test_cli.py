@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -510,6 +511,22 @@ def run_dir(tmp_path_factory):
 
 
 class TestVerify:
+    def test_large_order_run_is_judged(self, tmp_path):
+        # at s = 80 the symbol is finite on this grid, but the squared
+        # deviations of the step's gradient used to overflow: the run warned,
+        # wrote kkt_residual = inf and verify refused its own directory (3)
+        text = FAST_SCENARIO.replace("grid.n = 128", "grid.n = 256").replace(
+            "equation.s = 1.0", "equation.s = 80").replace(
+            "time.num_steps = 4", "time.num_steps = 1")
+        scen = write_scenario(tmp_path, text)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
+            (rec,) = load_run_directory(out)[1].steps
+            assert np.isfinite(rec.kkt_residual)
+            assert main(["verify", str(out), "--checks", ",".join(KNOWN_CHECKS)]) == 1
+
     def test_all_checks_pass(self, run_dir):
         assert main(["verify", str(run_dir)]) == 0
         for name in ("energy_estimate", "moment_bound"):
@@ -550,6 +567,7 @@ class TestVerify:
          ("density_000002.txt", scale_middle_value(-1.0), "density_000002.txt"),
          ("density_000002.txt", scale_middle_value(1.5), "density_000002.txt"),
          ("diagnostics.csv", drop_first_diagnostics_row, "diagnostics.csv"),
+         ("diagnostics.csv", set_diagnostics_cell("k", "1"), "diagnostics.csv"),
          ("manifest.json", delete_file, "no manifest.json"),
          ("diagnostics.csv", delete_file, "no diagnostics.csv"),
          ("diagnostics.csv", lambda text: text.replace("energy", "energie", 1),
@@ -561,8 +579,8 @@ class TestVerify:
          ("diagnostics.csv", drop_last_diagnostics_row, "finished 4 steps but has rows for 3")],
         ids=["energy_abc", "k_x", "manifest_not_json", "manifest_without_scenario_text",
              "negated_snapshot_value", "snapshot_value_times_1.5", "first_row_deleted",
-             "no_manifest", "no_diagnostics", "wrong_header", "short_row", "missing_snapshot",
-             "energy_nan", "kkt_inf", "last_row_deleted"],
+             "k_repeated", "no_manifest", "no_diagnostics", "wrong_header", "short_row",
+             "missing_snapshot", "energy_nan", "kkt_inf", "last_row_deleted"],
     )
     def test_malformed_run_directory_exits_3(self, run_dir, tmp_path, capsys, name, edit, message):
         # a config error (3) naming the file or cause, never a traceback (the
@@ -1153,16 +1171,18 @@ def count_initial_energies(monkeypatch, initial):
 
 
 class TestInitialScalarsOnce:
+    # loading the run directory builds the trajectory, which computes u0's
+    # energy; the checks read it there
     def test_one_initial_energy_per_verify_in_1d(self, run_dir, monkeypatch):
+        calls = count_initial_energies(monkeypatch, load_run_directory(run_dir)[1].initial)
         _, traj = load_run_directory(run_dir)
-        calls = count_initial_energies(monkeypatch, traj.initial)
         assert [rep.name for rep in run_checks(traj, KNOWN_CHECKS)] == KNOWN_CHECKS
         assert len(calls) == 1
 
     def test_one_initial_energy_per_verify_in_2d(self, sink2d_run, monkeypatch):
-        _, traj = load_run_directory(sink2d_run)
         checks = [c for c in KNOWN_CHECKS if c != "evi_entropy"]
-        calls = count_initial_energies(monkeypatch, traj.initial)
+        calls = count_initial_energies(monkeypatch, load_run_directory(sink2d_run)[1].initial)
+        _, traj = load_run_directory(sink2d_run)
         assert [rep.name for rep in run_checks(traj, checks)] == checks
         assert len(calls) == 1
 
@@ -1172,6 +1192,17 @@ class TestInitialScalarsOnce:
         calls = count_initial_energies(monkeypatch, load_scenario(scen).initial_density())
         assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("fixture", ["run_dir", "sink2d_run"])
+    def test_manifest_holds_the_trajectory_scalars(self, request, fixture):
+        # the manifest's initial block and a loaded trajectory's scalars are
+        # the same numbers, bit for bit
+        out = request.getfixturevalue(fixture)
+        initial = json.loads((out / "manifest.json").read_text())["initial"]
+        _, traj = load_run_directory(out)
+        assert initial == {"energy": traj.initial_energy, "entropy": traj.initial_entropy,
+                           "second_moment": traj.initial_moment,
+                           "boundary_mass": traj.initial_boundary_mass}
 
 
 class TestContinuumNormOffRunAndVerify:

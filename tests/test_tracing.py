@@ -124,3 +124,40 @@ def test_verify_records_one_span_per_check(tracing, tmp_path):
     _, spans = traced(tracing, ["verify", str(out)])
     counts = tracing.counts(spans)
     assert {name: counts.get(f"analysis.{name}", 0) for name in tracing.CHECKS} == dict.fromkeys(tracing.CHECKS, 1)
+
+
+U0_SPANS = ["spectral.energy_of_values", "measure.entropy", "measure.second_moment",
+            "measure.boundary_shell_mass"]
+
+
+def ancestors(spans, sp):
+    """The names of the spans that enclose `sp`, innermost first."""
+    names = []
+    while sp["parent"] is not None:
+        sp = spans[sp["parent"]]
+        names.append(sp["name"])
+    return names
+
+
+def test_run_computes_u0_scalars_where_the_trajectory_is_built(tracing, tmp_path):
+    # the writer only reads the trajectory: no span sits under it, so the
+    # benchmark, which counts a scenario span whole, counts no call twice
+    scen, out = run_dir(tmp_path, ONE_STEP_1D)
+    code, spans = traced(tracing, ["run", "--scenario", str(scen), "--out", str(out)])
+    assert code == 0
+    assert not [sp for sp in spans if "scenario.write_run_directory" in ancestors(spans, sp)]
+    below_run = [sp["name"] for sp in spans if ancestors(spans, sp) == ["jko.run"]]
+    assert sorted(below_run) == sorted(U0_SPANS + ["jko.jko_step"])
+
+
+def test_verify_computes_u0_scalars_on_load(tracing, tmp_path):
+    # u0's scalars are computed when the loaded trajectory is built, so no
+    # check's span depends on the order of the checks
+    scen, out = run_dir(tmp_path, ONE_STEP_1D)
+    assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
+    _, spans = traced(tracing, ["verify", str(out)])
+    u0 = [sp for sp in spans if sp["name"] in U0_SPANS]
+    assert sorted(sp["name"] for sp in u0) == sorted(U0_SPANS)
+    assert all(ancestors(spans, sp) == ["scenario.load_run_directory"] for sp in u0)
+    assert not [sp for sp in spans if sp["name"].split(".")[0] in ("spectral", "measure")
+                and any(name.startswith("analysis.") for name in ancestors(spans, sp))]
