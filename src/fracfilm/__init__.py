@@ -44,7 +44,6 @@ from .measure import (
 )
 from .spectral import (
     PeriodicGrid,
-    energy,
     energy_of_values,
     fractional_laplacian,
     sobolev_norm_sq,

@@ -28,7 +28,6 @@ from .measure import (
     spike_density,
 )
 from .spectral import (
-    energy,
     energy_of_values,
     fractional_laplacian,
     sobolev_norm_sq,
@@ -133,7 +132,8 @@ def derivative_identity_check(v: GridDensity, eta: VectorField, s: float) -> Che
     t_fd = _FD_STEP
 
     def pushed_energy(t):
-        return energy(pushforward_with_drift(v, eta, t)[0], s)
+        u = pushforward_with_drift(v, eta, t)[0]
+        return energy_of_values(u.values, u.grid, s)
 
     fp = pushed_energy(t_fd)
     fm = pushed_energy(-t_fd)

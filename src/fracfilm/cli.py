@@ -27,6 +27,7 @@ from .scenario import (
     format_scenario,
     load_run_directory,
     load_scenario,
+    parse_checks,
     validate_checks,
     write_json,
     write_run_directory,
@@ -102,11 +103,7 @@ def cmd_verify(args) -> int:
         _drop_verdicts(run_dir)
         print(f"solver failure: {traj.status}", file=sys.stderr)
         return EXIT_SOLVER_FAILED
-    checks = list(sc.checks)
-    if args.checks is not None:
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        if not checks:
-            raise ScenarioError(f"--checks {args.checks!r} names no check")
+    checks = sc.checks if args.checks is None else parse_checks(args.checks)
     reports = run_checks(traj, checks)
     all_passed = True
     for rep in reports:
@@ -145,15 +142,6 @@ def cmd_sweep(args) -> int:
         _make_output_dirs(out)
         report = tau_refinement_study(u0, sc.config, tau_list=taus, horizon=horizon, r=r)
         write_json(out / "tau_refinement.json", asdict(report))
-        with open(out / "tau_refinement.csv", "w") as fh:
-            fh.write("tau_coarse,tau_fine,l2h_gap,sup_gap,rate\n")
-            for i in range(len(report.l2h_gaps)):
-                rate = report.rates[i - 1] if i >= 1 else None
-                rate = float("nan") if rate is None else rate
-                fh.write(
-                    f"{report.taus[i]},{report.taus[i+1]},{report.l2h_gaps[i]!r},"
-                    f"{report.sup_gaps[i]!r},{rate!r}\n"
-                )
         print(f"tau sweep: gaps {report.l2h_gaps} cauchy_monotone={report.cauchy_monotone}")
         return EXIT_OK
     # every order is checked before the first run starts or directory is made

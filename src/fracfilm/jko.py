@@ -99,7 +99,6 @@ _ARMIJO = 1e-4  # sufficient-decrease constant
 _ALPHA_MIN = 1e-12  # smallest step the line search tries
 _DEGENERATE_SHARE = 1e-8  # residual floor, relative to the peak value
 _STALL_ITERS = 20  # iterations without a new smallest residual before a step stalls
-_KRYLOV_RTOL = 1e-10  # default tolerance of `_solve_krylov`
 _NEWTON_FORCING = 1e-5  # relative linear residual of a d >= 2 Newton solve
 _CG_MAX_ITERS = 3050  # operator applications before CG gives up on its tolerance
 STOP_REASONS = ("converged", "max_iters", "stalled")
@@ -295,7 +294,7 @@ def _solve_faces(lap: np.ndarray, bands: tuple, opened: np.ndarray, rhs: np.ndar
 
 
 def _solve_krylov(u: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray,
-                  grid: PeriodicGrid, s: float, rtol: float = _KRYLOV_RTOL) -> tuple:
+                  grid: PeriodicGrid, s: float, rtol: float) -> tuple:
     """Solve (I + tau L_s A_u) z = rhs by preconditioned CG to the relative
     residual `rtol`.  Returns (z, applications, met): met is whether
     |rhs - (I + tau L_s A_u) z| <= rtol |rhs|, and after `_CG_MAX_ITERS`
@@ -315,9 +314,7 @@ def _solve_krylov(u: np.ndarray, mob: tuple, tau: float, rhs: np.ndarray,
     own residual and descent-checks every direction, so the extra digits of
     a 1e-10 solve never change a step's Newton count, and they cost half or
     more of its operator applications.  A forcing of 1e-3 is too loose: at
-    s = 2 the sink2d step then takes 8 Newton iterations instead of 2.  A
-    direct call gets `_KRYLOV_RTOL`, a linear solve that matches a dense
-    one to 1e-10.
+    s = 2 the sink2d step then takes 8 Newton iterations instead of 2.
     """
     cols = rhs.shape[-1] // 2 + 1  # n is even, so `irfftn` restores the grid's shape
     xi_sq = grid.freq_sq[..., :cols]

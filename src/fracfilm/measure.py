@@ -64,13 +64,16 @@ class GridDensity:
 
 
 def gaussian_density(grid: PeriodicGrid, center=0.0, variance=1.0) -> GridDensity:
-    """Isotropic Gaussian sampled at the nodes, renormalized to unit mass."""
+    """Isotropic Gaussian sampled at the nodes, renormalized to unit mass;
+    the center must lie in the closed box [-L/2, L/2]^d."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape not in ((1,), (grid.dim,)):
         raise ValueError(f"gaussian center has {center.size} coordinates, dimension is {grid.dim}")
     center = np.broadcast_to(center, (grid.dim,))
-    if not np.all(np.isfinite(center)):
-        raise ValueError(f"gaussian center must be finite, got {tuple(center.tolist())}")
+    half = grid.box_length / 2
+    if not np.all(np.abs(center) <= half):  # nan fails the test too
+        raise ValueError(f"gaussian center {tuple(center.tolist())} lies outside the box "
+                         f"[{-half!r}, {half!r}]^{grid.dim}")
     if not (np.isfinite(variance) and variance > 0):
         raise ValueError(f"gaussian variance must be finite and positive, got {variance}")
     r2 = sum((c - mu) ** 2 for c, mu in zip(grid.coords, center))

@@ -99,9 +99,20 @@ class ScenarioError(ValueError):
     """Malformed scenario file or inconsistent settings."""
 
 
+def parse_checks(text: str) -> tuple:
+    """The names of a comma-separated check list; one that names none is refused."""
+    checks = tuple(c.strip() for c in text.split(",") if c.strip())
+    if not checks:
+        raise ScenarioError(f"check list {text!r} names no check")
+    return checks
+
+
 def validate_checks(checks, dimension: int) -> None:
-    """Reject unknown check names, and `evi_entropy` (exact 1D transport) unless d = 1."""
-    for c in checks:
+    """Reject unknown or repeated check names, and `evi_entropy` (exact 1D
+    transport) unless d = 1."""
+    for i, c in enumerate(checks):
+        if c in checks[:i]:
+            raise ScenarioError(f"check {c!r} is named twice")
         if c not in KNOWN_CHECKS:
             raise ScenarioError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
         if c == "evi_entropy" and dimension != 1:
@@ -244,10 +255,7 @@ def _scenario_from_keys(kv: dict, text: str) -> Scenario:
         if not comps:
             raise ScenarioError("gaussian_mixture initial datum needs initial.components")
         components = tuple(comps)
-    checks = kv.get("checks", ", ".join(DEFAULT_CHECKS))
-    checks = tuple(c.strip() for c in checks.split(",") if c.strip())
-    if not checks:
-        raise ScenarioError(f"checks {kv['checks']!r} names no check")
+    checks = parse_checks(kv.get("checks", ", ".join(DEFAULT_CHECKS)))
     dimension = _as_int(kv, "dimension", 1)
     _check_retired(kv, dimension)
     validate_checks(checks, dimension)

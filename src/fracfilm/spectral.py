@@ -226,7 +226,7 @@ def sobolev_norm_sq(
     whose corrected value is below zero, fills the box against the
     truncation rule and raises ValueError.
 
-    The scheme's energy is the plain lattice sum instead (`energy`).
+    The scheme's energy is the plain lattice sum instead (`energy_of_values`).
     """
     values = _on_grid(values, grid)
     if homogeneous:
@@ -291,17 +291,6 @@ def _zeta_negative(q: float) -> float:
     return -sine * scale * zeta
 
 
-def energy(density, s: float) -> float:
-    """Dirichlet-type energy: half the squared homogeneous norm of order s.
-
-    This is the scheme's energy: the plain lattice sum, whose exact first
-    variation is `fractional_laplacian`, not the continuum norm of
-    `sobolev_norm_sq`.  Accepts a GridDensity or a raw grid function
-    paired with its grid via the ``grid`` attribute.
-    """
-    return energy_of_values(density.values, density.grid, s)
-
-
 def _half_lattice_sum(coeffs: np.ndarray, grid: PeriodicGrid, mult: np.ndarray) -> float:
     """(1/2) (2 pi)^(-d) sum_xi mult |h^d u_hat|^2 (2 pi/L)^d from coeffs = fftn(u)."""
     weight = (2 * np.pi) ** (-grid.dim) * (2 * np.pi / grid.box_length) ** grid.dim
@@ -316,8 +305,9 @@ def energy_and_laplacian(values: np.ndarray, grid: PeriodicGrid, mult: np.ndarra
 
 
 def energy_of_values(values: np.ndarray, grid: PeriodicGrid, s: float) -> float:
-    """Energy of a raw grid function: the lattice sum, as in `energy`, whose
-    exact first variation is `fractional_laplacian`."""
+    """The scheme's energy F_s: half the lattice sum of order s, whose exact
+    first variation is `fractional_laplacian`, not the continuum norm of
+    `sobolev_norm_sq`."""
     if s <= 0 or not np.isfinite(s):
         raise ValueError(f"energy order must satisfy s > 0, got {s}")
     return _half_lattice_sum(np.fft.fftn(_on_grid(values, grid)), grid, grid.freq_sq ** s)

@@ -131,6 +131,11 @@ def _check_same_grid(u: GridDensity, v: GridDensity):
         raise GridMismatchError("transport requires both densities on the same grid")
 
 
+def _check_1d(grid):
+    if grid.dim != 1:
+        raise ValueError(f"exact transport requires dimension 1, got {grid.dim}")
+
+
 def _cdf(values, grid):
     h = grid.spacing
     cum = np.concatenate([[0.0], np.cumsum(values) * h])
@@ -177,8 +182,7 @@ def w2_exact_1d(u: GridDensity, v: GridDensity, want_potential: bool = True) -> 
     """
     _check_same_grid(u, v)
     grid = u.grid
-    if grid.dim != 1:
-        raise ValueError(f"exact transport requires dimension 1, got {grid.dim}")
+    _check_1d(grid)
     cells = grid.axis_cell_integrals if want_potential else None
     return _quantile_transport(u, _cdf(v.values, grid), cells)
 
@@ -264,8 +268,7 @@ def optimal_map_1d(u: GridDensity, v: GridDensity) -> np.ndarray:
     """Monotone optimal map T = F_v^{-1} o F_u evaluated at the nodes."""
     _check_same_grid(u, v)
     grid = u.grid
-    if grid.dim != 1:
-        raise ValueError(f"exact transport requires dimension 1, got {grid.dim}")
+    _check_1d(grid)
     edges = grid.axis_edges
     cu = _cdf(u.values, grid)
     cv = _cdf(v.values, grid)
@@ -547,8 +550,7 @@ class ExactTransport:
 
     def __init__(self, target: GridDensity):
         grid = target.grid
-        if grid.dim != 1:
-            raise ValueError(f"exact transport requires dimension 1, got {grid.dim}")
+        _check_1d(grid)
         self._target = target
         self._cdf = _cdf(target.values, grid)
 
@@ -585,7 +587,8 @@ def w2(u: GridDensity, transport, start: Optional[np.ndarray] = None) -> Transpo
 
 
 def w2_sinkhorn(u: GridDensity, v: GridDensity, epsilon: float,
-                max_iter: int = 20000, tol: float = 1e-9) -> TransportResult:
+                max_iter: int = TransportConfig.max_iter,
+                tol: float = TransportConfig.tol) -> TransportResult:
     """One cold `Sinkhorn` call: S_eps(u, v) and delta(S_eps/2), in any
     dimension.  Raises ValueError on settings `TransportConfig` refuses,
     before any pass."""

@@ -337,14 +337,23 @@ class TestRun:
              "inner max_iters must be at least 1, got 0"),
             ("inner.grad_tol = 1e-7", "inner.grad_tol = 0", "inner grad_tol must be finite and positive, got 0.0"),
             ("inner.grad_tol = 1e-7", "inner.grad_tol = nan", "inner grad_tol must be finite and positive, got nan"),
+            ("initial.center = 0.0", "initial.center = 1e300",
+             "gaussian center (1e+300,) lies outside the box [-20.0, 20.0]^1"),
+            ("initial.kind = gaussian", "initial.kind = gaussian_mixture\n"
+             "initial.components = 0.5 : 0.0 : 1.0 ; 0.5 : -1e300 : 1.0",
+             "gaussian center (-1e+300,) lies outside the box [-20.0, 20.0]^1"),
+            ("checks = energy_estimate, moment_bound", "checks = energy_estimate, energy_estimate",
+             "check 'energy_estimate' is named twice"),
         ],
         ids=["word_grid_n", "negative_num_steps", "component_with_two_fields",
              "mixture_without_components", "unknown_kind", "wrong_row_count", "zero_weights",
              "negative_weight", "infinite_center", "center_beyond_dimension",
-             "component_center_beyond_dimension", "zero_max_iters", "zero_grad_tol", "nan_grad_tol"],
+             "component_center_beyond_dimension", "zero_max_iters", "zero_grad_tol", "nan_grad_tol",
+             "center_outside_box", "component_center_outside_box", "check_named_twice"],
     )
     def test_refused_setting_names_its_cause(self, tmp_path, capsys, old, new, cause):
-        # each such scenario is refused (3) before any --out is made
+        # each such scenario is refused (3) before any --out is made, and
+        # without a RuntimeWarning (an error under this suite's settings)
         rows = tmp_path / "u0.txt"
         rows.write_text("\n".join(["1.0"] * 100) + "\n")
         scen = write_scenario(tmp_path, FAST_SCENARIO.replace(old, new.format(rows=rows)))
@@ -672,6 +681,13 @@ class TestVerify:
         assert main(["verify", str(run_dir), "--checks", checks]) == 3
         assert "names no check" in capsys.readouterr().err
 
+    def test_checks_flag_with_a_check_named_twice_exits_3(self, run_dir, capsys):
+        assert main(["verify", str(run_dir), "--checks", "moment_bound, moment_bound"]) == 3
+        assert "check 'moment_bound' is named twice" in capsys.readouterr().err
+        _, traj = load_run_directory(run_dir)
+        with pytest.raises(ScenarioError, match="named twice"):
+            run_checks(traj, ["moment_bound", "energy_estimate", "moment_bound"])
+
     def test_evi_entropy_in_2d_exits_3(self, tmp_path, capsys):
         text = UNIFORM_SCENARIO.replace("dimension = 1", "dimension = 2").replace(
             "grid.n = 64", "grid.n = 8"
@@ -808,7 +824,6 @@ class TestSweep:
         assert code == 0
         doc = json.loads((out / "tau_refinement.json").read_text())
         assert doc["cauchy_monotone"]
-        assert (out / "tau_refinement.csv").exists()
 
     def test_bad_tau_list_exits_3(self, tmp_path):
         # every bad refinement setting is a config error (3), never a
@@ -865,7 +880,7 @@ class TestSweep:
 
     def test_tau_sweep_with_zero_gaps_writes_strict_json(self, tmp_path):
         # uniform data never moves, so every gap is 0 and no rate exists:
-        # null in the JSON (not Infinity), nan in the CSV
+        # null in the JSON (not Infinity)
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
         out = tmp_path / "flat"
         code = main(["sweep", "--scenario", str(scen), "--out", str(out), "--tau-list", "4e-3,2e-3,1e-3",
@@ -875,8 +890,6 @@ class TestSweep:
         assert doc["l2h_gaps"] == [0.0, 0.0]
         assert doc["rates"] == [None]
         assert doc["cauchy_monotone"] is True  # a pair of zero gaps does not increase
-        rows = (out / "tau_refinement.csv").read_text().splitlines()
-        assert [row.split(",")[-1] for row in rows[1:]] == ["nan", "nan"]
 
     def test_s_sweep_runs_and_verifies(self, tmp_path):
         scen = write_scenario(tmp_path, UNIFORM_SCENARIO)

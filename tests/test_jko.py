@@ -15,7 +15,7 @@ from fracfilm import (
     PeriodicGrid,
     StagnationError,
     TransportConfig,
-    energy,
+    energy_of_values,
     fractional_laplacian,
     gaussian_density,
     gaussian_mixture_density,
@@ -26,6 +26,7 @@ from fracfilm import (
     w2,
     w2_sinkhorn,
 )
+from fracfilm.cli import run_checks
 from fracfilm.jko import (
     _DEGENERATE_SHARE,
     _NEWTON_FORCING,
@@ -37,6 +38,7 @@ from fracfilm.jko import (
     _solve_faces,
     _solve_krylov,
 )
+from fracfilm.scenario import KNOWN_CHECKS
 from fracfilm.spectral import apply_multiplier
 from fracfilm.transport import w2_exact_1d
 
@@ -62,7 +64,8 @@ class TestJkoStep:
         cfg = make_cfg(tau=1e-6, grad_tol=1e-6)
         u0 = gaussian_density(cfg.grid)
         rec = jko_step(u0, cfg)
-        assert rec.w2_sq_to_prev <= 2 * cfg.tau * energy(u0, cfg.s) * (1 + 1e-10)
+        e0 = energy_of_values(u0.values, u0.grid, cfg.s)
+        assert rec.w2_sq_to_prev <= 2 * cfg.tau * e0 * (1 + 1e-10)
 
     def test_huge_tau_flattens(self):
         # tau = 1e3: the proximal term is negligible, the minimizer heads to
@@ -71,13 +74,13 @@ class TestJkoStep:
         cfg = make_cfg(tau=1e3, grad_tol=1e-9, max_iters=20000)
         u0 = gaussian_density(cfg.grid, 2.0, 1.0)
         rec = jko_step(u0, cfg)
-        assert rec.energy < 0.05 * energy(u0, cfg.s)
+        assert rec.energy < 0.05 * energy_of_values(u0.values, u0.grid, cfg.s)
 
     def test_objective_not_above_previous_energy(self):
         cfg = make_cfg()
         u0 = gaussian_density(cfg.grid)
         rec = jko_step(u0, cfg)
-        e_prev = energy(u0, cfg.s)
+        e_prev = energy_of_values(u0.values, u0.grid, cfg.s)
         assert rec.energy + rec.w2_sq_to_prev / (2 * cfg.tau) <= e_prev * (1 + 1e-10)
 
     def test_mass_and_positivity_exact(self):
@@ -368,7 +371,7 @@ class TestRegimes:
         u0 = gaussian_mixture_density(cfg.grid, SINK2D_MIXTURE)
         traj = run(u0, cfg, 3)
         assert traj.status == "ok" and traj.num_steps == 3
-        e_prev = energy(u0, cfg.s)
+        e_prev = energy_of_values(u0.values, u0.grid, cfg.s)
         for rec in traj.steps:
             assert rec.stop_reason == "converged"
             assert abs(rec.density.mass() - 1.0) <= 1e-12
@@ -395,6 +398,21 @@ class TestRegimes:
         assert np.count_nonzero(rec.density.values > 0) == 25
         assert abs(rec.density.mass() - 1.0) <= 1e-12
         assert np.min(rec.density.values) >= 0.0
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, pytest.param(
+        4.0, marks=pytest.mark.xfail(strict=False, reason=(
+            "ROADMAP items 2 and 13: the s = 4 candidate adds grid-scale content; all three "
+            "steps end stalled (kkt 14, 140, 1.2), the run says ok and entropy_dissipation "
+            "FAILs")))])
+    def test_order_row_1d(self, s):
+        # the 1D row of the regime matrix on the reference grid: three steps
+        # at each order, each converged in 2-3 Newton iterations, and every
+        # check passes
+        traj = run(gaussian_density(make_cfg().grid), make_cfg(s=s), 3)
+        assert traj.status == "ok"
+        assert [rec.stop_reason for rec in traj.steps] == ["converged"] * 3
+        failed = [rep.name for rep in run_checks(traj, KNOWN_CHECKS) if not rep.passed]
+        assert failed == []
 
 
 @pytest.fixture
@@ -550,7 +568,7 @@ def assert_krylov_matches_direct(grid, u, s, tau=1e-2):
         e + tau * apply_multiplier(_apply_mobility(e.reshape(grid.shape), mob), grid, lap).ravel()
         for e in eye], axis=1)
     direct = _apply_mobility(np.linalg.solve(system, rhs.ravel()).reshape(grid.shape), mob)
-    z, applications, met = _solve_krylov(u, mob, tau, rhs, grid, s)
+    z, applications, met = _solve_krylov(u, mob, tau, rhs, grid, s, rtol=1e-10)
     assert met and applications > 1
     krylov = _apply_mobility(z, mob)
     assert np.max(np.abs(krylov - direct)) <= 1e-10 * np.max(np.abs(direct))
@@ -572,7 +590,8 @@ class TestNewtonDirection:
         grid = PeriodicGrid(dim, 16, 12.0)
         u = gaussian_density(grid, 0.0, 1.5).values
         mob = _face_mobility(u, _open_faces(u > 0), grid.spacing)
-        z, applications, met = _solve_krylov(u, mob, 1e-2, np.zeros(grid.shape), grid, 1.0)
+        z, applications, met = _solve_krylov(u, mob, 1e-2, np.zeros(grid.shape), grid, 1.0,
+                                             rtol=1e-10)
         assert met and applications == 0
         assert np.array_equal(z, np.zeros(grid.shape))
 
@@ -715,7 +734,7 @@ class TestRun:
     def test_reference_run_energies_nonincreasing(self, reference_trajectory):
         traj = reference_trajectory
         energies = [rec.energy for rec in traj.steps]
-        e0 = energy(traj.initial, traj.config.s)
+        e0 = energy_of_values(traj.initial.values, traj.initial.grid, traj.config.s)
         assert traj.status == "ok"
         assert len(energies) == 50
         assert energies[0] <= e0
@@ -724,7 +743,7 @@ class TestRun:
     def test_reference_run_basic_estimate(self, reference_trajectory):
         traj = reference_trajectory
         cfg = traj.config
-        e0 = energy(traj.initial, cfg.s)
+        e0 = energy_of_values(traj.initial.values, traj.initial.grid, cfg.s)
         dissipation = sum(rec.w2_sq_to_prev for rec in traj.steps) / (2 * cfg.tau)
         assert traj.steps[-1].energy + dissipation <= e0 * (1 + 1e-8)
 
@@ -742,7 +761,7 @@ class TestRun:
     def test_one_step_energy_sandwich(self, reference_trajectory):
         # F_s(u^k) <= objective(u^k) <= F_s(u^{k-1}) for every k
         traj = reference_trajectory
-        e_prev = energy(traj.initial, traj.config.s)
+        e_prev = energy_of_values(traj.initial.values, traj.initial.grid, traj.config.s)
         for rec in traj.steps:
             objective = rec.energy + rec.w2_sq_to_prev / (2 * traj.config.tau)
             assert rec.energy <= objective + 1e-16
@@ -847,7 +866,8 @@ class TestTwoDimensional:
         cfg = JkoConfig(grid=grid, s=1.0, tau=1e-2, inner=inner, transport=transport)
         u0 = gaussian_density(grid, (0.0, 0.0), 1.0)
         rec = jko_step(u0, cfg)
-        assert rec.energy + rec.w2_sq_to_prev / (2 * cfg.tau) <= energy(u0, 1.0) * (1 + 1e-8)
+        e0 = energy_of_values(u0.values, u0.grid, 1.0)
+        assert rec.energy + rec.w2_sq_to_prev / (2 * cfg.tau) <= e0 * (1 + 1e-8)
         assert abs(rec.density.mass() - 1.0) <= 1e-12
         assert np.min(rec.density.values) >= 0.0
 
@@ -875,3 +895,29 @@ class TestTwoDimensional:
         moved = np.max(np.abs(rec1.density.values - f0.values))
         error = np.max(np.abs(marginal - rec1.density.values)) / moved
         assert error <= 0.2
+
+    def test_yz_invariant_step_is_the_exact_1d_step_at_tau_over_L_squared(self):
+        # the d = 3 case of the test above: u = f(x)/L^2 has energy
+        # F_1D(f)/L^2 and the 1D W^2, so the 3D step at tau is the 1D step at
+        # tau/L^2.  At eps = h^2 = 0.45 the step converges in 3 Newton
+        # iterations at kkt 1.58e-5 and reads an error of 0.170 (206 against
+        # the 1D step at tau).  The residual scales like L^-(d-1): at
+        # grad_tol 1e-3 the step stops at u0, whose residual is already
+        # 5.0e-4, and at 1e-5 it ends stalled at the same 1.58e-5 (ROADMAP
+        # item 5's floor).
+        n, L, tau = 24, 16.0, 1e-2
+        mixture = [(0.6, -1.0, 0.8), (0.4, 1.2, 1.0)]  # (weight, centre, variance)
+        grid1, grid3 = PeriodicGrid(1, n, L), PeriodicGrid(3, n, L)
+        f0 = gaussian_mixture_density(grid1, mixture)
+        u0 = GridDensity(grid3, np.broadcast_to(f0.values[:, None, None], grid3.shape) / L ** 2)
+        inner = InnerConfig(grad_tol=3e-5)
+        transport = TransportConfig(epsilon=0.45, tol=1e-7)
+        rec3 = jko_step(u0, JkoConfig(grid=grid3, s=1.0, tau=tau, inner=inner, transport=transport))
+        rec1 = jko_step(f0, make_cfg(n=n, L=L, tau=tau / L ** 2, grad_tol=1e-9))
+        assert rec3.stop_reason == "converged"
+        u1 = rec3.density.values
+        assert np.max(np.abs(u1 - u1[:, :1, :1])) <= 1e-9
+        marginal = u1.sum(axis=(1, 2)) * grid3.spacing ** 2
+        moved = np.max(np.abs(rec1.density.values - f0.values))
+        error = np.max(np.abs(marginal - rec1.density.values)) / moved
+        assert error <= 0.25

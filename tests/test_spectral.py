@@ -9,7 +9,6 @@ from scipy.special import gamma, zeta
 from fracfilm import (
     GridMismatchError,
     PeriodicGrid,
-    energy,
     energy_of_values,
     fractional_laplacian,
     gaussian_density,
@@ -191,7 +190,7 @@ class TestSobolevNorms:
         # deviation stays visible.
         g = grid1d()
         u = gaussian_density(g)
-        val = 2 * energy(u, 0.5)
+        val = 2 * energy_of_values(u.values, u.grid, 0.5)
         oracle = gaussian_hdot_oracle(0.5)
         assert oracle == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
         rel_gap = (val - oracle) / oracle
@@ -269,26 +268,27 @@ class TestEnergy:
         g = grid1d(128)
         u = uniform_density(g)
         for s in (0.5, 1.0, 2.0):
-            assert energy(u, s) == pytest.approx(0.0, abs=1e-24)
+            assert energy_of_values(u.values, u.grid, s) == pytest.approx(0.0, abs=1e-24)
 
     def test_gaussian_s1_frozen_value(self):
         g = grid1d()
         u = gaussian_density(g)
-        assert energy(u, 1.0) == pytest.approx(0.5 / (4.0 * np.sqrt(np.pi)), rel=1e-6)
+        expected = 0.5 / (4.0 * np.sqrt(np.pi))
+        assert energy_of_values(u.values, u.grid, 1.0) == pytest.approx(expected, rel=1e-6)
 
     def test_spike_energy_grows_under_refinement(self):
         for s in (0.5, 1.0):
             vals = []
             for n in (128, 256):
                 g = PeriodicGrid(1, n, 40.0)
-                vals.append(energy(spike_density(g), s))
+                vals.append(energy_of_values(spike_density(g).values, g, s))
             assert vals[1] > vals[0]
 
     def test_nonpositive_order_rejected(self):
         g = grid1d(64)
         u = uniform_density(g)
         with pytest.raises(ValueError):
-            energy(u, 0.0)
+            energy_of_values(u.values, u.grid, 0.0)
         with pytest.raises(ValueError):
             energy_of_values(u.values, g, -1.0)
 

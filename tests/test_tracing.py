@@ -92,6 +92,16 @@ def test_setup_probe_prints_its_seconds():
     assert float(line) > 0
 
 
+def test_benchmark_selftest_passes_every_check():
+    # the self-test prints one line per check and writes only under the
+    # ignored .bench_work/; a renamed package function fails one of them
+    done = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 17 and all(line.startswith("ok") for line in lines), done.stdout
+
+
 def test_1d_run_records_one_potential_call_per_evaluation(tracing, tmp_path):
     # every call of a step returns the potential; the spans are the record's calls
     scen, out = run_dir(tmp_path, ONE_STEP_1D)
