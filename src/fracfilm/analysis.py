@@ -435,11 +435,7 @@ def validate_refinement_settings(taus: Sequence[float], horizon: float, r: float
 
 
 def tau_refinement_study(
-    u0: GridDensity,
-    cfg_base: JkoConfig,
-    tau_list: Sequence[float] = (4e-3, 2e-3, 1e-3, 5e-4),
-    horizon: float = 0.05,
-    r: float = 0.5,
+    u0: GridDensity, cfg_base: JkoConfig, tau_list: Sequence[float], horizon: float, r: float
 ) -> TauRefinementReport:
     """Cauchy study over a decreasing tau list.
 

@@ -22,8 +22,8 @@ from .analysis import (
 from .errors import FracfilmError
 from .jko import run as jko_run
 from .scenario import (
-    KNOWN_CHECKS,
     ScenarioError,
+    drop_verdicts,
     format_scenario,
     load_run_directory,
     load_scenario,
@@ -84,23 +84,15 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _drop_verdicts(run_dir: Path):
-    """Remove an earlier verify's check files from a run directory that
-    verify refuses, so that no stale verdict survives the refusal."""
-    if (run_dir / "manifest.json").is_file():
-        for name in KNOWN_CHECKS:
-            (run_dir / f"check_{name}.json").unlink(missing_ok=True)
-
-
 def cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     try:
         sc, traj = load_run_directory(run_dir)
     except ScenarioError:
-        _drop_verdicts(run_dir)
+        drop_verdicts(run_dir)
         raise
     if traj.status != "ok":  # a failed run is not judged
-        _drop_verdicts(run_dir)
+        drop_verdicts(run_dir)
         print(f"solver failure: {traj.status}", file=sys.stderr)
         return EXIT_SOLVER_FAILED
     checks = sc.checks if args.checks is None else parse_checks(args.checks)
@@ -209,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--horizon", type=float,
                       help="time horizon for tau sweeps (default: num_steps * tau)")
     p_sw.add_argument("--r", type=float, help="comparison order r < s for tau sweeps (default 0.5)")
-    p_sw.add_argument("--threads", type=int, choices=(1,), help="retired: sweeps run serially")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_pc = sub.add_parser("print-config", help="parse and echo a normalized scenario")

@@ -44,6 +44,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .jko import STOP_REASONS, InnerConfig, JkoConfig, StepRecord, Trajectory
 from .measure import GridDensity, gaussian_density, gaussian_mixture_density, uniform_density
 from .spectral import PeriodicGrid
@@ -381,10 +382,25 @@ def _diagnostic_cells(k: int, rec: StepRecord, tau: float):
         yield _fmt(x) if parse is _finite else str(x)
 
 
+def drop_verdicts(run_dir: Path) -> None:
+    """Remove an earlier `verify`'s check files from a run directory (one that
+    holds manifest.json), so that no stale verdict outlives a refusal or rerun."""
+    if (run_dir / "manifest.json").is_file():
+        for name in KNOWN_CHECKS:
+            (run_dir / f"check_{name}.json").unlink(missing_ok=True)
+
+
 def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
-    """Persist diagnostics CSV, density snapshots, and the manifest."""
+    """Persist diagnostics CSV, density snapshots, and the manifest into the
+    existing `out_dir`.  A used run directory first loses its check files and
+    the snapshots past this run's last step: it ends with a fresh run's files."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if (out / "manifest.json").is_file():
+        drop_verdicts(out)
+        for snap in out.glob("density_*.txt"):
+            k = snap.stem[len("density_"):]
+            if k.isdigit() and int(k) > traj.num_steps:
+                snap.unlink()
     with open(out / "diagnostics.csv", "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for k, rec in enumerate(traj.steps, start=1):
@@ -393,7 +409,7 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
         write_density_file(out / _density_filename(k), traj.density_at_step(k))
     manifest = {
         "scenario_text": sc.raw_text or format_scenario(sc),
-        "code_version": _package_version(),
+        "code_version": __version__,
         "status": traj.status,
         "num_steps": traj.num_steps,
         "initial": {
@@ -409,12 +425,6 @@ def write_run_directory(out_dir, sc: Scenario, traj: Trajectory):
 def write_json(path, doc) -> None:
     """Write `doc` as strict JSON (no NaN or Infinity), indented, keys sorted."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def _read_snapshot(run: Path, k: int, grid: PeriodicGrid) -> GridDensity:

@@ -584,7 +584,9 @@ class TestTauRefinement:
         grid = grid1d(128)
         cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3)
         with pytest.raises(ValueError):
-            tau_refinement_study(uniform_density(grid), cfg, tau_list=(1e-3, 2e-3))
+            tau_refinement_study(
+                uniform_density(grid), cfg, tau_list=(1e-3, 2e-3), horizon=4e-3, r=0.5
+            )
 
     @pytest.mark.parametrize("r", [1.0, -np.inf])
     def test_r_must_be_below_s(self, r):
@@ -593,7 +595,9 @@ class TestTauRefinement:
         grid = grid1d(128)
         cfg = JkoConfig(grid=grid, s=1.0, tau=1e-3)
         with pytest.raises(ValueError, match="refinement order"):
-            tau_refinement_study(uniform_density(grid), cfg, tau_list=(2e-3, 1e-3), r=r)
+            tau_refinement_study(
+                uniform_density(grid), cfg, tau_list=(2e-3, 1e-3), horizon=4e-3, r=r
+            )
 
     @pytest.mark.parametrize("r", [-np.inf, np.nan])
     def test_validate_refinement_settings_rejects_r(self, r):

@@ -783,6 +783,25 @@ class TestDeterminism:
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_rerun_into_used_directory_leaves_a_fresh_runs_files(self, tmp_path):
+        # a 2-step rerun over a verified 4-step run used to keep the 4-step
+        # run's snapshots 3 and 4 and its evi_entropy verdict
+        reference = (Path(__file__).resolve().parents[1] / "scenarios" / "reference.cfg").read_text()
+        four = write_scenario(tmp_path, reference.replace("time.num_steps = 50", "time.num_steps = 4"),
+                              "four.cfg")
+        two = write_scenario(tmp_path, reference.replace("time.num_steps = 50", "time.num_steps = 2"),
+                             "two.cfg")
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main(["run", "--scenario", str(four), "--out", str(used)]) == 0
+        assert main(["verify", str(used), "--checks", "energy_estimate,evi_entropy"]) == 0
+        for out in (used, fresh):
+            assert main(["run", "--scenario", str(two), "--out", str(out)]) == 0
+            assert main(["verify", str(out)]) == 0
+        files = {out: {p.name: p.read_bytes() for p in out.iterdir()} for out in (used, fresh)}
+        assert "density_000003.txt" not in files[used]
+        assert "check_evi_entropy.json" not in files[used]
+        assert files[used] == files[fresh]
+
     @pytest.mark.parametrize("text,checks", [
         (FAST_SCENARIO, "energy_estimate,moment_bound,entropy_dissipation,weak_form,evi_entropy"),
         (SINKHORN_2D_SCENARIO, "energy_estimate,moment_bound,entropy_dissipation,weak_form"),
@@ -933,36 +952,14 @@ class TestSweep:
         assert f"orders 1.0 and {float(second)!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3", "2"])
-    def test_threads_other_than_one_exits_3(self, tmp_path, capsys, threads):
-        # --threads is retired: sweeps run serially, and only 1 is accepted
-        scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
-        out = tmp_path / "t"
-        code = main(["sweep", "--scenario", str(scen), "--out", str(out),
-                     "--s-list", "0.5,1.0", "--threads", threads])
-        assert code == 3
-        assert "--threads" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_threads_one_runs(self, tmp_path, capsys):
-        # old command lines that pass --threads 1 still run every order
-        scen = write_scenario(tmp_path, UNIFORM_SCENARIO)
-        out = tmp_path / "t1"
-        code = main(["sweep", "--scenario", str(scen), "--out", str(out),
-                     "--s-list", "0.5,1.0", "--threads", "1"])
-        assert code == 0
-        assert capsys.readouterr().out.splitlines() == ["s = 0.5: ok", "s = 1: ok"]
-        assert sorted(p.name for p in out.iterdir()) == ["s_0.5", "s_1"]
-
 
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [["sweep", "--scenario", "x.cfg", "--out", "o", "--s-list", "1", "--bogus", "1"],
          ["run"],
-         ["sweep", "--scenario", "x.cfg", "--out", "o", "--s-list", "1", "--threads", "x"],
-         ["sweep", "--scenario", "x.cfg", "--out", "o", "--s-list", "1", "--threads", "2"]],
-        ids=["unknown_flag", "missing_required_flag", "bad_int", "retired_value"],
+         ["sweep", "--scenario", "x.cfg", "--out", "o", "--tau-list", "1", "--horizon", "x"]],
+        ids=["unknown_flag", "missing_required_flag", "bad_float"],
     )
     def test_usage_error_exits_3(self, capsys, argv):
         # argparse's own errors are usage errors (3), not solver failures (2)
